@@ -19,6 +19,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from decimal import Context, Decimal, ROUND_CEILING, ROUND_FLOOR, ROUND_HALF_EVEN
+from functools import lru_cache
+
+from .numstr import _int_to_decimal
 
 # Error-bound arithmetic rounds outward; a dozen digits is plenty for bounds.
 _UP = Context(prec=12, rounding=ROUND_CEILING, Emax=999999999, Emin=-999999999)
@@ -128,6 +131,12 @@ def _exact_half_power(k: int) -> Decimal:
     return Decimal(5 ** k).scaleb(-k)
 
 
+@lru_cache(maxsize=16)
+def _ln2(prec: int) -> Decimal:
+    # correctly rounded, so the same at a given precision for every caller
+    return _value_context(prec).ln(Decimal(2))
+
+
 def log_big(x: int, digits: int) -> HPReal:
     """Natural log of a positive integer, radius at most 10**-digits.
 
@@ -144,9 +153,9 @@ def log_big(x: int, digits: int) -> HPReal:
     if x == 1:
         return HPReal(Decimal(0), Decimal(0), prec)
     ctx = _value_context(prec)
-    ln2_val = ctx.ln(Decimal(2))
+    ln2_val = _ln2(prec)
     ln2 = HPReal(ln2_val, _ulp(prec, ln2_val), prec)
-    mant_val = ctx.divide(Decimal(x), Decimal(1 << k))
+    mant_val = ctx.divide(_int_to_decimal(x), _int_to_decimal(1 << k))
     mant = HPReal(mant_val, _ulp(prec, mant_val), prec)
     result = ln2.times_exact(k) + mant.ln()
     if result.error > Decimal(1).scaleb(-digits):

@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import random
+import stat
 from bisect import bisect_right
 
 from .bounded import (BoundFunction, BoundedTable, GInverse, MinBoundedTable)
@@ -268,14 +270,36 @@ def spot_check(table, n: int):
 # -- file interface ----------------------------------------------------------
 
 def save_table(path, table) -> None:
+    """Write the cache file atomically.
+
+    The document goes to a temporary file beside ``path`` and replaces it
+    only once written and synced, so an interrupted save leaves the
+    previous file, or none, never a truncated one.  The file gets the mode
+    a plain ``open(path, "w")`` would leave: an existing file's own, else
+    0666 less the umask.
+    """
     payload = table_payload(table)
     doc = {
         "format_version": FORMAT_VERSION,
         "payload": payload,
         "checksum": _checksum(payload),
     }
-    with open(path, "w") as fh:
-        fh.write(_canonical(doc))
+    path = os.fspath(path)
+    tmp = f"{path}.{os.getpid()}.{os.urandom(4).hex()}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with os.fdopen(fd, "w") as fh:
+            try:
+                os.chmod(tmp, stat.S_IMODE(os.stat(path).st_mode))
+            except FileNotFoundError:
+                pass
+            fh.write(_canonical(doc))
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def load_table(path, *, verify_row: bool = True):

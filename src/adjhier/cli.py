@@ -30,8 +30,10 @@ from .refinements import (compute_atoms_table, compute_d_table,
 def parse_bound_function(spec: str) -> BoundFunction:
     """The --f mini-language: identity|half|sqrt|log2|file:<path>.
 
-    A file holds one natural per line: f(0), f(1), ...; sublinearity is
-    validated up front and reported with the first offending index.
+    A file holds one natural per line: f(0), f(1), ...; blank lines are
+    skipped, a line that is not a natural is reported with its 1-based
+    line number, and sublinearity is validated up front and reported
+    with the first offending index.
     """
     if spec in ("identity", "half", "sqrt", "log2"):
         return BoundFunction(spec)
@@ -39,10 +41,20 @@ def parse_bound_function(spec: str) -> BoundFunction:
         path = spec[5:]
         values = []
         with open(path) as fh:
-            for line in fh:
+            for lineno, line in enumerate(fh, start=1):
                 line = line.strip()
-                if line:
-                    values.append(int(line))
+                if not line:
+                    continue
+                try:
+                    value = int(line)
+                except ValueError:
+                    raise BoundFunctionError(
+                        f"{path}:{lineno}: not an integer: {line[:40]!r}"
+                    ) from None
+                if value < 0:
+                    raise BoundFunctionError(
+                        f"{path}:{lineno}: negative value {value}")
+                values.append(value)
         return BoundFunction("table", tuple(values))
     raise BoundFunctionError(f"unknown bound function spec {spec!r}")
 

@@ -1,12 +1,14 @@
 import json
 import os
+import re
+import stat
 
 import pytest
 
 from adjhier.bounded import BoundFunction, compute_bounded_table, compute_minbounded
 from adjhier.cache import cache_roundtrip, load_table, save_table
 from adjhier.cli import CommandSpec, main, parse_bound_function, run
-from adjhier.errors import CacheError
+from adjhier.errors import BoundFunctionError, CacheError
 from adjhier.recurrence import compute_b_table
 from adjhier.refinements import compute_atoms_table, compute_d_table, compute_r_table
 
@@ -132,6 +134,19 @@ def test_parse_bound_function_file(tmp_path):
         parse_bound_function(f"file:{path}")
 
 
+@pytest.mark.parametrize("text, where", [
+    ("0\n1\nx\n", ":3: not an integer"),
+    ("0\n-1\n", ":2: negative value -1"),
+])
+def test_bad_bound_file_line_reported(tmp_path, capsys, text, where):
+    path = tmp_path / "f.txt"
+    path.write_text(text)
+    with pytest.raises(BoundFunctionError, match=re.escape(f"{path}{where}")):
+        parse_bound_function(f"file:{path}")
+    assert main(["bounded", "--f", f"file:{path}", "--n", "3"]) == 2
+    assert f"{path}{where}" in capsys.readouterr().err
+
+
 def test_bound_file_range_exhaustion(tmp_path, capsys):
     path = tmp_path / "f.txt"
     path.write_text("0\n0\n1\n1\n1\n")
@@ -158,6 +173,36 @@ def test_cache_roundtrip_all_kinds(tmp_path, make):
     first = path.read_bytes()
     save_table(path, load_table(path))
     assert path.read_bytes() == first
+
+
+@pytest.mark.parametrize("target", ["os.fsync", "os.replace"])
+def test_interrupted_save_keeps_previous_cache(tmp_path, monkeypatch, target):
+    path = tmp_path / "cache.json"
+    save_table(path, compute_b_table(5))
+    before = path.read_bytes()
+
+    def fail(*args, **kwargs):
+        raise OSError("interrupted")
+
+    monkeypatch.setattr(f"adjhier.cache.{target}", fail)
+    with pytest.raises(OSError, match="interrupted"):
+        save_table(path, compute_b_table(7))
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["cache.json"]
+
+
+def test_save_keeps_plain_file_mode(tmp_path):
+    plain = tmp_path / "plain.json"
+    with open(plain, "w"):
+        pass
+    path = tmp_path / "cache.json"
+    save_table(path, compute_b_table(5))
+    assert stat.S_IMODE(path.stat().st_mode) == stat.S_IMODE(plain.stat().st_mode)
+    # an existing file keeps its own mode, as open(path, "w") keeps it
+    path.chmod(0o640)
+    save_table(path, compute_b_table(6))
+    assert stat.S_IMODE(path.stat().st_mode) == 0o640
+    assert sorted(os.listdir(tmp_path)) == ["cache.json", "plain.json"]
 
 
 def test_cache_tamper_detected(tmp_path):
