@@ -5,19 +5,18 @@ extraction of the growth constant."""
 
 from .asymptotics import (ConstantEstimate, HPReal, constant_C, log_big,
                           ratio_check, residuals, sandwich_check)
-from .bounded import (BoundFunction, BoundedTable, MinBoundedTable,
-                      compute_bounded_table, compute_minbounded, inverse_g)
+from .bounded import (BoundFunction, compute_bounded_table,
+                      compute_minbounded, inverse_g)
 from .errors import BoundFunctionError, CacheError, ResourceCapError
 from .hfs import (HFSet, SetEngine, ackermann_code, adjoin, ark,
                   decode_ackermann, empty_set, parse_set, rank)
 from .oracle import (LevelSets, build_cumulative, build_levels,
                      partition_counts, partition_split, profile_counts,
                      verify_ark_lemma)
-from .recurrence import (BTable, a_sequence, binomial_big, c_sequence,
-                         compute_b_table)
-from .refinements import (AtomsTable, RefinedTable, compute_atoms_table,
-                          compute_d_table, compute_r_table, d_profile,
-                          r_profile)
+from .recurrence import (CountTable, a_sequence, binomial_big, c_sequence,
+                         compute_b_table, compute_table)
+from .refinements import (RefinedTable, compute_atoms_table, compute_d_table,
+                          compute_r_table, d_profile, r_profile)
 from .variants import HierarchySpec
 
 __version__ = "0.1.0"

@@ -1,127 +1,26 @@
-"""Level-bounded adjunctive hierarchies and their count recurrences.
+"""Level-bounded adjunctive hierarchies.
 
 An unbounded sublinear bound f restricts the element adjoined at step
-n+1 to come from level f(n).  The count triangle then reads, with
-g(m) = min{t : f(t) >= m} the pointwise-least inverse of f,
-
-    b(n, m) = b(n, m-1)
-            + sum_{k=1}^{n-g(m)-1} b(n-k, m-1) * C(b(m, m-1), k)
-            + C(b(m, m-1), n-g(m)) * sum_{j=0}^{g(m)} b(j, j-1)
-
-with the same base column as the unbounded triangle.  Every member of
-level n has its elements inside level F(n) = max{f(k) : k < n}, so cells
-with m > F(n) all equal the row's increment b(n, F(n)) and are not
-stored; rows are filled left to right with sparse columns, which keeps
-runs to n in the tens of thousands cheap (most rows are all zero).
+n+1 to come from level f(n).  Its count triangle is the recurrence of
+:mod:`adjhier.recurrence` with g(m) = min{t : f(t) >= m}, the
+pointwise-least inverse of f, and every member of level n has its
+elements inside level F(n) = max{f(k) : k < n}.
 
 The minimally bounded hierarchy admits an element from level m+1 only
 once the whole power set of level m is present.  Its triangle is the
 same recurrence with g(m) = abar(m-1) (abar = its level sizes, abar(-1)
 = 0) and trailing factor abar(abar(m-1)), which the power-set law makes
 equal to 2**abar(m-1).
+
+:class:`BoundFunction` is defined beside the hierarchy specs and
+:class:`GInverse` beside the recurrence that uses it; both are imported
+here, where the bounded variants are described.
 """
 
 from __future__ import annotations
 
-import math
-from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
-
-from .errors import BoundFunctionError, ResourceCapError
-from .recurrence import binomial_big
-
-BUILTIN_BOUNDS = ("identity", "half", "sqrt", "log2")
-
-
-@dataclass(frozen=True)
-class BoundFunction:
-    """A level bound: one of the built-ins or an explicit value table.
-
-    Built-ins: identity n, half = ceil(n/2), sqrt = isqrt(n), log2 =
-    floor(log2(n+1)); all evaluated in exact integer arithmetic.  Table
-    functions are validated for sublinearity (f(n) <= n) up front; their
-    unboundedness can only be observed on queries, so running off the
-    end of the table raises :class:`BoundFunctionError`.
-    """
-
-    kind: str
-    values: tuple = ()
-
-    def __post_init__(self):
-        if self.kind == "table":
-            object.__setattr__(self, "values", tuple(int(v) for v in self.values))
-            for i, v in enumerate(self.values):
-                if v > i:
-                    raise BoundFunctionError(
-                        f"not sublinear: f({i}) = {v} > {i}")
-                if v < 0:
-                    raise BoundFunctionError(f"negative value at index {i}")
-                # a dip would let later levels lose members, breaking the
-                # nesting the count recurrence relies on
-                if i and v < self.values[i - 1]:
-                    raise BoundFunctionError(
-                        f"not monotone: f({i}) = {v} < f({i - 1}) = "
-                        f"{self.values[i - 1]}")
-        elif self.kind not in BUILTIN_BOUNDS:
-            raise BoundFunctionError(f"unknown bound function {self.kind!r}")
-
-    def __call__(self, n: int) -> int:
-        if n < 0:
-            raise ValueError("bound functions take natural arguments")
-        if self.kind == "identity":
-            return n
-        if self.kind == "half":
-            return (n + 1) // 2
-        if self.kind == "sqrt":
-            return math.isqrt(n)
-        if self.kind == "log2":
-            return (n + 1).bit_length() - 1
-        if n >= len(self.values):
-            raise BoundFunctionError(
-                f"table bound function has no value at {n} "
-                f"(provided range 0..{len(self.values) - 1})")
-        return self.values[n]
-
-    def descriptor(self):
-        if self.kind == "table":
-            return {"kind": "table", "values": [str(v) for v in self.values]}
-        return self.kind
-
-    @classmethod
-    def from_descriptor(cls, d) -> "BoundFunction":
-        if isinstance(d, str):
-            return cls(d)
-        return cls("table", tuple(int(v) for v in d["values"]))
-
-    def __str__(self):
-        if self.kind == "table":
-            return f"table[{len(self.values)}]"
-        return self.kind
-
-
-class GInverse:
-    """Memoized g(m) = min{t : f(t) >= m}, filled by one forward scan."""
-
-    def __init__(self, f: BoundFunction):
-        self.f = f
-        self._g = [0]  # g(0) = 0 because f(0) >= 0
-        self._t = 0
-
-    def __call__(self, m: int) -> int:
-        if m < 0:
-            raise ValueError("g takes natural arguments")
-        g = self._g
-        while len(g) <= m:
-            self._t += 1
-            try:
-                v = self.f(self._t)
-            except BoundFunctionError:
-                raise BoundFunctionError(
-                    f"bound function never reaches {len(g)} on its range; "
-                    f"cannot invert at {m}") from None
-            while len(g) <= v:
-                g.append(self._t)
-        return g[m]
+from .recurrence import CountTable, GInverse, MinBoundedTable, compute_table
+from .variants import BoundFunction, HierarchySpec
 
 
 def inverse_g(f: BoundFunction, m: int) -> int:
@@ -129,191 +28,17 @@ def inverse_g(f: BoundFunction, m: int) -> int:
     return GInverse(f)(m)
 
 
-def _fill_triangle(n_max, g_of, cap_of):
-    """Shared sparse row-major fill for both bounded variants.
-
-    g_of(m, a) supplies the recurrence's level bound for column m given
-    the level sizes computed so far; cap_of(n, a) the highest column
-    materialized in row n (must be non-decreasing in n and < n).
-    """
-    a = [1]
-    diag = [1]          # diag[n] = new sets at level n; diag[0] = base cell
-    col_rows = []       # per column: rows with nonzero stored cells
-    col_vals = []       # per column: {row: value}
-    first_row = []      # per column: first row in which it is materialized
-    m_caps = [-1]
-    for n in range(1, n_max + 1):
-        cap = cap_of(n, a)
-        if not m_caps[-1] <= cap < n:
-            raise AssertionError(f"bad column cap {cap} at row {n}")
-        while len(col_rows) <= cap:
-            col_rows.append([])
-            col_vals.append({})
-            first_row.append(n)
-        prev = 0  # base column: b(n, -1) = 0 for n >= 1
-        for m in range(cap + 1):
-            gm = g_of(m, a)
-            q = n - gm
-            if q < 1:
-                raise AssertionError(f"column {m} stored at row {n} but g={gm}")
-            val = prev
-            dm = diag[m]
-            kmax = min(q - 1, dm)  # C(dm, k) = 0 past kmax
-            if kmax >= 1 and m >= 1:
-                # the window [n-kmax, n-1] never reaches below the rows
-                # where column m-1 is materialized: it starts at g(m)+1
-                # and the column exists from row g(m-1)+1 on, with g
-                # non-decreasing; only the diagonal factor ever needs a
-                # saturated read, and diag[] already is that value
-                c = m - 1
-                lo = n - kmax
-                if lo < first_row[c]:
-                    raise AssertionError(
-                        f"window at ({n}, {m}) undercuts column {c}")
-                rows_c = col_rows[c]
-                i = bisect_left(rows_c, lo)
-                j = bisect_right(rows_c, n - 1)
-                vals_c = col_vals[c]
-                for r in rows_c[i:j]:
-                    val += vals_c[r] * binomial_big(dm, n - r)
-            if q <= dm:
-                val += binomial_big(dm, q) * a[gm]
-            if val:
-                col_rows[m].append(n)
-                col_vals[m][n] = val
-            prev = val
-        a.append(a[-1] + prev)
-        diag.append(prev)
-        m_caps.append(cap)
-    return a, diag, col_vals, m_caps
-
-
-class _TriangleMixin:
-    """Cell accessor shared by the two bounded table kinds."""
-
-    def b(self, n: int, m: int) -> int:
-        if not (0 <= n <= self.n_max and -1 <= m):
-            raise IndexError(f"b({n}, {m}) outside the filled triangle")
-        if m == -1:
-            return 1 if n == 0 else 0
-        if n == 0:
-            raise IndexError("row 0 has only the base column")
-        c = min(m, self._m_caps[n])
-        return self._col_vals[c].get(n, 0)
-
-    @property
-    def increments(self) -> list:
-        """New sets per level (the saturated diagonal)."""
-        return list(self._diag)
-
-
-@dataclass
-class BoundedTable(_TriangleMixin):
-    """Filled count triangle of one f-bounded hierarchy."""
-
-    f: BoundFunction
-    n_max: int
-    a: list = field(repr=False)
-    _diag: list = field(repr=False)
-    _col_vals: list = field(repr=False)
-    _m_caps: list = field(repr=False)
-
-
-@dataclass
-class MinBoundedTable(_TriangleMixin):
-    """Filled count triangle of the minimally bounded hierarchy."""
-
-    n_max: int
-    a: list = field(repr=False)
-    _diag: list = field(repr=False)
-    _col_vals: list = field(repr=False)
-    _m_caps: list = field(repr=False)
-
-    def fbar(self, n: int) -> int:
-        """Least m with abar(m) > n; the bound function this hierarchy obeys."""
-        if self.a[-1] <= n:
-            raise ValueError(
-                f"depth {self.n_max} insufficient: abar({self.n_max}) <= {n}")
-        return bisect_right(self.a, n)
-
-    def gbar(self, n: int) -> int:
-        """Inverse bound: abar(n-1), with gbar(0) = 0."""
-        if n < 0:
-            raise ValueError("gbar takes natural arguments")
-        return self.a[n - 1] if n >= 1 else 0
-
-    def fbar_function(self) -> BoundFunction:
-        """fbar packaged as a table bound over 0..n_max-1."""
-        return BoundFunction("table", tuple(self.fbar(n) for n in range(self.n_max)))
-
-    def a_bar_at(self, idx: int, *, extend: bool = True,
-                 bit_cap: int = 1 << 26) -> int:
-        """Level size at idx, serving indices beyond n_max when possible.
-
-        Indices that are themselves level sizes follow the power-set law
-        abar(abar(j)) = 2**abar(j); anything else is recomputed at the
-        needed depth when ``extend`` is set.  Results that would not fit
-        in ``bit_cap`` bits are refused.
-        """
-        if idx < 0:
-            raise IndexError("negative level")
-        if idx <= self.n_max:
-            return self.a[idx]
-        if idx in self._value_set():
-            if idx + 1 > bit_cap:
-                raise ResourceCapError(
-                    f"abar({idx}) needs {idx + 1} bits", cap=bit_cap)
-            return 1 << idx
-        if extend:
-            if idx > bit_cap:
-                raise ResourceCapError(
-                    f"extending the level sizes to {idx} refused", cap=bit_cap)
-            return compute_minbounded(idx).a[idx]
-        raise IndexError(f"abar({idx}) not derivable from depth {self.n_max}")
-
-    def _value_set(self):
-        return set(self.a)
-
-
-def compute_bounded_table(f: BoundFunction, n_max: int) -> BoundedTable:
-    """Fill the f-bounded triangle row by row.
-
-    The per-level increment is the cell in column F(n) = max f over
-    earlier levels; for monotone f that is column f(n-1).
-    """
-    if n_max < 0:
-        raise ValueError("n_max must be nonnegative")
-    if f.kind == "table" and len(f.values) < n_max:
-        raise BoundFunctionError(
-            f"table bound covers 0..{len(f.values) - 1} but depth {n_max} "
-            f"needs f up to {n_max - 1}")
-    ginv = GInverse(f)
-    running = {"cap": -1}
-
-    def cap_of(n, a):
-        running["cap"] = max(running["cap"], f(n - 1))
-        return running["cap"]
-
-    a, diag, col_vals, m_caps = _fill_triangle(
-        n_max, lambda m, a: ginv(m), cap_of)
-    return BoundedTable(f, n_max, a, diag, col_vals, m_caps)
+def compute_bounded_table(f: BoundFunction, n_max: int) -> CountTable:
+    """Fill the f-bounded triangle; the increment of level n sits in
+    column F(n) = max f over earlier levels, f(n-1) for monotone f."""
+    return compute_table(HierarchySpec.bounded(f), n_max)
 
 
 def compute_minbounded(n_max: int) -> MinBoundedTable:
-    """Fill the minimally bounded triangle row by row.
-
-    The self-referential quantities are read off the growing size prefix:
-    g(m) = abar(m-1), the trailing factor abar(abar(m-1)) = a[g(m)], and
-    the row cap fbar(n-1) = first index whose size exceeds n-1.
-    """
-    if n_max < 0:
-        raise ValueError("n_max must be nonnegative")
-    a, diag, col_vals, m_caps = _fill_triangle(
-        n_max,
-        lambda m, a: a[m - 1] if m >= 1 else 0,
-        lambda n, a: bisect_right(a, n - 1),
-    )
-    return MinBoundedTable(n_max, a, diag, col_vals, m_caps)
+    """Fill the minimally bounded triangle, whose g(m) = abar(m-1),
+    trailing factor abar(abar(m-1)) and row cap fbar(n-1) are read off
+    the growing size prefix."""
+    return compute_table(HierarchySpec.min_bounded(), n_max)
 
 
 def changed_indices(a: list) -> list:

@@ -23,8 +23,9 @@ from .cache import load_table, save_table
 from .errors import BoundFunctionError, CacheError, ResourceCapError
 from .numstr import decimal_str
 from .recurrence import a_sequence, c_sequence, compute_b_table
-from .refinements import (compute_atoms_table, compute_d_table,
+from .refinements import (RefinedTable, compute_atoms_table, compute_d_table,
                           compute_r_table, d_profile, r_profile)
+from .variants import HierarchySpec
 
 
 def parse_bound_function(spec: str) -> BoundFunction:
@@ -104,11 +105,13 @@ def _emit_rows(fmt: str, header, rows) -> str:
     return "\n".join("\t".join(r) for r in rows) + "\n"
 
 
-def _cached_table(cmd: CommandSpec, compute, matches):
-    """Load a matching cached table or compute and (re)write the cache."""
+def _cached_table(cmd: CommandSpec, want, compute):
+    """Load the cached table if it holds ``want`` (a count table's spec or
+    a refinement kind) to depth n_max, else compute and (re)write it."""
     if cmd.cache and os.path.exists(cmd.cache):
         table = load_table(cmd.cache)
-        if matches(table):
+        got = table.kind if isinstance(table, RefinedTable) else table.spec
+        if got == want and table.n_max == cmd.n_max:
             return table
     table = compute()
     if cmd.cache:
@@ -128,12 +131,13 @@ def _parse_t_range(spec, n_max):
 
 # -- subcommand bodies -------------------------------------------------------
 
+def _plain_table(cmd: CommandSpec):
+    return _cached_table(cmd, HierarchySpec.plain(),
+                         lambda: compute_b_table(cmd.n_max))
+
+
 def _run_levels(cmd: CommandSpec):
-    from .recurrence import BTable
-    table = _cached_table(
-        cmd, lambda: compute_b_table(cmd.n_max),
-        lambda t: isinstance(t, BTable) and t.n_max == cmd.n_max)
-    a = [decimal_str(v) for v in a_sequence(table)]
+    a = [decimal_str(v) for v in a_sequence(_plain_table(cmd))]
     if cmd.fmt == "json":
         return 0, _emit_json({"command": "levels", "variant": "plain",
                               "n_max": str(cmd.n_max), "a": a})
@@ -142,11 +146,7 @@ def _run_levels(cmd: CommandSpec):
 
 
 def _run_table(cmd: CommandSpec):
-    from .recurrence import BTable
-    table = _cached_table(
-        cmd, lambda: compute_b_table(cmd.n_max),
-        lambda t: isinstance(t, BTable) and t.n_max == cmd.n_max)
-    rows = [[decimal_str(v) for v in row] for row in table.rows]
+    rows = [[decimal_str(v) for v in row] for row in _plain_table(cmd).rows]
     if cmd.fmt == "json":
         return 0, _emit_json({"command": "table", "n_max": str(cmd.n_max),
                               "rows": rows})
@@ -157,7 +157,6 @@ def _run_table(cmd: CommandSpec):
 
 
 def _run_profile(cmd: CommandSpec):
-    from .refinements import RefinedTable
     if cmd.subcommand == "rank-profile":
         kind, label = "rank", "r"
         compute = lambda: compute_r_table(cmd.n_max)
@@ -166,10 +165,7 @@ def _run_profile(cmd: CommandSpec):
         kind, label = "cardinality", "d"
         compute = lambda: compute_d_table(cmd.n_max)
         profile = d_profile
-    table = _cached_table(
-        cmd, compute,
-        lambda t: isinstance(t, RefinedTable) and t.kind == kind
-        and t.n_max == cmd.n_max)
+    table = _cached_table(cmd, kind, compute)
     lo, hi = _parse_t_range(cmd.t_range, cmd.n_max)
     profiles = []
     for n in range(cmd.n_max + 1):
@@ -187,11 +183,8 @@ def _run_profile(cmd: CommandSpec):
 
 
 def _run_atoms(cmd: CommandSpec):
-    from .refinements import AtomsTable
-    table = _cached_table(
-        cmd, lambda: compute_atoms_table(cmd.u, cmd.n_max),
-        lambda t: isinstance(t, AtomsTable) and t.u == cmd.u
-        and t.n_max == cmd.n_max)
+    table = _cached_table(cmd, HierarchySpec.atoms(cmd.u),
+                          lambda: compute_atoms_table(cmd.u, cmd.n_max))
     sizes = [decimal_str(v) for v in table.sizes]
     if cmd.fmt == "json":
         return 0, _emit_json({"command": "atoms", "u": str(cmd.u),
@@ -201,35 +194,24 @@ def _run_atoms(cmd: CommandSpec):
 
 
 def _run_bounded(cmd: CommandSpec):
-    from .bounded import BoundedTable
-    f = parse_bound_function(cmd.f_spec)
-    table = _cached_table(
-        cmd, lambda: compute_bounded_table(f, cmd.n_max),
-        lambda t: isinstance(t, BoundedTable) and t.f == f
-        and t.n_max == cmd.n_max)
+    """Both bounded subcommands: ``bounded`` with its --f, ``minbounded``."""
+    if cmd.subcommand == "bounded":
+        f = parse_bound_function(cmd.f_spec)
+        table = _cached_table(cmd, HierarchySpec.bounded(f),
+                              lambda: compute_bounded_table(f, cmd.n_max))
+        doc, column = {"f": cmd.f_spec}, "a_f_n"
+    else:
+        table = _cached_table(cmd, HierarchySpec.min_bounded(),
+                              lambda: compute_minbounded(cmd.n_max))
+        doc, column = {}, "a_bar_n"
     indices = (changed_indices(table.a) if cmd.skip_duplicates
                else range(cmd.n_max + 1))
     rows = [[str(n), decimal_str(table.a[n])] for n in indices]
     if cmd.fmt == "json":
-        return 0, _emit_json({
-            "command": "bounded", "f": cmd.f_spec, "n_max": str(cmd.n_max),
-            "skip_duplicates": cmd.skip_duplicates, "rows": rows})
-    return 0, _emit_rows(cmd.fmt, ["n", "a_f_n"], rows)
-
-
-def _run_minbounded(cmd: CommandSpec):
-    from .bounded import MinBoundedTable
-    table = _cached_table(
-        cmd, lambda: compute_minbounded(cmd.n_max),
-        lambda t: isinstance(t, MinBoundedTable) and t.n_max == cmd.n_max)
-    indices = (changed_indices(table.a) if cmd.skip_duplicates
-               else range(cmd.n_max + 1))
-    rows = [[str(n), decimal_str(table.a[n])] for n in indices]
-    if cmd.fmt == "json":
-        return 0, _emit_json({
-            "command": "minbounded", "n_max": str(cmd.n_max),
-            "skip_duplicates": cmd.skip_duplicates, "rows": rows})
-    return 0, _emit_rows(cmd.fmt, ["n", "a_bar_n"], rows)
+        return 0, _emit_json(dict(
+            doc, command=cmd.subcommand, n_max=str(cmd.n_max),
+            skip_duplicates=cmd.skip_duplicates, rows=rows))
+    return 0, _emit_rows(cmd.fmt, ["n", column], rows)
 
 
 def _run_constant(cmd: CommandSpec):
@@ -296,7 +278,7 @@ _RUNNERS = {
     "card-profile": _run_profile,
     "atoms": _run_atoms,
     "bounded": _run_bounded,
-    "minbounded": _run_minbounded,
+    "minbounded": _run_bounded,
     "constant": _run_constant,
     "oracle-verify": _run_oracle_verify,
 }

@@ -348,10 +348,6 @@ def _check_same_engine(x: HFSet, y: HFSet):
 _DEFAULT_ENGINE = SetEngine()
 
 
-def default_engine() -> SetEngine:
-    return _DEFAULT_ENGINE
-
-
 def empty_set(engine: SetEngine | None = None) -> HFSet:
     return (engine or _DEFAULT_ENGINE).empty()
 

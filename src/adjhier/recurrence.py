@@ -1,24 +1,41 @@
-"""Exact dynamic programming for the core level-count recurrence.
+"""Exact dynamic programming for the level-count recurrence of every variant.
 
 Counts new sets per level through the triangular family b(n, m) = number
 of sets first appearing at level n whose elements all lie in level m.
 For n > m >= 0,
 
     b(n, m) = b(n, m-1)
-            + sum_{k=1}^{n-m-1} b(n-k, m-1) * C(b(m, m-1), k)
-            + C(b(m, m-1), n-m) * sum_{j=0}^{m} b(j, j-1)
+            + sum_{k=1}^{n-g(m)-1} b(n-k, m-1) * C(c(m), k)
+            + C(c(m), n-g(m)) * (a(g(m)) - u)
 
-with base column b(0, -1) = 1 and b(n, -1) = 0 for n >= 1, and the
-convention C(a, k) = 0 when a < k.  Level sizes are the prefix sums
-a(n) = sum_{j<=n} b(j, j-1).
+where c(m) = b(m, m-1) counts the sets new at level m, a(n) = c(0) + ...
++ c(n) is the level size, C(x, k) = 0 when x < k, and the base column is
+b(0, -1) = c(0) and b(n, -1) = 0 for n >= 1.  The variants differ only
+in c(0), the bound inverse g and the number u of atoms, which the
+trailing prefix leaves out because an atom cannot absorb adjunctions:
+
+    plain       c(0) = 1       g(m) = m
+    atoms       c(0) = u + 1   g(m) = m
+    bounded     c(0) = 1       g(m) = min{t : f(t) >= m}
+    minbounded  c(0) = 1       g(m) = a(m-1), g(0) = 0
+
+Every member of level n has its elements inside level cap(n), the
+running maximum of n-1 (plain, atoms), f(n-1) (bounded) or the least m
+with a(m) > n-1 (minbounded), so the cells with cap(n) < m < n all equal
+b(n, cap(n)) and are not stored.  Rows are filled in order, each from
+the cells of earlier rows, into sparse columns that keep only nonzero
+cells; that keeps runs to n in the tens of thousands cheap when most
+rows are zero.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
-from .variants import HierarchySpec
+from .errors import BoundFunctionError, ResourceCapError
+from .variants import BoundFunction, HierarchySpec
 
 
 def binomial_big(a: int, k: int) -> int:
@@ -38,59 +55,268 @@ def binomial_big(a: int, k: int) -> int:
     return num // math.factorial(k)
 
 
-@dataclass
-class BTable:
-    """Filled triangle of b(n, m) values plus level-size prefix sums.
+class GInverse:
+    """Memoized g(m) = min{t : f(t) >= m}, filled by one forward scan."""
 
-    ``rows[n][j]`` holds b(n, j-1), so each row carries its base column
-    (j = 0 is m = -1) through the diagonal (j = n is m = n-1).  Immutable
-    once filled; safe to share across threads.
+    def __init__(self, f: BoundFunction):
+        self.f = f
+        self._g = [0]  # g(0) = 0 because f(0) >= 0
+        self._t = 0
+
+    def __call__(self, m: int) -> int:
+        if m < 0:
+            raise ValueError("g takes natural arguments")
+        g = self._g
+        while len(g) <= m:
+            self._t += 1
+            try:
+                v = self.f(self._t)
+            except BoundFunctionError:
+                raise BoundFunctionError(
+                    f"bound function never reaches {len(g)} on its range; "
+                    f"cannot invert at {m}") from None
+            while len(g) <= v:
+                g.append(self._t)
+        return g[m]
+
+
+def _params(spec: HierarchySpec):
+    """(c(0), u, g(m, a), h(n, a)) of one spec; cap(n) is the running
+    maximum of h, and both read the level sizes a computed so far."""
+    if spec.kind in ("plain", "atoms"):
+        return spec.u + 1, spec.u, lambda m, a: m, lambda n, a: n - 1
+    if spec.kind == "bounded":
+        f, g = spec.f, GInverse(spec.f)
+        return 1, 0, lambda m, a: g(m), lambda n, a: f(n - 1)
+    if spec.kind == "minbounded":
+        return (1, 0, lambda m, a: a[m - 1] if m else 0,
+                lambda n, a: bisect_right(a, n - 1))
+    raise ValueError(f"no count recurrence for {spec}")
+
+
+@dataclass
+class CountTable:
+    """Filled count triangle of one hierarchy.
+
+    ``cols[m]`` maps a row n with ``caps[n] >= m`` to b(n, m) when that
+    cell is nonzero; ``a`` holds the level sizes.  Immutable once filled;
+    safe to share across threads.
     """
 
-    variant: HierarchySpec
+    spec: HierarchySpec
     n_max: int
-    rows: list = field(repr=False)
+    cols: list = field(repr=False)
     a: list = field(repr=False)
+    caps: list = field(repr=False)
 
     def b(self, n: int, m: int) -> int:
-        if not (0 <= n <= self.n_max and -1 <= m < max(n, 1)):
+        if not (0 <= n <= self.n_max and -1 <= m < n):
             raise IndexError(f"b({n}, {m}) outside the filled triangle")
-        return self.rows[n][m + 1]
+        if m == -1:
+            return self.a[0] if n == 0 else 0
+        return self.cols[min(m, self.caps[n])].get(n, 0)
 
     def c(self, n: int) -> int:
-        """Number of sets first appearing at level n; c(0) = b(0, -1) = 1."""
-        return self.rows[n][n]
+        """Number of sets first appearing at level n; c(0) is the base cell."""
+        return self.b(n, n - 1)
+
+    @property
+    def rows(self) -> list:
+        """The dense triangle: ``rows[n][j]`` is b(n, j-1) for 0 <= j <= n."""
+        return [[self.b(n, m) for m in range(-1, n)]
+                for n in range(self.n_max + 1)]
+
+    @property
+    def sizes(self) -> list:
+        return self.a
+
+    @property
+    def increments(self) -> list:
+        """New sets per level: [c(0), ..., c(n_max)]."""
+        return [self.c(n) for n in range(self.n_max + 1)]
+
+    @property
+    def variant(self) -> HierarchySpec:
+        return self.spec
+
+    @property
+    def f(self):
+        return self.spec.f
+
+    @property
+    def u(self) -> int:
+        return self.spec.u
+
+    @property
+    def _m_caps(self) -> list:
+        return self.caps
+
+    def check_row(self, n: int) -> bool:
+        """Whether the stored row n equals the row step over rows < n."""
+        _, u, g, _ = _params(self.spec)
+        return _RowStep(self, u, g)(n) == [
+            self.cols[m].get(n, 0) for m in range(self.caps[n] + 1)]
 
 
-def compute_b_table(n_max: int, variant: HierarchySpec | None = None) -> BTable:
-    """Fill the triangle column-by-column (m increasing, n increasing)."""
+class MinBoundedTable(CountTable):
+    """Count table of the minimally bounded hierarchy, with the bound
+    functions that its own level sizes define."""
+
+    def fbar(self, n: int) -> int:
+        """Least m with abar(m) > n; the bound function this hierarchy obeys."""
+        if self.a[-1] <= n:
+            raise ValueError(
+                f"depth {self.n_max} insufficient: abar({self.n_max}) <= {n}")
+        return bisect_right(self.a, n)
+
+    def gbar(self, n: int) -> int:
+        """Inverse bound: abar(n-1), with gbar(0) = 0."""
+        if n < 0:
+            raise ValueError("gbar takes natural arguments")
+        return self.a[n - 1] if n >= 1 else 0
+
+    def fbar_function(self) -> BoundFunction:
+        """fbar packaged as a table bound over 0..n_max-1."""
+        return BoundFunction("table", tuple(self.fbar(n) for n in range(self.n_max)))
+
+    def a_bar_at(self, idx: int, *, extend: bool = True,
+                 bit_cap: int = 1 << 26) -> int:
+        """Level size at idx, serving indices beyond n_max when possible.
+
+        Indices that are themselves level sizes follow the power-set law
+        abar(abar(j)) = 2**abar(j); anything else is recomputed at the
+        needed depth when ``extend`` is set.  Results that would not fit
+        in ``bit_cap`` bits are refused.
+        """
+        if idx < 0:
+            raise IndexError("negative level")
+        if idx <= self.n_max:
+            return self.a[idx]
+        if idx in set(self.a):
+            if idx + 1 > bit_cap:
+                raise ResourceCapError(
+                    f"abar({idx}) needs {idx + 1} bits", cap=bit_cap)
+            return 1 << idx
+        if extend:
+            if idx > bit_cap:
+                raise ResourceCapError(
+                    f"extending the level sizes to {idx} refused", cap=bit_cap)
+            return compute_table(self.spec, idx).a[idx]
+        raise IndexError(f"abar({idx}) not derivable from depth {self.n_max}")
+
+
+class _RowStep:
+    """The recurrence's row step over the sparse columns of one table.
+
+    Once a row first reaches column m it derives the column's constants
+    c(m), g(m), a(g(m)) - u and the sorted rows of its stored cells.
+    """
+
+    def __init__(self, table: CountTable, u: int, g):
+        self.table, self.u, self.g = table, u, g
+        self.consts = []
+        self.rows = []
+
+    def __call__(self, n: int) -> list:
+        """b(n, 0..cap(n)), read only from the cells of rows < n."""
+        cols, consts, rows = self.table.cols, self.consts, self.rows
+        cap = self.table.caps[n]
+        while len(consts) <= cap:
+            self._open(len(consts))
+        out = []
+        prev = 0  # base column: b(n, -1) = 0 for n >= 1
+        for m in range(cap + 1):
+            dm, gm, tail = consts[m]
+            q = n - gm
+            val = prev
+            kmax = min(q - 1, dm)  # C(dm, k) = 0 past kmax
+            if kmax >= 1 and m >= 1:
+                rows_c, vals_c = rows[m - 1], cols[m - 1]
+                for r in rows_c[bisect_left(rows_c, n - kmax):
+                                bisect_right(rows_c, n - 1)]:
+                    val += vals_c[r] * binomial_big(dm, n - r)
+            if q <= dm:
+                val += binomial_big(dm, q) * tail
+            out.append(val)
+            prev = val
+        return out
+
+    def fill(self, n: int):
+        """Compute row n and store its nonzero cells."""
+        for m, val in enumerate(self(n)):
+            if val:
+                self.table.cols[m][n] = val
+                self.rows[m].append(n)
+
+    def _open(self, m: int):
+        t = self.table
+        gm = self.g(m, t.a)
+        # every row n of column m has q = n - g(m) >= 1, and its window
+        # [g(m)+1, n-1] never reaches below the rows where column m-1 is
+        # stored: only the diagonal factor c(m) needs a saturated read
+        if gm >= bisect_left(t.caps, m) or (
+                m and bisect_left(t.caps, m - 1) > gm + 1):
+            raise ValueError(f"column {m} has g = {gm} below its rows")
+        self.consts.append((t.c(m), gm, t.a[gm] - self.u))
+        self.rows.append(sorted(t.cols[m]))
+
+
+def _sweep(spec: HierarchySpec, n_max: int, cols=None) -> CountTable:
+    """Derive cap(n) and a(n) row by row; each row is first filled by the
+    row step, unless its cells come from ``cols`` (a loaded cache)."""
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    rows = [[1]] + [[0] * (n + 1) for n in range(1, n_max + 1)]
-    a = [0] * (n_max + 1)
-    a[0] = 1
-    for m in range(n_max):
-        cm = rows[m][m]
-        if m >= 1:
-            a[m] = a[m - 1] + cm
-        am = a[m]
-        for n in range(m + 1, n_max + 1):
-            s = rows[n][m]
-            # C(cm, k) vanishes past cm, so the middle sum can stop early
-            for k in range(1, min(n - m - 1, cm) + 1):
-                s += rows[n - k][m] * binomial_big(cm, k)
-            s += binomial_big(cm, n - m) * am
-            rows[n][m + 1] = s
-    if n_max >= 1:
-        a[n_max] = a[n_max - 1] + rows[n_max][n_max]
-    return BTable(variant or HierarchySpec.plain(), n_max, rows, a)
+    f = spec.f
+    if f is not None and f.kind == "table" and len(f.values) < n_max:
+        raise BoundFunctionError(
+            f"table bound covers 0..{len(f.values) - 1} but depth {n_max} "
+            f"needs f up to {n_max - 1}")
+    base, u, g, h = _params(spec)
+    cls = MinBoundedTable if spec.kind == "minbounded" else CountTable
+    t = cls(spec, n_max, [] if cols is None else cols, [base], [-1])
+    step = _RowStep(t, u, g) if cols is None else None
+    for n in range(1, n_max + 1):
+        cap = max(t.caps[-1], h(n, t.a))
+        if cap >= n:
+            raise ValueError(f"column cap {cap} at row {n} is not below it")
+        t.caps.append(cap)
+        while len(t.cols) <= cap:
+            t.cols.append({})
+        if step is not None:
+            step.fill(n)
+        t.a.append(t.a[-1] + t.cols[cap].get(n, 0))
+    return t
 
 
-def c_sequence(table: BTable) -> list:
+def compute_table(spec: HierarchySpec, n_max: int) -> CountTable:
+    """Fill the count triangle of ``spec`` through level n_max."""
+    return _sweep(spec, n_max)
+
+
+def table_from_cells(spec: HierarchySpec, n_max: int, cells) -> CountTable:
+    """Rebuild a table from its stored cells, a list of (n, m, b(n, m));
+    the level sizes and caps are derived as the fill derives them."""
+    cols = []
+    for n, m, v in cells:
+        cols.extend({} for _ in range(m + 1 - len(cols)))
+        cols[m][n] = v
+    t = _sweep(spec, n_max, cols)
+    if len(cols) > t.caps[-1] + 1 or not all(
+            1 <= n <= n_max and 0 <= m <= t.caps[n] for n, m, _ in cells):
+        raise ValueError("cells outside the filled triangle")
+    return t
+
+
+def compute_b_table(n_max: int) -> CountTable:
+    """The plain triangle through level n_max."""
+    return compute_table(HierarchySpec.plain(), n_max)
+
+
+def c_sequence(table: CountTable) -> list:
     """[c(0), ..., c(n_max)]: new sets per level."""
-    return [table.c(n) for n in range(table.n_max + 1)]
+    return table.increments
 
 
-def a_sequence(table: BTable) -> list:
+def a_sequence(table: CountTable) -> list:
     """[a(0), ..., a(n_max)]: cumulative level sizes."""
     return list(table.a)

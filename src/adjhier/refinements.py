@@ -4,15 +4,17 @@ Both refinements restrict the triangle cells of the core recurrence by a
 threshold t: the rank refinement counts new-at-level-n sets inside level
 m whose classical rank is at most t, the cardinality refinement those of
 cardinality at most t.  Exact per-value profiles fall out by differencing
-the diagonal cells.  The atoms variant reruns the core recurrence with u
-urelements folded into the base cases.
+the diagonal cells.  The atoms variant is the core recurrence with u
+urelements folded into the base cell.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .recurrence import BTable, binomial_big, compute_b_table
+from .recurrence import (CountTable, binomial_big, c_sequence, compute_b_table,
+                         compute_table)
+from .variants import HierarchySpec
 
 
 @dataclass
@@ -46,47 +48,47 @@ class RefinedTable:
         """value(m, m-1, t); the profile building block."""
         return self.value(m, m - 1, t) if m >= 1 else (1 if t >= 0 else 0)
 
+    def recompute(self, n: int, m: int, c: list | None = None) -> list:
+        """Threshold vector of cell (n, m) from column m-1 and the diagonal.
 
-def compute_r_table(n_max: int) -> RefinedTable:
-    """Rank refinement; binomials draw from the t-1 slice of the diagonal."""
-    table = RefinedTable("rank", n_max, {})
-    v = table.value
-    for m in range(n_max):
-        for n in range(m + 1, n_max + 1):
-            cell = []
-            for t in range(m + 2):
-                dv = table.diagonal(m, t - 1)
-                s = v(n, m - 1, t)
-                for k in range(1, min(n - m - 1, dv) + 1):
-                    s += v(n - k, m - 1, t) * binomial_big(dv, k)
-                s += binomial_big(dv, n - m) * sum(
-                    table.diagonal(j, t) for j in range(m + 1))
-                cell.append(s)
-            table.cells[(n, m)] = cell
+        The rank kind draws its binomials from the t-1 slice of the
+        diagonal; the cardinality kind draws them from the unrefined
+        diagonal ``c`` and lowers the threshold by the k elements adjoined.
+        """
+        v, diag = self.value, self.diagonal
+        card = self.kind == "cardinality"
+        cell = []
+        for t in range(self._t_cap(n, m) + 1):
+            x = c[m] if card else diag(m, t - 1)
+            s = v(n, m - 1, t)
+            for k in range(1, min(n - m - 1, x) + 1):
+                s += v(n - k, m - 1, t - k * card) * binomial_big(x, k)
+            s += binomial_big(x, n - m) * sum(
+                diag(j, t - (n - m) * card) for j in range(m + 1))
+            cell.append(s)
+        return cell
+
+
+def _fill(table: RefinedTable, c: list | None = None) -> RefinedTable:
+    for m in range(table.n_max):
+        for n in range(m + 1, table.n_max + 1):
+            table.cells[(n, m)] = table.recompute(n, m, c)
     return table
 
 
-def compute_d_table(n_max: int, b_table: BTable | None = None) -> RefinedTable:
+def compute_r_table(n_max: int) -> RefinedTable:
+    """Rank refinement; binomials draw from the t-1 slice of the diagonal."""
+    return _fill(RefinedTable("rank", n_max, {}))
+
+
+def compute_d_table(n_max: int,
+                    b_table: CountTable | None = None) -> RefinedTable:
     """Cardinality refinement; binomials use the unrefined diagonal c(m)."""
     if b_table is None:
         b_table = compute_b_table(n_max)
     if b_table.n_max < n_max:
         raise ValueError("plain table too shallow for requested depth")
-    table = RefinedTable("cardinality", n_max, {})
-    v = table.value
-    for m in range(n_max):
-        cm = b_table.c(m)
-        for n in range(m + 1, n_max + 1):
-            cell = []
-            for t in range(n + 1):
-                s = v(n, m - 1, t)
-                for k in range(1, min(n - m - 1, cm) + 1):
-                    s += v(n - k, m - 1, t - k) * binomial_big(cm, k)
-                s += binomial_big(cm, n - m) * sum(
-                    table.diagonal(j, t - (n - m)) for j in range(m + 1))
-                cell.append(s)
-            table.cells[(n, m)] = cell
-    return table
+    return _fill(RefinedTable("cardinality", n_max, {}), c_sequence(b_table))
 
 
 def _profile(table: RefinedTable, n: int) -> dict:
@@ -113,45 +115,7 @@ def d_profile(table: RefinedTable, n: int) -> dict:
     return _profile(table, n)
 
 
-@dataclass
-class AtomsTable:
-    """Core recurrence rerun with u urelements in the base cases.
-
-    Base column b(0, -1) = u + 1 (the empty set plus the atoms), closed
-    base row b(n, 0) = C(u+1, n) for n >= 1, and the trailing sum starts
-    at 1 because only the empty set, not an atom, can absorb adjunctions.
-    """
-
-    u: int
-    n_max: int
-    rows: list = field(repr=False)
-    sizes: list = field(repr=False)  # |level n| including atoms
-
-    def b(self, n: int, m: int) -> int:
-        if not (0 <= n <= self.n_max and -1 <= m < max(n, 1)):
-            raise IndexError(f"b({n}, {m}) outside the filled triangle")
-        return self.rows[n][m + 1]
-
-
-def compute_atoms_table(u: int, n_max: int) -> AtomsTable:
-    if u < 0:
-        raise ValueError("atom count must be nonnegative")
-    if n_max < 0:
-        raise ValueError("n_max must be nonnegative")
-    rows = [[u + 1]] + [[0] * (n + 1) for n in range(1, n_max + 1)]
-    for n in range(1, n_max + 1):
-        rows[n][1] = binomial_big(u + 1, n)
-    tail = 1  # 1 + sum of diagonal cells from level 1 upward
-    for m in range(1, n_max):
-        cm = rows[m][m]
-        tail += cm
-        for n in range(m + 1, n_max + 1):
-            s = rows[n][m]
-            for k in range(1, min(n - m - 1, cm) + 1):
-                s += rows[n - k][m] * binomial_big(cm, k)
-            s += binomial_big(cm, n - m) * tail
-            rows[n][m + 1] = s
-    sizes = [u + 1]
-    for n in range(1, n_max + 1):
-        sizes.append(sizes[-1] + rows[n][n])
-    return AtomsTable(u, n_max, rows, sizes)
+def compute_atoms_table(u: int, n_max: int) -> CountTable:
+    """The triangle with u atoms: base cell c(0) = u + 1, so b(n, 0) =
+    C(u+1, n), and a trailing prefix that leaves the atoms out."""
+    return compute_table(HierarchySpec.atoms(u), n_max)

@@ -1,14 +1,82 @@
-"""Hierarchy variant descriptors shared by the table and oracle modules."""
+"""Hierarchy variant descriptors and bound functions, shared by the table
+and oracle modules."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
-if TYPE_CHECKING:
-    from .bounded import BoundFunction
+from .errors import BoundFunctionError
 
 KINDS = ("plain", "atoms", "bounded", "minbounded", "cumulative")
+BUILTIN_BOUNDS = ("identity", "half", "sqrt", "log2")
+
+
+@dataclass(frozen=True)
+class BoundFunction:
+    """A level bound: one of the built-ins or an explicit value table.
+
+    Built-ins: identity n, half = ceil(n/2), sqrt = isqrt(n), log2 =
+    floor(log2(n+1)); all evaluated in exact integer arithmetic.  Table
+    functions are validated for sublinearity (f(n) <= n) up front; their
+    unboundedness can only be observed on queries, so running off the
+    end of the table raises :class:`BoundFunctionError`.
+    """
+
+    kind: str
+    values: tuple = ()
+
+    def __post_init__(self):
+        if self.kind == "table":
+            object.__setattr__(self, "values", tuple(int(v) for v in self.values))
+            for i, v in enumerate(self.values):
+                if v > i:
+                    raise BoundFunctionError(
+                        f"not sublinear: f({i}) = {v} > {i}")
+                if v < 0:
+                    raise BoundFunctionError(f"negative value at index {i}")
+                # a dip would let later levels lose members, breaking the
+                # nesting the count recurrence relies on
+                if i and v < self.values[i - 1]:
+                    raise BoundFunctionError(
+                        f"not monotone: f({i}) = {v} < f({i - 1}) = "
+                        f"{self.values[i - 1]}")
+        elif self.kind not in BUILTIN_BOUNDS:
+            raise BoundFunctionError(f"unknown bound function {self.kind!r}")
+
+    def __call__(self, n: int) -> int:
+        if n < 0:
+            raise ValueError("bound functions take natural arguments")
+        if self.kind == "identity":
+            return n
+        if self.kind == "half":
+            return (n + 1) // 2
+        if self.kind == "sqrt":
+            return math.isqrt(n)
+        if self.kind == "log2":
+            return (n + 1).bit_length() - 1
+        if n >= len(self.values):
+            raise BoundFunctionError(
+                f"table bound function has no value at {n} "
+                f"(provided range 0..{len(self.values) - 1})")
+        return self.values[n]
+
+    def descriptor(self):
+        if self.kind == "table":
+            return {"kind": "table", "values": [str(v) for v in self.values]}
+        return self.kind
+
+    @classmethod
+    def from_descriptor(cls, d) -> "BoundFunction":
+        if isinstance(d, str):
+            return cls(d)
+        return cls("table", tuple(int(v) for v in d["values"]))
+
+    def __str__(self):
+        if self.kind == "table":
+            return f"table[{len(self.values)}]"
+        return self.kind
 
 
 @dataclass(frozen=True)
@@ -17,7 +85,7 @@ class HierarchySpec:
 
     kind: str
     u: int = 0
-    f: Optional["BoundFunction"] = None
+    f: Optional[BoundFunction] = None
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -36,7 +104,7 @@ class HierarchySpec:
         return cls("atoms", u=u)
 
     @classmethod
-    def bounded(cls, f: "BoundFunction") -> "HierarchySpec":
+    def bounded(cls, f: BoundFunction) -> "HierarchySpec":
         return cls("bounded", f=f)
 
     @classmethod
@@ -62,7 +130,6 @@ class HierarchySpec:
         if kind == "atoms":
             return cls.atoms(int(d["u"]))
         if kind == "bounded":
-            from .bounded import BoundFunction
             return cls.bounded(BoundFunction.from_descriptor(d["f"]))
         return cls(kind)
 

@@ -1,13 +1,16 @@
+import hashlib
 import json
 import os
 import re
 import stat
+from pathlib import Path
 
 import pytest
 
 from adjhier.bounded import BoundFunction, compute_bounded_table, compute_minbounded
 from adjhier.cache import cache_roundtrip, load_table, save_table
-from adjhier.cli import CommandSpec, main, parse_bound_function, run
+from adjhier.cli import (CommandSpec, build_parser, main,
+                         parse_bound_function, run)
 from adjhier.errors import BoundFunctionError, CacheError
 from adjhier.recurrence import compute_b_table
 from adjhier.refinements import compute_atoms_table, compute_d_table, compute_r_table
@@ -209,7 +212,7 @@ def test_cache_tamper_detected(tmp_path):
     path = tmp_path / "cache.json"
     save_table(path, compute_b_table(5))
     doc = json.loads(path.read_text())
-    doc["payload"]["a"][3] = "13"
+    doc["payload"]["cells"][2][2] = "13"
     path.write_text(json.dumps(doc))
     with pytest.raises(CacheError, match="checksum"):
         load_table(path)
@@ -221,7 +224,7 @@ def test_cache_cell_corruption_caught_by_spot_check(tmp_path):
     doc = json.loads(path.read_text())
     # recompute the checksum so only the row check can object; this cell
     # feeds every other row's recomputation, so any sampled row trips
-    doc["payload"]["rows"][1][1] = "999"
+    doc["payload"]["cells"][0][2] = "999"
     from adjhier.cache import _checksum
     doc["checksum"] = _checksum(doc["payload"])
     path.write_text(json.dumps(doc, sort_keys=True, separators=(",", ":")))
@@ -254,10 +257,54 @@ def test_cli_cache_reuse_and_mismatch(tmp_path, capsys):
 def test_cli_corrupt_cache_is_hard_error(tmp_path, capsys):
     cache = tmp_path / "b.json"
     out_of(["levels", "--n", "5", "--cache", str(cache)], capsys)
-    raw = cache.read_text().replace('"112"', '"113"')
+    raw = cache.read_text().replace('"100"', '"101"')
     cache.write_text(raw)
     assert main(["levels", "--n", "5", "--cache", str(cache)]) == 2
     assert "checksum" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("make", [
+    lambda: compute_b_table(5),
+    lambda: compute_atoms_table(2, 4),
+    lambda: compute_bounded_table(BoundFunction("half"), 12),
+    lambda: compute_minbounded(12),
+])
+def test_cache_base_cell_corruption_caught(tmp_path, make):
+    path = tmp_path / "cache.json"
+    save_table(path, make())
+    doc = json.loads(path.read_text())
+    # b(1, 0) is the first cell; every recomputed row reads it, directly
+    # or through the level sizes rebuilt from the cells
+    cell = doc["payload"]["cells"][0]
+    assert cell[:2] == [1, 0]
+    cell[2] = str(int(cell[2]) + 998)
+    from adjhier.cache import _checksum
+    doc["checksum"] = _checksum(doc["payload"])
+    path.write_text(json.dumps(doc))
+    with pytest.raises(CacheError):
+        load_table(path)
+
+
+@pytest.mark.parametrize("args", [("table", "--n", "20"),
+                                  ("minbounded", "--n", "2000")])
+@pytest.mark.parametrize("fmt", ["json", "csv", "plain"])
+def test_output_matches_recorded_digests(tmp_path, args, fmt):
+    """Cold and warm runs reproduce the stdout digests the benchmark
+    recorded for these commands."""
+    digests = json.loads((Path(__file__).parents[1] / "perfbench"
+                          / "digests.json").read_text())
+    argv = list(args) + ["--format", fmt]
+    cache = tmp_path / "cache.json"
+    cmd = CommandSpec.from_args(
+        build_parser().parse_args(argv + ["--cache", str(cache)]))
+    written = []
+    for phase in ("cold", "warm"):
+        code, text = run(cmd)
+        assert code == 0
+        assert hashlib.sha256(text.encode()).hexdigest() == \
+            digests[" ".join(argv)], phase
+        written.append(cache.stat().st_mtime_ns)
+    assert written[0] == written[1]  # the warm run read the cache
 
 
 def test_run_with_command_spec_directly():
