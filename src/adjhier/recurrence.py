@@ -25,7 +25,8 @@ with a(m) > n-1 (minbounded), so the cells with cap(n) < m < n all equal
 b(n, cap(n)) and are not stored.  Rows are filled in order, each from
 the cells of earlier rows, into sparse columns that keep only nonzero
 cells; that keeps runs to n in the tens of thousands cheap when most
-rows are zero.
+rows are zero.  The rank and cardinality refinements fill their layers
+through the same row step with column functions of their own.
 """
 
 from __future__ import annotations
@@ -81,17 +82,23 @@ class GInverse:
 
 
 def _params(spec: HierarchySpec):
-    """(c(0), u, g(m, a), h(n, a)) of one spec; cap(n) is the running
-    maximum of h, and both read the level sizes a computed so far."""
-    if spec.kind in ("plain", "atoms"):
-        return spec.u + 1, spec.u, lambda m, a: m, lambda n, a: n - 1
+    """(c(0), col, h) of one spec: ``col(table, m)`` is column m's (c(m),
+    g(m), tail(m) = a(g(m)) - u) and cap(n) is the running maximum of
+    h(n, a); both read the rows filled so far."""
+    u, g, h = spec.u, (lambda m, a: m), (lambda n, a: n - 1)
     if spec.kind == "bounded":
-        f, g = spec.f, GInverse(spec.f)
-        return 1, 0, lambda m, a: g(m), lambda n, a: f(n - 1)
-    if spec.kind == "minbounded":
-        return (1, 0, lambda m, a: a[m - 1] if m else 0,
-                lambda n, a: bisect_right(a, n - 1))
-    raise ValueError(f"no count recurrence for {spec}")
+        f, ginv = spec.f, GInverse(spec.f)
+        g, h = (lambda m, a: ginv(m)), (lambda n, a: f(n - 1))
+    elif spec.kind == "minbounded":
+        g = lambda m, a: a[m - 1] if m else 0
+        h = lambda n, a: bisect_right(a, n - 1)
+    elif spec.kind not in ("plain", "atoms"):
+        raise ValueError(f"no count recurrence for {spec}")
+
+    def col(t, m):
+        gm = g(m, t.a)
+        return t.c(m), gm, t.a[gm] - u
+    return u + 1, col, h
 
 
 @dataclass
@@ -99,8 +106,8 @@ class CountTable:
     """Filled count triangle of one hierarchy.
 
     ``cols[m]`` maps a row n with ``caps[n] >= m`` to b(n, m) when that
-    cell is nonzero; ``a`` holds the level sizes.  Immutable once filled;
-    safe to share across threads.
+    cell is nonzero; ``a`` holds the level sizes and ``col`` the column
+    function that filled them.  The cells are immutable once filled.
     """
 
     spec: HierarchySpec
@@ -108,6 +115,7 @@ class CountTable:
     cols: list = field(repr=False)
     a: list = field(repr=False)
     caps: list = field(repr=False)
+    col: object = field(repr=False, compare=False)
 
     def b(self, n: int, m: int) -> int:
         if not (0 <= n <= self.n_max and -1 <= m < n):
@@ -131,11 +139,6 @@ class CountTable:
         return self.a
 
     @property
-    def increments(self) -> list:
-        """New sets per level: [c(0), ..., c(n_max)]."""
-        return [self.c(n) for n in range(self.n_max + 1)]
-
-    @property
     def variant(self) -> HierarchySpec:
         return self.spec
 
@@ -144,17 +147,12 @@ class CountTable:
         return self.spec.f
 
     @property
-    def u(self) -> int:
-        return self.spec.u
-
-    @property
     def _m_caps(self) -> list:
         return self.caps
 
     def check_row(self, n: int) -> bool:
         """Whether the stored row n equals the row step over rows < n."""
-        _, u, g, _ = _params(self.spec)
-        return _RowStep(self, u, g)(n) == [
+        return _RowStep(self)(n) == [
             self.cols[m].get(n, 0) for m in range(self.caps[n] + 1)]
 
 
@@ -208,12 +206,13 @@ class MinBoundedTable(CountTable):
 class _RowStep:
     """The recurrence's row step over the sparse columns of one table.
 
-    Once a row first reaches column m it derives the column's constants
-    c(m), g(m), a(g(m)) - u and the sorted rows of its stored cells.
+    Once a row first reaches column m it takes the column's constants
+    c(m), g(m), tail(m) from the table's column function and the sorted
+    rows of its stored cells.
     """
 
-    def __init__(self, table: CountTable, u: int, g):
-        self.table, self.u, self.g = table, u, g
+    def __init__(self, table: CountTable):
+        self.table = table
         self.consts = []
         self.rows = []
 
@@ -250,20 +249,22 @@ class _RowStep:
 
     def _open(self, m: int):
         t = self.table
-        gm = self.g(m, t.a)
+        cm, gm, tail = t.col(t, m)
         # every row n of column m has q = n - g(m) >= 1, and its window
         # [g(m)+1, n-1] never reaches below the rows where column m-1 is
         # stored: only the diagonal factor c(m) needs a saturated read
         if gm >= bisect_left(t.caps, m) or (
                 m and bisect_left(t.caps, m - 1) > gm + 1):
             raise ValueError(f"column {m} has g = {gm} below its rows")
-        self.consts.append((t.c(m), gm, t.a[gm] - self.u))
+        self.consts.append((cm, gm, tail))
         self.rows.append(sorted(t.cols[m]))
 
 
-def _sweep(spec: HierarchySpec, n_max: int, cols=None) -> CountTable:
-    """Derive cap(n) and a(n) row by row; each row is first filled by the
-    row step, unless its cells come from ``cols`` (a loaded cache)."""
+def _sweep(spec: HierarchySpec, n_max: int, cells=None,
+           layer=None) -> CountTable:
+    """Derive cap(n) and a(n) row by row; each row is filled by the row
+    step, or read from ``cells``, a list of (n, m, b(n, m)), when given.
+    ``layer`` = (c(0), col) replaces the spec's own, as for refinements."""
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     f = spec.f
@@ -271,10 +272,18 @@ def _sweep(spec: HierarchySpec, n_max: int, cols=None) -> CountTable:
         raise BoundFunctionError(
             f"table bound covers 0..{len(f.values) - 1} but depth {n_max} "
             f"needs f up to {n_max - 1}")
-    base, u, g, h = _params(spec)
+    base, col, h = _params(spec)
+    if layer is not None:
+        base, col = layer
+    cols = []
+    for n, m, v in cells or ():
+        if not 0 <= m < n <= n_max:
+            raise ValueError(f"cell ({n}, {m}) outside the filled triangle")
+        cols.extend({} for _ in range(m + 1 - len(cols)))
+        cols[m][n] = v
     cls = MinBoundedTable if spec.kind == "minbounded" else CountTable
-    t = cls(spec, n_max, [] if cols is None else cols, [base], [-1])
-    step = _RowStep(t, u, g) if cols is None else None
+    t = cls(spec, n_max, cols, [base], [-1], col)
+    step = _RowStep(t) if cells is None else None
     for n in range(1, n_max + 1):
         cap = max(t.caps[-1], h(n, t.a))
         if cap >= n:
@@ -285,6 +294,8 @@ def _sweep(spec: HierarchySpec, n_max: int, cols=None) -> CountTable:
         if step is not None:
             step.fill(n)
         t.a.append(t.a[-1] + t.cols[cap].get(n, 0))
+    if cells is not None and any(m > t.caps[n] for n, m, _ in cells):
+        raise ValueError("cells outside the filled triangle")
     return t
 
 
@@ -296,15 +307,7 @@ def compute_table(spec: HierarchySpec, n_max: int) -> CountTable:
 def table_from_cells(spec: HierarchySpec, n_max: int, cells) -> CountTable:
     """Rebuild a table from its stored cells, a list of (n, m, b(n, m));
     the level sizes and caps are derived as the fill derives them."""
-    cols = []
-    for n, m, v in cells:
-        cols.extend({} for _ in range(m + 1 - len(cols)))
-        cols[m][n] = v
-    t = _sweep(spec, n_max, cols)
-    if len(cols) > t.caps[-1] + 1 or not all(
-            1 <= n <= n_max and 0 <= m <= t.caps[n] for n, m, _ in cells):
-        raise ValueError("cells outside the filled triangle")
-    return t
+    return _sweep(spec, n_max, cells)
 
 
 def compute_b_table(n_max: int) -> CountTable:
@@ -314,7 +317,7 @@ def compute_b_table(n_max: int) -> CountTable:
 
 def c_sequence(table: CountTable) -> list:
     """[c(0), ..., c(n_max)]: new sets per level."""
-    return table.increments
+    return [table.c(n) for n in range(table.n_max + 1)]
 
 
 def a_sequence(table: CountTable) -> list:

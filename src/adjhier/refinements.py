@@ -1,9 +1,11 @@
 """Rank-refined, cardinality-refined, and atoms-variant count recurrences.
 
 Both refinements restrict the triangle cells of the core recurrence by a
-threshold t: the rank refinement counts new-at-level-n sets inside level
-m whose classical rank is at most t, the cardinality refinement those of
-cardinality at most t.  Exact per-value profiles fall out by differencing
+threshold t on classical rank or on cardinality.  Each is a list of
+layers 0..n_max: plain-shaped count tables, filled by the row step of
+:mod:`adjhier.recurrence` with column functions that read the layers
+below.  Rank layers are indexed by t, cardinality layers by the
+co-cardinality n - t.  Exact per-value profiles fall out by differencing
 the diagonal cells.  The atoms variant is the core recurrence with u
 urelements folded into the base cell.
 """
@@ -12,83 +14,89 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .recurrence import (CountTable, binomial_big, c_sequence, compute_b_table,
-                         compute_table)
+from .recurrence import CountTable, _sweep, compute_table
 from .variants import HierarchySpec
 
 
 @dataclass
 class RefinedTable:
-    """Threshold-indexed triangle cells for one refinement kind.
-
-    Cell vectors live at (n, m) for 0 <= m < n <= n_max.  The rank kind
-    defines thresholds 0 <= t <= m+1, the cardinality kind 0 <= t <= n;
-    reads below range give 0 and reads above range saturate, mirroring
-    the set definitions (rank of a subset of level m is at most m+1,
-    cardinality of a level-n member at most n).
+    """Threshold-indexed triangle cells for one refinement kind, held in
+    layers.  Reads below threshold 0 give 0 and reads above range
+    saturate: a subset of level m has rank at most m+1, a member of
+    level n cardinality at most n.
     """
 
     kind: str  # "rank" | "cardinality"
     n_max: int
-    cells: dict = field(repr=False)
-
-    def _t_cap(self, n: int, m: int) -> int:
-        return m + 1 if self.kind == "rank" else n
+    layers: list = field(repr=False)
 
     def value(self, n: int, m: int, t: int) -> int:
         if t < 0:
             return 0
-        if m == -1:
-            return 1 if n == 0 else 0
-        if not (0 <= m < n <= self.n_max):
-            raise IndexError(f"cell ({n}, {m}) outside the filled triangle")
-        return self.cells[(n, m)][min(t, self._t_cap(n, m))]
+        s = min(t, self.n_max) if self.kind == "rank" else max(n - t, 0)
+        return self.layers[s].b(n, m)
 
     def diagonal(self, m: int, t: int) -> int:
         """value(m, m-1, t); the profile building block."""
-        return self.value(m, m - 1, t) if m >= 1 else (1 if t >= 0 else 0)
+        return self.value(m, m - 1, t)
 
-    def recompute(self, n: int, m: int, c: list | None = None) -> list:
-        """Threshold vector of cell (n, m) from column m-1 and the diagonal.
+    @property
+    def cells(self) -> dict:
+        """{(n, m): [value(n, m, t) for t up to saturation]}."""
+        return {(n, m): [self.value(n, m, t) for t in
+                         range((m + 1 if self.kind == "rank" else n) + 1)]
+                for n in range(1, self.n_max + 1) for m in range(n)}
 
-        The rank kind draws its binomials from the t-1 slice of the
-        diagonal; the cardinality kind draws them from the unrefined
-        diagonal ``c`` and lowers the threshold by the k elements adjoined.
-        """
-        v, diag = self.value, self.diagonal
-        card = self.kind == "cardinality"
-        cell = []
-        for t in range(self._t_cap(n, m) + 1):
-            x = c[m] if card else diag(m, t - 1)
-            s = v(n, m - 1, t)
-            for k in range(1, min(n - m - 1, x) + 1):
-                s += v(n - k, m - 1, t - k * card) * binomial_big(x, k)
-            s += binomial_big(x, n - m) * sum(
-                diag(j, t - (n - m) * card) for j in range(m + 1))
-            cell.append(s)
-        return cell
+    def check_row(self, n: int) -> bool:
+        """Whether row n of every layer equals the row step over rows < n."""
+        return all(layer.check_row(n) for layer in self.layers)
+
+    def _layer(self, s: int) -> tuple:
+        """(c(0), col) of layer s.  Rank layer t holds r(n, m, t); its
+        column m adjoins the c(m) of layer t-1 (none when t = 0) and its
+        trailing factor is its own a(m).  Cardinality layer s holds
+        d(n, m, n - s): adjoining k elements lowers n and t alike, so the
+        window stays in the layer.  Column m adjoins the plain c(m) of
+        layer 0, the plain table, and its trailing factor, the level-m
+        sets of cardinality <= m - s, sums c(j) of layer max(s - m + j,
+        0) over j <= m."""
+        layers = self.layers
+        if self.kind == "rank":
+            return 1, lambda t, m: (layers[s - 1].c(m) if s else 0, m, t.a[m])
+
+        def col(t, m):
+            at = lambda i: layers[i] if i < s else t
+            return at(0).c(m), m, sum(at(max(s - m + j, 0)).c(j)
+                                      for j in range(m + 1))
+        return int(s == 0), col
 
 
-def _fill(table: RefinedTable, c: list | None = None) -> RefinedTable:
-    for m in range(table.n_max):
-        for n in range(m + 1, table.n_max + 1):
-            table.cells[(n, m)] = table.recompute(n, m, c)
+def refined_table(kind: str, n_max: int, layer_cells=()) -> RefinedTable:
+    """Build layers 0..n_max in order.  Layer s is rebuilt from
+    ``layer_cells[s]``, a list of (n, m, value), when that is given, and
+    filled by the row step otherwise."""
+    table = RefinedTable(kind, n_max, [])
+    for s in range(n_max + 1):
+        cells = layer_cells[s] if s < len(layer_cells) else None
+        table.layers.append(_sweep(HierarchySpec.plain(), n_max, cells,
+                                   table._layer(s)))
     return table
 
 
 def compute_r_table(n_max: int) -> RefinedTable:
-    """Rank refinement; binomials draw from the t-1 slice of the diagonal."""
-    return _fill(RefinedTable("rank", n_max, {}))
+    """Rank refinement; layer t adjoins the sets of layer t-1."""
+    return refined_table("rank", n_max)
 
 
 def compute_d_table(n_max: int,
                     b_table: CountTable | None = None) -> RefinedTable:
-    """Cardinality refinement; binomials use the unrefined diagonal c(m)."""
-    if b_table is None:
-        b_table = compute_b_table(n_max)
-    if b_table.n_max < n_max:
+    """Cardinality refinement; layer 0 is the plain table, whose cells
+    are taken from ``b_table`` when it is given."""
+    if b_table is not None and b_table.n_max < n_max:
         raise ValueError("plain table too shallow for requested depth")
-    return _fill(RefinedTable("cardinality", n_max, {}), c_sequence(b_table))
+    return refined_table("cardinality", n_max, [] if b_table is None else [
+        [(n, m, v) for m, col in enumerate(b_table.cols)
+         for n, v in col.items() if n <= n_max]])
 
 
 def _profile(table: RefinedTable, n: int) -> dict:

@@ -285,8 +285,89 @@ def test_cache_base_cell_corruption_caught(tmp_path, make):
         load_table(path)
 
 
+@pytest.mark.parametrize("payload", [
+    [], "x", None,
+    {"kind": "count-table", "spec": "plain", "n_max": "3", "cells": []},
+])
+def test_cache_payload_not_an_object_refused(tmp_path, capsys, payload):
+    from adjhier.cache import FORMAT_VERSION, _checksum
+    path = tmp_path / "cache.json"
+    path.write_text(json.dumps({"format_version": FORMAT_VERSION,
+                                "payload": payload,
+                                "checksum": _checksum(payload)}))
+    with pytest.raises(CacheError, match="payload"):
+        load_table(path)
+    assert main(["levels", "--n", "3", "--cache", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_cache_nested_too_deep_refused(tmp_path, capsys):
+    path = tmp_path / "cache.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    with pytest.raises(CacheError, match="not valid JSON"):
+        load_table(path)
+    assert main(["levels", "--n", "3", "--cache", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def _drop_layer(layers):
+    layers.pop()
+
+
+def _cell_outside_triangle(layers):
+    layers[-1].append([3, 3, "1"])
+
+
+def _cell_far_outside_triangle(layers):
+    # refused before any column is allocated for it
+    layers[-1].append([5, 10**9, "1"])
+
+
+def _cell_of_wrong_length(layers):
+    next(cells for cells in layers if cells)[0].append("0")
+
+
+def _base_cell_changed(layers):
+    # b(1, 0) of the first layer that stores it; the row step of that
+    # layer, or of the layer above that adjoins its sets, reads it in
+    # every row
+    cell = next(cell for cells in layers for cell in cells
+                if cell[:2] == [1, 0])
+    cell[2] = str(int(cell[2]) + 998)
+
+
+@pytest.mark.parametrize("edit, reason", [
+    (_drop_layer, "5 layers for depth 5"),
+    (_cell_outside_triangle, "outside the filled triangle"),
+    (_cell_far_outside_triangle, "(5, 1000000000) outside"),
+    (_cell_of_wrong_length, "too many values"),
+    (_base_cell_changed, "fails recomputation"),
+])
+@pytest.mark.parametrize("command", ["rank-profile", "card-profile"])
+def test_refined_cache_corruption_is_hard_error(tmp_path, capsys, command,
+                                                edit, reason):
+    from adjhier.cache import _checksum
+    path = tmp_path / "cache.json"
+    argv = [command, "--n", "5", "--cache", str(path)]
+    first = out_of(argv, capsys)
+    doc = json.loads(path.read_text())
+    edit(doc["payload"]["layers"])
+    doc["checksum"] = _checksum(doc["payload"])
+    path.write_text(json.dumps(doc))
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and reason in captured.err
+    assert "Traceback" not in captured.err
+    path.unlink()
+    assert out_of(argv, capsys) == first
+
+
 @pytest.mark.parametrize("args", [("table", "--n", "20"),
-                                  ("minbounded", "--n", "2000")])
+                                  ("minbounded", "--n", "2000"),
+                                  ("rank-profile", "--n", "18"),
+                                  ("card-profile", "--n", "18")])
 @pytest.mark.parametrize("fmt", ["json", "csv", "plain"])
 def test_output_matches_recorded_digests(tmp_path, args, fmt):
     """Cold and warm runs reproduce the stdout digests the benchmark
