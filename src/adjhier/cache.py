@@ -4,8 +4,8 @@ A cache file is ``{"format_version": N, "payload": {...}, "checksum":
 sha256(canonical payload)}`` dumped with sorted keys and no whitespace
 variance, so load-then-save is byte identical.  Every count is a decimal
 string; nothing numeric ever passes through floating point.  Caches are
-an optimization only: loads are spot-checked by recomputing one row of
-the recurrence (seeded from the checksum) against the cached cells.
+an optimization only: loads are spot-checked by recomputing row 1 and
+one row seeded from the checksum against the cached cells.
 """
 
 from __future__ import annotations
@@ -54,21 +54,28 @@ def table_payload(table) -> dict:
     raise TypeError(f"no cache payload for {type(table).__name__}")
 
 
-def table_from_payload(payload):
+def table_from_payload(payload, expect=None):
+    """The table a payload holds; None, without building it, when its
+    (spec or refinement kind, n_max) is not ``expect``."""
     if not isinstance(payload, dict):
         raise CacheError("cache payload is not a JSON object")
     kind = payload.get("kind")
     try:
         n_max = int(payload["n_max"])
         if kind == "count-table":
-            return table_from_cells(
-                HierarchySpec.from_descriptor(payload["spec"]), n_max,
-                _parse_cells(payload["cells"]))
+            spec = HierarchySpec.from_descriptor(payload["spec"])
+            if expect is not None and expect != (spec, n_max):
+                return None
+            return table_from_cells(spec, n_max,
+                                    _parse_cells(payload["cells"]))
         if kind in ("rank-refined", "cardinality-refined"):
+            refinement = kind.split("-")[0]
+            if expect is not None and expect != (refinement, n_max):
+                return None
             layers = payload["layers"]
             if len(layers) != n_max + 1:
                 raise ValueError(f"{len(layers)} layers for depth {n_max}")
-            return refined_table(kind.split("-")[0], n_max,
+            return refined_table(refinement, n_max,
                                  [_parse_cells(cells) for cells in layers])
     except (KeyError, ValueError, IndexError, TypeError,
             AttributeError) as exc:
@@ -124,7 +131,9 @@ def save_table(path, table) -> None:
         raise
 
 
-def load_table(path, *, verify_row: bool = True):
+def load_table(path, expect=None):
+    """Load a cache file; with ``expect`` = (spec or refinement kind,
+    n_max), a file holding another table loads as None."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -139,10 +148,12 @@ def load_table(path, *, verify_row: bool = True):
     payload = doc.get("payload")
     if _checksum(payload) != doc.get("checksum"):
         raise CacheError("cache checksum mismatch")
-    table = table_from_payload(payload)
-    if verify_row and table.n_max >= 1:
+    table = table_from_payload(payload, expect)
+    if table is not None and table.n_max >= 1:
+        # row 1 too: an all-zero table recomputes to zeros in every other row
         rng = random.Random(doc["checksum"])
-        spot_check(table, rng.randint(1, table.n_max))
+        for n in sorted({1, rng.randint(1, table.n_max)}):
+            spot_check(table, n)
     return table
 
 

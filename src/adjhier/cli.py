@@ -23,7 +23,7 @@ from .cache import load_table, save_table
 from .errors import BoundFunctionError, CacheError, ResourceCapError
 from .numstr import decimal_str
 from .recurrence import a_sequence, c_sequence, compute_b_table
-from .refinements import (RefinedTable, compute_atoms_table, compute_d_table,
+from .refinements import (compute_atoms_table, compute_d_table,
                           compute_r_table, d_profile, r_profile)
 from .variants import HierarchySpec
 
@@ -109,9 +109,8 @@ def _cached_table(cmd: CommandSpec, want, compute):
     """Load the cached table if it holds ``want`` (a count table's spec or
     a refinement kind) to depth n_max, else compute and (re)write it."""
     if cmd.cache and os.path.exists(cmd.cache):
-        table = load_table(cmd.cache)
-        got = table.kind if isinstance(table, RefinedTable) else table.spec
-        if got == want and table.n_max == cmd.n_max:
+        table = load_table(cmd.cache, (want, cmd.n_max))
+        if table is not None:
             return table
     table = compute()
     if cmd.cache:

@@ -66,6 +66,12 @@ class LevelSets:
         prev = self.levels[n - 1] if n >= 1 else 0
         return list(iter_bits(self.levels[n] & ~prev))
 
+    def held(self, ids, m: int) -> int:
+        """How many of ``ids`` have all their elements in level m."""
+        lv = self.levels[m]
+        elements_of = self.engine.elements_of
+        return sum(all(lv >> e & 1 for e in elements_of(sid)) for sid in ids)
+
 
 def _check_depth(kind: str, n_max: int, depth_cap):
     cap = DEFAULT_DEPTH_CAPS[kind] if depth_cap is None else depth_cap
@@ -77,121 +83,53 @@ def _check_depth(kind: str, n_max: int, depth_cap):
 
 def build_levels(spec: HierarchySpec, n_max: int, *,
                  depth_cap=None, level_size_cap=DEFAULT_LEVEL_SIZE_CAP) -> LevelSets:
-    """Materialize levels 0..n_max of the given adjunctive variant."""
+    """Materialize levels 0..n_max of the given adjunctive variant.
+
+    Level n+1 is the base level (the empty set and the atoms) plus every
+    x with y adjoined, for x a non-atom of level n and y a member of the
+    variant's source level (see :func:`_source`).
+    """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    if spec.kind == "plain":
-        _check_depth("plain", n_max, depth_cap)
-        return _build_plain(spec, n_max)
-    if spec.kind == "atoms":
-        # the default depth keeps the pair loop affordable; many atoms
-        # inflate the levels, so the default tightens past u = 3
-        if depth_cap is None and spec.u > 3:
-            depth_cap = 3
-        _check_depth("atoms", n_max, depth_cap)
-        return _build_atoms(spec, n_max)
-    if spec.kind == "bounded":
-        _check_depth("bounded", n_max, depth_cap)
-        return _build_bounded(spec, n_max, level_size_cap)
-    if spec.kind == "minbounded":
-        _check_depth("minbounded", n_max, depth_cap)
-        return _build_minbounded(spec, n_max)
-    raise ValueError(f"build_levels does not handle {spec.kind!r}")
-
-
-def _build_plain(spec, n_max):
-    eng = SetEngine()
-    empty = eng.empty().id
-    levels = [1 << empty]
-    for _ in range(n_max):
-        mem = list(iter_bits(levels[-1]))
-        nxt = 1 << empty
-        for x in mem:
-            for y in mem:
-                nxt |= 1 << eng.adjoin_ids(x, y)
-        levels.append(nxt)
-    return LevelSets(spec, eng, levels)
-
-
-def _build_atoms(spec, n_max):
-    eng = SetEngine(n_atoms=spec.u)
-    empty = eng.empty().id
-    atom_ids = tuple(range(spec.u))
-    base = 1 << empty
-    for a in atom_ids:
-        base |= 1 << a
-    levels = [base]
-    for _ in range(n_max):
-        mem = list(iter_bits(levels[-1]))
-        nxt = base
-        for x in mem:
-            if eng.is_atom(x):
-                continue  # atoms never absorb an adjunction
-            for y in mem:
-                nxt |= 1 << eng.adjoin_ids(x, y)
-        levels.append(nxt)
-    return LevelSets(spec, eng, levels, atom_ids)
-
-
-def _build_bounded(spec, n_max, level_size_cap):
-    eng = SetEngine()
-    empty = eng.empty().id
-    f = spec.f
-    levels = [1 << empty]
+    if spec.kind not in ("plain", "atoms", "bounded", "minbounded"):
+        raise ValueError(f"build_levels does not handle {spec.kind!r}")
+    # the default depth keeps the pair loop affordable; many atoms
+    # inflate the levels, so the default tightens past u = 3
+    if spec.kind == "atoms" and depth_cap is None and spec.u > 3:
+        depth_cap = 3
+    _check_depth(spec.kind, n_max, depth_cap)
+    u = spec.u
+    eng = SetEngine(n_atoms=u)
+    base = (1 << u + 1) - 1  # atoms are ids 0..u-1, the empty set is id u
+    ls = LevelSets(spec, eng, [base], tuple(range(u)))
     for n in range(n_max):
-        xs = list(iter_bits(levels[n]))
-        ys = list(iter_bits(levels[f(n)]))
-        nxt = 1 << empty
-        for x in xs:
-            for y in ys:
-                nxt |= 1 << eng.adjoin_ids(x, y)
-        if level_size_cap is not None and nxt.bit_count() > level_size_cap:
+        xs = ls.members(n)[u:]  # the atoms lead every level
+        ys = ls.members(_source(ls, n))
+        bound = u + 1 + len(xs) * len(ys)
+        if (spec.kind == "bounded" and level_size_cap is not None
+                and bound > level_size_cap):
             raise ResourceCapError(
-                f"bounded oracle level {n + 1} has {nxt.bit_count()} sets "
+                f"bounded oracle level {n + 1} may hold {bound} sets "
                 f"(cap {level_size_cap})", level=n + 1, cap=level_size_cap)
-        levels.append(nxt)
-    return LevelSets(spec, eng, levels)
-
-
-def _build_minbounded(spec, n_max):
-    eng = SetEngine()
-    empty = eng.empty().id
-    levels = [1 << empty]
-    elem_sets = {empty: ()}
-    # subset_count[m] = |{x in deepest level : x subseteq level m}|,
-    # updated incrementally as members and levels appear
-    subset_count = [1]
-
-    def covers(m, elems):
-        lv = levels[m]
-        return all(lv >> e & 1 for e in elems)
-
-    for n in range(n_max):
-        # largest m whose full power set is already present; m = -1 always
-        # qualifies because P(empty family) = {empty set}
-        witness = -1
-        for m in range(n, -1, -1):
-            if subset_count[m] == 1 << levels[m].bit_count():
-                witness = m
-                break
-        ys = list(iter_bits(levels[witness + 1]))
-        xs = list(iter_bits(levels[n]))
-        nxt = 1 << empty
+        nxt = base
         for x in xs:
-            ex = elem_sets[x]
             for y in ys:
-                sid = eng.adjoin_ids(x, y)
-                if not nxt >> sid & 1:
-                    nxt |= 1 << sid
-                    if sid not in elem_sets:
-                        elem_sets[sid] = eng.elements_of(sid)
-        levels.append(nxt)
-        added = nxt & ~levels[n]
-        for m in range(len(subset_count)):
-            subset_count[m] += sum(
-                1 for sid in iter_bits(added) if covers(m, elem_sets[sid]))
-        subset_count.append(nxt.bit_count())  # every member is inside its own level
-    return LevelSets(spec, eng, levels)
+                nxt |= 1 << eng.adjoin_ids(x, y)
+        ls.levels.append(nxt)
+    return ls
+
+
+def _source(ls: LevelSets, n: int) -> int:
+    """The level whose members are adjoined to level n's: n itself, f(n)
+    when bounded, and when minimally bounded one past the largest m <= n
+    whose power set level n holds (0 when none)."""
+    if ls.spec.kind == "bounded":
+        return ls.spec.f(n)
+    if ls.spec.kind == "minbounded":
+        members = ls.members(n)
+        return next((m + 1 for m in range(n, -1, -1)
+                     if ls.held(members, m) == 1 << ls.size(m)), 0)
+    return n
 
 
 def build_cumulative(n_max: int, *, depth_cap=None) -> LevelSets:
@@ -213,13 +151,7 @@ def partition_counts(ls: LevelSets, n: int, m: int) -> int:
     """Members new at level n whose elements all lie in level m."""
     if not 0 <= m < n <= ls.depth:
         raise IndexError(f"partition ({n}, {m}) outside computed levels")
-    lv_m = ls.levels[m]
-    eng = ls.engine
-    total = 0
-    for sid in ls.new_members(n):
-        if all(lv_m >> e & 1 for e in eng.elements_of(sid)):
-            total += 1
-    return total
+    return ls.held(ls.new_members(n), m)
 
 
 def partition_split(ls: LevelSets, n: int, m: int) -> dict:

@@ -126,10 +126,8 @@ def verify_minbounded(n_max: int = 5, **caps):
         if idx > n_max:
             continue
         examined.append(idx)
-        subset_members = sum(
-            1 for sid in ls.members(idx)
-            if all(ls.contains(n, e) for e in ls.engine.elements_of(sid)))
-        law_ok &= subset_members == ls.size(idx) == 2 ** sizes[n]
+        law_ok &= (ls.held(ls.members(idx), n) == ls.size(idx)
+                   == 2 ** sizes[n])
     checks.append(Check(
         "power-set law: level(size(n)) == P(level n)", law_ok,
         f"verified at indices {examined}"))

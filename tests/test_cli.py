@@ -388,6 +388,76 @@ def test_output_matches_recorded_digests(tmp_path, args, fmt):
     assert written[0] == written[1]  # the warm run read the cache
 
 
+ORACLE_DIGESTS = json.loads(
+    (Path(__file__).parent / "oracle_digests.json").read_text())
+
+
+@pytest.mark.parametrize("argv", sorted(ORACLE_DIGESTS))
+def test_oracle_verify_matches_recorded_digests(argv):
+    """oracle-verify stdout is pinned byte for byte (atoms u=2 is left out
+    for its run time; acceptance criterion 8 checks it)."""
+    code, text = run(CommandSpec.from_args(
+        build_parser().parse_args(argv.split())))
+    assert code == 0
+    assert hashlib.sha256(text.encode()).hexdigest() == ORACLE_DIGESTS[argv]
+
+
+def test_bounded_oracle_refused_before_pair_loop(monkeypatch, capsys):
+    # levels 1..5 take 12,709 adjunctions; level 6 would take 21 million
+    from adjhier.hfs import SetEngine
+    calls = []
+    adjoin = SetEngine.adjoin_ids
+
+    def counted(self, x, y):
+        calls.append(1)
+        return adjoin(self, x, y)
+
+    monkeypatch.setattr(SetEngine, "adjoin_ids", counted)
+    assert main(["oracle-verify", "--variant", "bounded", "--f", "identity",
+                 "--n", "7"]) == 3
+    err = capsys.readouterr().err
+    assert "level 6" in err and "Traceback" not in err
+    assert len(calls) < 20_000
+
+
+def _write_count_cache(path, n_max, cells):
+    from adjhier.cache import FORMAT_VERSION, _checksum
+    payload = {"kind": "count-table", "spec": {"kind": "plain"},
+               "n_max": str(n_max), "cells": cells}
+    path.write_text(json.dumps({"format_version": FORMAT_VERSION,
+                                "payload": payload,
+                                "checksum": _checksum(payload)}))
+
+
+def test_emptied_cache_refused(tmp_path, capsys):
+    # every row n >= 2 of an all-zero plain table recomputes to zeros;
+    # only row 1 objects
+    path = tmp_path / "cache.json"
+    _write_count_cache(path, 5, [])
+    assert main(["levels", "--n", "5", "--cache", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "fails recomputation" in captured.err
+
+
+def test_cache_for_other_depth_rewritten_unloaded(tmp_path, capsys,
+                                                  monkeypatch):
+    from adjhier import recurrence
+    swept = []
+    sweep = recurrence._sweep
+
+    def recorded(spec, n_max, *args, **kwargs):
+        swept.append(n_max)
+        return sweep(spec, n_max, *args, **kwargs)
+
+    monkeypatch.setattr(recurrence, "_sweep", recorded)
+    path = tmp_path / "cache.json"
+    _write_count_cache(path, 10**6, [])
+    out = out_of(["levels", "--n", "5", "--cache", str(path)], capsys)
+    assert json.loads(out)["a"] == [str(v) for v in PLAIN_A[:6]]
+    assert 10**6 not in swept
+    assert json.loads(path.read_text())["payload"]["n_max"] == "5"
+
+
 def test_run_with_command_spec_directly():
     code, text = run(CommandSpec(subcommand="levels", n_max=4))
     assert code == 0
