@@ -106,10 +106,9 @@ def build_levels(spec: HierarchySpec, n_max: int, *,
         xs = ls.members(n)[u:]  # the atoms lead every level
         ys = ls.members(_source(ls, n))
         bound = u + 1 + len(xs) * len(ys)
-        if (spec.kind == "bounded" and level_size_cap is not None
-                and bound > level_size_cap):
+        if level_size_cap is not None and bound > level_size_cap:
             raise ResourceCapError(
-                f"bounded oracle level {n + 1} may hold {bound} sets "
+                f"{spec.kind} oracle level {n + 1} may hold {bound} sets "
                 f"(cap {level_size_cap})", level=n + 1, cap=level_size_cap)
         nxt = base
         for x in xs:

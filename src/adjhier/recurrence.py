@@ -24,7 +24,9 @@ running maximum of n-1 (plain, atoms), f(n-1) (bounded) or the least m
 with a(m) > n-1 (minbounded), so the cells with cap(n) < m < n all equal
 b(n, cap(n)) and are not stored.  Rows are filled in order, each from
 the cells of earlier rows, into sparse columns that keep only nonzero
-cells; that keeps runs to n in the tens of thousands cheap when most
+cells.  Runs of rows that cannot hold a nonzero cell are skipped in
+bulk, and each C(c(m), k) is computed once, in a binomial row per value
+of c(m), so runs to n in the hundreds of thousands stay cheap when most
 rows are zero.  The rank and cardinality refinements fill their layers
 through the same row step with column functions of their own.
 """
@@ -37,6 +39,11 @@ from dataclasses import dataclass, field
 
 from .errors import BoundFunctionError, ResourceCapError
 from .variants import BoundFunction, HierarchySpec
+
+# Bits a level size may need before its row is filled (see _sweep).
+# Chained from a(0), the bound admits the plain hierarchy through depth
+# 22 (2**23 - 1 bits; a(22) has 1,770,521) and refuses depth 23 at once.
+ROW_BIT_BUDGET = 3 << 22
 
 
 def binomial_big(a: int, k: int) -> int:
@@ -57,27 +64,38 @@ def binomial_big(a: int, k: int) -> int:
 
 
 class GInverse:
-    """Memoized g(m) = min{t : f(t) >= m}, filled by one forward scan."""
+    """Memoized g(m) = min{t : f(t) >= m}.  Bound functions are monotone,
+    so g(m) is found past g(m-1) by doubling steps, then bisection: a
+    number of calls of f logarithmic in g(m) rather than linear."""
 
     def __init__(self, f: BoundFunction):
         self.f = f
         self._g = [0]  # g(0) = 0 because f(0) >= 0
-        self._t = 0
 
     def __call__(self, m: int) -> int:
         if m < 0:
             raise ValueError("g takes natural arguments")
         g = self._g
         while len(g) <= m:
-            self._t += 1
+            k = len(g)
+
+            def reaches(t):  # past a table's end counts as reaching
+                try:
+                    return self.f(t) >= k
+                except BoundFunctionError:
+                    return True
+            lo, step = g[-1], 1  # f(g[-1]) = k - 1
+            while not reaches(lo + step):
+                lo, step = lo + step, 2 * step
+            t = lo + 1 + bisect_left(range(lo + 1, lo + step + 1), True,
+                                     key=reaches)
             try:
-                v = self.f(self._t)
+                v = self.f(t)
             except BoundFunctionError:
                 raise BoundFunctionError(
-                    f"bound function never reaches {len(g)} on its range; "
+                    f"bound function never reaches {k} on its range; "
                     f"cannot invert at {m}") from None
-            while len(g) <= v:
-                g.append(self._t)
+            g.extend([t] * (v + 1 - k))
         return g[m]
 
 
@@ -207,14 +225,20 @@ class _RowStep:
     """The recurrence's row step over the sparse columns of one table.
 
     Once a row first reaches column m it takes the column's constants
-    c(m), g(m), tail(m) from the table's column function and the sorted
-    rows of its stored cells.
+    c(m), g(m), tail(m) from the table's column function, the sorted rows
+    of its stored cells and the binomial row C(c(m), 0), C(c(m), 1), ...
+    from ``binoms``, rows keyed by c(m) that the layers of one build
+    share.  ``live`` is the last row that the open columns can reach:
+    past it every window and tail term is empty until another column
+    opens.
     """
 
-    def __init__(self, table: CountTable):
+    def __init__(self, table: CountTable, binoms=None):
         self.table = table
+        self.binoms = {} if binoms is None else binoms
         self.consts = []
         self.rows = []
+        self.live = 0
 
     def __call__(self, n: int) -> list:
         """b(n, 0..cap(n)), read only from the cells of rows < n."""
@@ -225,17 +249,21 @@ class _RowStep:
         out = []
         prev = 0  # base column: b(n, -1) = 0 for n >= 1
         for m in range(cap + 1):
-            dm, gm, tail = consts[m]
+            dm, gm, tail, binom = consts[m]
             q = n - gm
             val = prev
             kmax = min(q - 1, dm)  # C(dm, k) = 0 past kmax
             if kmax >= 1 and m >= 1:
                 rows_c, vals_c = rows[m - 1], cols[m - 1]
-                for r in rows_c[bisect_left(rows_c, n - kmax):
-                                bisect_right(rows_c, n - 1)]:
-                    val += vals_c[r] * binomial_big(dm, n - r)
+                lo = bisect_left(rows_c, n - kmax)
+                hi = bisect_right(rows_c, n - 1)
+                if lo < hi:
+                    _extend(binom, dm, n - rows_c[lo])
+                    for r in rows_c[lo:hi]:
+                        val += vals_c[r] * binom[n - r]
             if q <= dm:
-                val += binomial_big(dm, q) * tail
+                _extend(binom, dm, q)
+                val += binom[q] * tail
             out.append(val)
             prev = val
         return out
@@ -246,6 +274,15 @@ class _RowStep:
             if val:
                 self.table.cols[m][n] = val
                 self.rows[m].append(n)
+                self._reach(m + 1, n)
+
+    def _reach(self, m: int, r: int):
+        """A stored row r of column m-1 enters column m's window at rows
+        r+1 .. r+c(m) when r > g(m); raise ``live`` to the last of them."""
+        if m < len(self.consts):
+            dm, gm = self.consts[m][:2]
+            if r > gm:
+                self.live = max(self.live, r + min(dm, self.table.n_max))
 
     def _open(self, m: int):
         t = self.table
@@ -256,15 +293,39 @@ class _RowStep:
         if gm >= bisect_left(t.caps, m) or (
                 m and bisect_left(t.caps, m - 1) > gm + 1):
             raise ValueError(f"column {m} has g = {gm} below its rows")
-        self.consts.append((cm, gm, tail))
+        self.consts.append((cm, gm, tail, self.binoms.setdefault(cm, [1, cm])))
         self.rows.append(sorted(t.cols[m]))
+        self.live = max(self.live, gm + min(cm, t.n_max))  # the tail term
+        if m and self.rows[m - 1]:
+            self._reach(m, self.rows[m - 1][-1])
 
 
-def _sweep(spec: HierarchySpec, n_max: int, cells=None,
-           layer=None) -> CountTable:
+def _extend(row: list, d: int, k: int):
+    """Extend the binomial row C(d, 0), C(d, 1), ... through C(d, k) by
+    C(d, j) = C(d, j-1) * (d-j+1) // j, exact at every step."""
+    for j in range(len(row), k + 1):
+        row.append(row[-1] * (d - j + 1) // j)
+
+
+def _bits_check(n: int, bits: int):
+    if bits > ROW_BIT_BUDGET:
+        raise ResourceCapError(
+            f"level {n} may need {bits} bits, past the budget of "
+            f"{ROW_BIT_BUDGET}", level=n, cap=ROW_BIT_BUDGET)
+
+
+def _sweep(spec: HierarchySpec, n_max: int, cells=None, layer=None,
+           binoms=None) -> CountTable:
     """Derive cap(n) and a(n) row by row; each row is filled by the row
     step, or read from ``cells``, a list of (n, m, b(n, m)), when given.
-    ``layer`` = (c(0), col) replaces the spec's own, as for refinements."""
+    ``layer`` = (c(0), col) replaces the spec's own, as for refinements,
+    and ``binoms`` is a binomial-row store shared with other layers.
+
+    Rows that cannot hold a nonzero cell are not visited: those past the
+    row step's ``live`` row (or between stored rows, for ``cells``) are
+    zero until cap(n) grows, so the sweep jumps to the next row that is
+    live or grows the cap, found by bisection on the monotone cap source.
+    """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     f = spec.f
@@ -283,17 +344,40 @@ def _sweep(spec: HierarchySpec, n_max: int, cells=None,
         cols[m][n] = v
     cls = MinBoundedTable if spec.kind == "minbounded" else CountTable
     t = cls(spec, n_max, cols, [base], [-1], col)
-    step = _RowStep(t) if cells is None else None
+    step = _RowStep(t, binoms) if cells is None else None
+    stored = sorted({n for n, _, _ in cells or ()})
+    # Level n holds x with y adjoined, x in level n-1 and y in level
+    # cap(n), so bits(a(n)) <= bits(a(n-1)) + bits(a(cap(n))) + 1.  Where
+    # cap(n) = n-1 that bound doubles; chained through the leading rows of
+    # that kind, it refuses too deep a request before any row is filled.
+    bits = base.bit_length()
     for n in range(1, n_max + 1):
+        if h(n, t.a) != n - 1:
+            break
+        bits = 2 * bits + 1
+        _bits_check(n, bits)
+    n = 1
+    while n <= n_max:
         cap = max(t.caps[-1], h(n, t.a))
         if cap >= n:
             raise ValueError(f"column cap {cap} at row {n} is not below it")
+        _bits_check(n, t.a[-1].bit_length() + t.a[cap].bit_length() + 1)
         t.caps.append(cap)
         while len(t.cols) <= cap:
             t.cols.append({})
         if step is not None:
             step.fill(n)
+            live = n + 1 if step.live > n else n_max + 1
+        else:
+            i = bisect_right(stored, n)
+            live = stored[i] if i < len(stored) else n_max + 1
         t.a.append(t.a[-1] + t.cols[cap].get(n, 0))
+        # rows n+1 .. live-1 are zero unless the cap grows among them
+        stop = n + 1 + bisect_right(range(n + 1, live), cap,
+                                    key=lambda r: h(r, t.a))
+        t.caps.extend([cap] * (stop - n - 1))
+        t.a.extend([t.a[-1]] * (stop - n - 1))
+        n = stop
     if cells is not None and any(m > t.caps[n] for n, m, _ in cells):
         raise ValueError("cells outside the filled triangle")
     return t

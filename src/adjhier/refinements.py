@@ -76,10 +76,11 @@ def refined_table(kind: str, n_max: int, layer_cells=()) -> RefinedTable:
     ``layer_cells[s]``, a list of (n, m, value), when that is given, and
     filled by the row step otherwise."""
     table = RefinedTable(kind, n_max, [])
+    binoms = {}  # one binomial row per c(m) value, shared by the layers
     for s in range(n_max + 1):
         cells = layer_cells[s] if s < len(layer_cells) else None
         table.layers.append(_sweep(HierarchySpec.plain(), n_max, cells,
-                                   table._layer(s)))
+                                   table._layer(s), binoms))
     return table
 
 

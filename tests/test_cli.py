@@ -3,6 +3,7 @@ import json
 import os
 import re
 import stat
+import time
 from pathlib import Path
 
 import pytest
@@ -418,6 +419,28 @@ def test_bounded_oracle_refused_before_pair_loop(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert "level 6" in err and "Traceback" not in err
     assert len(calls) < 20_000
+
+
+def test_atoms_oracle_refused_before_pair_loop(capsys):
+    # level 3 holds 898 sets, so level 4 may hold 803,714
+    start = time.perf_counter()
+    assert main(["oracle-verify", "--variant", "atoms", "--u", "3",
+                 "--n", "4"]) == 3
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert "atoms oracle level 4 may hold 803714 sets" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [["levels", "--n", "26"],
+                                  ["constant", "--n", "26", "--digits", "5"]])
+def test_too_deep_table_refused_at_once(argv, capsys):
+    start = time.perf_counter()
+    assert main(argv) == 3
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert "level 23 may need" in captured.err
 
 
 def _write_count_cache(path, n_max, cells):

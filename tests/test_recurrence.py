@@ -1,12 +1,14 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from adjhier import oracle
+from adjhier import oracle, recurrence
+from adjhier.errors import ResourceCapError
 from adjhier.recurrence import (a_sequence, binomial_big, c_sequence,
-                                compute_b_table)
-from adjhier.variants import HierarchySpec
+                                compute_b_table, compute_table,
+                                table_from_cells)
+from adjhier.variants import BoundFunction, HierarchySpec
 
 from golden import PLAIN_A
 
@@ -98,3 +100,137 @@ def test_cells_match_oracle_partitions():
 def test_variant_tag():
     t = compute_b_table(2)
     assert t.variant == HierarchySpec.plain()
+
+
+# -- the kernel against a dense row-by-row reference --------------------------
+
+def _reference(spec, n_max):
+    """Every cell of rows 1..n_max, row by row with no row skipped and
+    math.comb for the binomials; (a, caps, nonzero cells by (n, m))."""
+    u, f = spec.u, spec.f
+    a, caps, b = [u + 1], [-1], {}
+
+    def cell(n, m):  # b(n, m), saturated past cap(n)
+        if m == -1:
+            return a[0] if n == 0 else 0
+        return b.get((n, min(m, caps[n])), 0)
+
+    def g(m):
+        if spec.kind == "bounded":
+            return next(t for t in range(m, n_max) if f(t) >= m)
+        if spec.kind == "minbounded":
+            return a[m - 1] if m else 0
+        return m
+
+    for n in range(1, n_max + 1):
+        if spec.kind == "bounded":
+            h = f(n - 1)
+        elif spec.kind == "minbounded":
+            h = sum(1 for v in a if v <= n - 1)
+        else:
+            h = n - 1
+        caps.append(max(caps[-1], h))
+        prev = 0
+        for m in range(caps[n] + 1):
+            c, gm = cell(m, m - 1), g(m)
+            val = prev + math.comb(c, n - gm) * (a[gm] - u)
+            for k in range(1, n - gm):
+                val += cell(n - k, m - 1) * math.comb(c, k)
+            if val:
+                b[(n, m)] = val
+            prev = val
+        a.append(a[-1] + cell(n, caps[n]))
+    return a, caps, b
+
+
+def _cells(table):
+    return {(n, m): v for m, col in enumerate(table.cols)
+            for n, v in col.items()}
+
+
+def _assert_matches_reference(spec, n_max):
+    t = compute_table(spec, n_max)
+    a, caps, b = _reference(spec, n_max)
+    assert (t.a, t.caps, _cells(t)) == (a, caps, b)
+    loaded = table_from_cells(spec, n_max,
+                              [(n, m, v) for (n, m), v in b.items()])
+    assert (loaded.a, loaded.caps, _cells(loaded)) == (a, caps, b)
+
+
+@st.composite
+def plateau_bounds(draw):
+    """Monotone sublinear tables made of runs: long plateaus, and steps
+    of f by more than 1 where f(n) <= n allows."""
+    values = [0]
+    length = draw(st.integers(min_value=1, max_value=150))
+    while len(values) < length:
+        run = draw(st.integers(min_value=1, max_value=60))
+        top = draw(st.integers(min_value=values[-1],
+                               max_value=min(values[-1] + 3, 7)))
+        for _ in range(run):
+            values.append(min(top, len(values)))
+    return BoundFunction("table", tuple(values[:length]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(plateau_bounds(), st.data())
+def test_bounded_fill_matches_reference(f, data):
+    n_max = data.draw(st.integers(min_value=0, max_value=len(f.values)))
+    _assert_matches_reference(HierarchySpec.bounded(f), n_max)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(min_value=0, max_value=120))
+def test_minbounded_fill_matches_reference(n_max):
+    _assert_matches_reference(HierarchySpec.min_bounded(), n_max)
+
+
+@pytest.mark.parametrize("spec, n_max", [
+    (HierarchySpec.plain(), 9), (HierarchySpec.atoms(2), 7),
+    (HierarchySpec.bounded(BoundFunction("log2")), 300),
+    (HierarchySpec.bounded(BoundFunction("sqrt")), 60),
+])
+def test_fill_matches_reference(spec, n_max):
+    _assert_matches_reference(spec, n_max)
+
+
+@pytest.mark.parametrize("d", [0, 1, 2, 7, 10 ** 30, pytest.param(
+    3 ** 700_000, id="3**700000")])  # the last has 1,109,474 bits
+def test_binomial_row_matches_stdlib(d):
+    # rows start as [C(d, 0), C(d, 1)]; past k = d they hold zeros
+    want = [math.comb(d, k) for k in range(4)]
+    for row in ([1], [1, d]):
+        recurrence._extend(row, d, 3)
+        assert row == want
+    row = [1]
+    recurrence._extend(row, d, 0)
+    assert row == [1]
+
+
+def test_bit_budget_refuses_plain_depth_before_any_row(monkeypatch):
+    # chained from a(0) = 1, the bound for a plain level n is 2**(n+1) - 1
+    # bits: with that budget for n = 10, depth 10 fills and depth 11 is
+    # refused before its first row
+    monkeypatch.setattr(recurrence, "ROW_BIT_BUDGET", 2 ** 11 - 1)
+    assert compute_b_table(10).a == compute_table(HierarchySpec.plain(),
+                                                  10).a
+    filled = []
+    monkeypatch.setattr(recurrence._RowStep, "fill",
+                        lambda self, n: filled.append(n))
+    with pytest.raises(ResourceCapError) as err:
+        compute_b_table(11)
+    assert (err.value.level, err.value.cap, filled) == (11, 2 ** 11 - 1, [])
+
+
+def test_bit_budget_refuses_the_first_row_past_it(monkeypatch):
+    spec = HierarchySpec.min_bounded()
+    t = compute_table(spec, 1500)
+    bound = [t.a[n - 1].bit_length() + t.a[t.caps[n]].bit_length() + 1
+             for n in range(1, 1501)]
+    budget = bound[699]  # the bound of level 700
+    first = next(n for n, b in enumerate(bound, start=1) if b > budget)
+    monkeypatch.setattr(recurrence, "ROW_BIT_BUDGET", budget)
+    with pytest.raises(ResourceCapError) as err:
+        compute_table(spec, 1500)
+    assert err.value.level == first > 700
+    assert compute_table(spec, first - 1).a == t.a[:first]

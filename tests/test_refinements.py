@@ -128,3 +128,21 @@ def test_atoms_match_oracle():
         ls = oracle.build_levels(HierarchySpec.atoms(u), 3)
         t = compute_atoms_table(u, 3)
         assert ls.sizes() == t.sizes
+
+
+def test_layers_share_binomial_rows(monkeypatch):
+    # rank layers t > m+1 adjoin the same c(m); each C(c(m), k) of one
+    # build is computed once
+    from adjhier import recurrence
+    computed = []
+    extend = recurrence._extend
+
+    def recorded(row, d, k):
+        computed.extend((d, j) for j in range(len(row), k + 1))
+        extend(row, d, k)
+
+    monkeypatch.setattr(recurrence, "_extend", recorded)
+    for build in (compute_r_table, compute_d_table):
+        computed.clear()
+        build(12)
+        assert computed and len(computed) == len(set(computed))
