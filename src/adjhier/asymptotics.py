@@ -1,22 +1,22 @@
 """Growth-constant extraction with certified error bounds.
 
-The per-level counts satisfy c(n) ~ C**(2**n); writing u(n) = ln c(n)
-and r(n) = u(n) - 2*u(n-1), the constant is C = exp(sum over k >= 2 of
-r(k) / 2**k), a series whose tail past index N is at most
-ln(1 + 4/c(N-1)) / 2**N, so very few terms give many digits.
+The per-level counts satisfy c(n) ~ C**(2**n), and the partial constant
+C_N = c(N)**(2**-N) is taken as N square roots (as c(1) = 1, the residual
+series sum_{k=2..N} (ln c(k) - 2 ln c(k-1)) / 2**k telescopes to ln C_N).
+The sandwich c(n-1)**2 <= c(n) <= c(n-1)**2 (1 + 4/c(n-2)) and Bernoulli's
+inequality give C_N <= C <= C_N (1 + 4/(2**N c(N-1))): few levels, many digits.
 
 Everything analytic is carried as an :class:`HPReal`: a decimal value at
 a stated working precision together with a rigorous radius around it.
-Radii only grow: each operation adds conservatively propagated input
-radii plus one unit in the last place for its own rounding (decimal
-arithmetic is correctly rounded, so one ulp is a safe overestimate).
+Each operation propagates its input radii conservatively and adds one
+unit in the last place for its own rounding (decimal arithmetic is
+correctly rounded, so one ulp is a safe overestimate).
 Exact integer claims (the sandwich inequalities) are checked in integer
 arithmetic, never through floats.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from decimal import Context, Decimal, ROUND_CEILING, ROUND_FLOOR, ROUND_HALF_EVEN
 from functools import lru_cache
@@ -63,10 +63,8 @@ class HPReal:
         return HPReal(v, e, prec)
 
     def __sub__(self, other: "HPReal") -> "HPReal":
-        prec, ctx = self._pair_ctx(other)
-        v = ctx.subtract(self.value, other.value)
-        e = _UP.add(_UP.add(self.error, other.error), _ulp(prec, v))
-        return HPReal(v, e, prec)
+        return self + HPReal(other.value.copy_negate(), other.error,
+                             other.precision)
 
     def __mul__(self, other: "HPReal") -> "HPReal":
         prec, ctx = self._pair_ctx(other)
@@ -95,14 +93,14 @@ class HPReal:
         e = _UP.add(_UP.multiply(abs(d), self.error), _ulp(self.precision, v))
         return HPReal(v, e, self.precision)
 
-    def exp(self) -> "HPReal":
-        if self.error > Decimal("0.5"):
-            raise ValueError("radius too large to certify exp")
-        ctx = _value_context(self.precision)
-        v = ctx.exp(self.value)
-        # |exp(a+d) - exp(a)| <= exp(a) (e**|d| - 1) <= exp(a) (|d| + d*d)
-        prop = _UP.multiply(v, _UP.add(self.error,
-                                       _UP.multiply(self.error, self.error)))
+    def sqrt(self) -> "HPReal":
+        if self.value <= self.error:
+            raise ValueError("argument not certified positive")
+        v = _value_context(self.precision).sqrt(self.value)
+        # |sqrt(x) - sqrt(a)| <= e / (2 sqrt(a - e)); decimal sqrt rounds
+        # half-even in any context, so next_minus makes it a floor
+        low = _DOWN.next_minus(_DOWN.sqrt(_DOWN.subtract(self.value, self.error)))
+        prop = _UP.divide(self.error, _DOWN.multiply(2, low))
         e = _UP.add(prop, _ulp(self.precision, v))
         return HPReal(v, e, self.precision)
 
@@ -124,11 +122,6 @@ class HPReal:
 
     def __str__(self):
         return f"{self.value} ± {self.error}"
-
-
-def _exact_half_power(k: int) -> Decimal:
-    # 2**-k = 5**k * 10**-k, exactly representable in decimal
-    return Decimal(5 ** k).scaleb(-k)
 
 
 @lru_cache(maxsize=16)
@@ -175,9 +168,8 @@ def residuals(c: list, digits: int) -> list:
 class ConstantEstimate:
     """Certified estimate of the growth constant.
 
-    ``truncation_bound`` dominates the dropped series tail
-    sum_{k>N} r(k)/2**k <= ln(1 + 4/c(N-1)) / 2**N; the radius of
-    ``C_value`` already folds it in together with all rounding.
+    ``C_value`` is C_N = c(N)**(2**-N), N = ``terms_used``; its radius
+    adds C_N times the relative tail ``truncation_bound``, so it covers C.
     """
 
     C_value: HPReal
@@ -185,28 +177,25 @@ class ConstantEstimate:
     truncation_bound: HPReal
 
 
-def constant_C(c: list, digits: int) -> ConstantEstimate:
-    """exp of the partial residual series through N = len(c) - 1."""
-    if len(c) < 4:
-        raise ValueError("need counts through index 3")
-    N = len(c) - 1
-    # survive the 2**-k scaling and the final exp
-    wp = digits + 10 + math.ceil(N * math.log10(2))
-    rs = residuals(c, digits=wp)
-    total = HPReal.exact(0, rs[0].precision)
-    for k, r in enumerate(rs, start=2):
-        total = total + r.times_exact(_exact_half_power(k))
-    grown = total.exp()
+def relative_tail(c: list) -> Decimal:
+    """Rounded-up t = 4/(2**N c(N-1)), N = len(c) - 1: C <= C_N (1 + t)."""
+    if len(c) < 4 or c[1] != 1:
+        raise ValueError("need counts through index 3, with c(1) == 1")
+    return _UP.divide(Decimal(4), _int_to_decimal(c[-2] << (len(c) - 1)))
 
-    four_over = HPReal.exact(4, grown.precision) / HPReal.exact(c[N - 1], grown.precision)
-    tail = (HPReal.exact(1, grown.precision) + four_over).ln() \
-        .times_exact(_exact_half_power(N))
-    # true C = exp(S + t) with 0 <= t <= tail: add exp(tail)-1 <= tail(1+tail) relatively
-    tail_up = tail.upper()
-    slack = _UP.multiply(grown.value,
-                         _UP.multiply(tail_up, _UP.add(Decimal(1), tail_up)))
-    value = HPReal(grown.value, _UP.add(grown.error, slack), grown.precision)
-    return ConstantEstimate(value, N, tail)
+
+def constant_C(c: list, digits: int) -> ConstantEstimate:
+    """C_N = c(N)**(2**-N) by N square roots, N = len(c) - 1."""
+    tail = relative_tail(c)
+    N = len(c) - 1
+    wp = digits + 10  # guard digits for the rounding of N + 1 steps
+    start = _value_context(wp).plus(_int_to_decimal(c[N]))
+    root = HPReal(start, _ulp(wp, start), wp)
+    for _ in range(N):
+        root = root.sqrt()
+    radius = _UP.add(root.error, _UP.multiply(root.upper(), tail))
+    return ConstantEstimate(HPReal(root.value, radius, wp), N,
+                            HPReal(tail, Decimal(0), _UP.prec))
 
 
 @dataclass

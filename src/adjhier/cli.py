@@ -13,10 +13,10 @@ import json
 import os
 import sys
 from dataclasses import dataclass
-from decimal import Context
+from decimal import Context, Decimal
 
 from . import oracle, verify
-from .asymptotics import constant_C
+from .asymptotics import constant_C, relative_tail
 from .bounded import (BoundFunction, changed_indices, compute_bounded_table,
                       compute_minbounded)
 from .cache import load_table, save_table
@@ -214,9 +214,19 @@ def _run_bounded(cmd: CommandSpec):
 
 
 def _run_constant(cmd: CommandSpec):
-    n_terms = cmd.n_max if cmd.n_max else 12
-    table = compute_b_table(n_terms)
-    est = constant_C(c_sequence(table), cmd.digits)
+    # only certified digits are printed; the tail bound is a floor under
+    # the radius (C_N >= 1), so it refuses before any work at --digits
+    if cmd.digits < 1:
+        raise ValueError(f"--digits must be at least 1, got {cmd.digits}")
+    c = c_sequence(compute_b_table(cmd.n_max))
+    limit = Decimal((0, (1,), -cmd.digits))
+    radius = relative_tail(c)
+    if radius <= limit:
+        est = constant_C(c, cmd.digits)
+        radius = est.C_value.error
+    if radius > limit:
+        raise ValueError(f"--n {cmd.n_max} leaves an error radius of at "
+                         f"least {radius}, above {limit}; use a larger --n")
     shown = Context(prec=cmd.digits).plus(est.C_value.value)
     doc = {
         "C": str(shown),
@@ -327,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--skip-duplicates", action="store_true")
     p = sub.add_parser("constant", help="certified growth constant")
     p.add_argument("--n", type=int, default=12,
-                   help="series terms (counts through this level)")
+                   help="levels used: C is estimated by c(n)**(2**-n)")
     p.add_argument("--digits", type=int, default=30)
     p.add_argument("--format", choices=("json", "csv", "plain"),
                    default="json")

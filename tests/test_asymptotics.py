@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from adjhier.asymptotics import (HPReal, constant_C, log_big, ratio_check,
-                                 residuals, sandwich_check)
+                                 relative_tail, residuals, sandwich_check)
 from adjhier.recurrence import a_sequence, c_sequence, compute_b_table
 
 from golden import CONSTANT_PREFIX
@@ -95,6 +95,51 @@ def test_constant_matches_published_digits(c12):
     assert est.terms_used == 12
     assert abs(est.C_value.value - Decimal(CONSTANT_PREFIX)) < Decimal("5e-13")
     assert est.C_value.error < Decimal("1e-30")
+
+
+@pytest.fixture(scope="module")
+def c19():
+    return c_sequence(compute_b_table(19))
+
+
+@given(st.integers(1, 10 ** 30), st.integers(-40, 40), st.integers(0, 999),
+       st.integers(-1000, 1000), st.integers(5, 40))
+def test_hpreal_sqrt_radius_contract(mant, exp, err_milli, pos_milli, prec):
+    # the stored value a with radius e < a, and a true value x within it
+    a = Decimal(mant).scaleb(exp)
+    e = a * err_milli / 1000
+    root = HPReal(a, e, prec).sqrt()
+    with mpmath.workdps(120):
+        x = mpmath.mpf(str(a)) + mpmath.mpf(str(e)) * pos_milli / 1000
+        miss = abs(mpmath.mpf(str(root.value)) - mpmath.sqrt(x))
+        assert miss <= mpmath.mpf(str(root.error)) * (1 + mpmath.mpf("1e-60"))
+
+
+def test_hpreal_sqrt_needs_positive_argument():
+    with pytest.raises(ValueError, match="positive"):
+        HPReal(Decimal(1), Decimal(1), 30).sqrt()
+
+
+@pytest.mark.parametrize("N, digits, certified", [
+    (4, 30, False), (9, 40, False), (12, 30, True), (16, 3000, True),
+    (19, 1000, True)])
+def test_constant_is_root_of_last_count(c19, N, digits, certified):
+    c = c19[:N + 1]
+    est = constant_C(c, digits)
+    assert est.terms_used == N
+    assert est.truncation_bound.upper() == relative_tail(c)
+    with mpmath.workdps(digits + 20):
+        value = mpmath.mpf(str(est.C_value.value))
+        radius = mpmath.mpf(str(est.C_value.error))
+        assert abs(value - mpmath.root(mpmath.mpf(c[N]), 2 ** N)) <= radius
+        # C_19 <= C, so the radius must reach it: the tail term is needed
+        assert mpmath.root(mpmath.mpf(c19[19]), 2 ** 19) <= value + radius
+    assert (est.C_value.error <= Decimal(f"1e-{digits}")) == certified
+
+
+def test_constant_needs_c1_equal_one(c12):
+    with pytest.raises(ValueError, match=r"c\(1\) == 1"):
+        constant_C([1, 2] + c12[2:], 30)
 
 
 def test_constant_partial_sums_monotone(c12):

@@ -4,6 +4,7 @@ import os
 import re
 import stat
 import time
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
@@ -85,6 +86,48 @@ def test_constant_output(capsys):
     assert doc["C"].startswith("1.33989975774603551012713519587"[:25])
     assert doc["terms_used"] == "12"
     assert len(doc["C"].replace(".", "").lstrip("0")) == 30
+
+
+@pytest.mark.parametrize("n", ["0", "1", "2"])
+def test_constant_needs_four_levels(n, capsys):
+    assert main(["constant", "--n", n]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "need counts through index 3" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--n", "3"],                      # tail 1/4
+    ["--digits", "3000"],              # tail 5.6e-264 at the default --n 12
+    ["--digits", "1000000000"],        # refused without building 10**digits
+    ["--n", "8", "--digits", "18"],    # tail 8.5e-19 passes, C_N times it not
+])
+def test_constant_refuses_uncertified_digits(argv, capsys):
+    start = time.perf_counter()
+    assert main(["constant"] + argv) == 2
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert "error radius of at least" in captured.err
+    assert "use a larger --n" in captured.err
+
+
+@pytest.mark.parametrize("digits", ["0", "-5"])
+def test_constant_digits_must_be_positive(digits, capsys):
+    assert main(["constant", "--digits", digits]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"--digits must be at least 1, got {digits}" in captured.err
+
+
+@pytest.mark.parametrize("argv", [["--n", "8", "--digits", "17"],
+                                  ["--n", "16", "--digits", "3000"]])
+def test_constant_prints_certified_digits_fast(argv, capsys):
+    start = time.perf_counter()
+    doc = json.loads(out_of(["constant"] + argv, capsys))
+    assert time.perf_counter() - start < 1.0
+    assert doc["C"].startswith("1.339899757746035")
+    assert len(doc["C"].replace(".", "")) == int(doc["digits"])
+    assert Decimal(doc["error_radius"]) <= Decimal(f"1e-{doc['digits']}")
 
 
 def test_oracle_verify_plain_output(capsys):
