@@ -50,7 +50,9 @@ class HPReal:
 
     @classmethod
     def exact(cls, x, precision: int) -> "HPReal":
-        return cls(Decimal(x), Decimal(0), precision)
+        # Decimal(int) is quadratic in the size of the int
+        value = _int_to_decimal(x) if isinstance(x, int) else Decimal(x)
+        return cls(value, Decimal(0), precision)
 
     def _pair_ctx(self, other: "HPReal"):
         prec = min(self.precision, other.precision)

@@ -242,15 +242,16 @@ def _run_constant(cmd: CommandSpec):
 
 
 def _run_oracle_verify(cmd: CommandSpec):
+    n = cmd.n_max  # None when --n is not given; 0 is a depth
     if cmd.variant == "plain":
-        ls, checks = verify.verify_plain(cmd.n_max or 5)
+        ls, checks = verify.verify_plain(5 if n is None else n)
     elif cmd.variant == "atoms":
-        ls, checks = verify.verify_atoms(cmd.u, cmd.n_max or 4)
+        ls, checks = verify.verify_atoms(cmd.u, 4 if n is None else n)
     elif cmd.variant == "bounded":
         f = parse_bound_function(cmd.f_spec)
-        ls, checks = verify.verify_bounded(f, cmd.n_max or 9)
+        ls, checks = verify.verify_bounded(f, 9 if n is None else n)
     elif cmd.variant == "minbounded":
-        ls, checks = verify.verify_minbounded(cmd.n_max or 5)
+        ls, checks = verify.verify_minbounded(5 if n is None else n)
     else:
         raise ValueError(f"unknown variant {cmd.variant!r}")
     if cmd.dump:

@@ -19,6 +19,9 @@ import functools
 from .errors import ResourceCapError
 
 DEFAULT_CODE_BIT_BUDGET = 1 << 20
+# deepest nesting parse accepts; the recursive walks of a parsed set
+# (format_id, compare_ids) stay well inside Python's default recursion limit
+PARSE_DEPTH_LIMIT = 256
 
 
 class SetEngine:
@@ -220,25 +223,39 @@ class SetEngine:
         return HFSet(self, sid)
 
     def _parse_at(self, text: str, pos: int):
-        pos = _skip_ws(text, pos)
-        if pos >= len(text) or text[pos] != "{":
-            raise ValueError(f"expected '{{' at offset {pos}")
-        pos = _skip_ws(text, pos + 1)
-        sid = self._empty_id
-        if pos < len(text) and text[pos] == "}":
-            return sid, pos + 1
+        """Parse one set from ``pos``; returns its id and the end offset.
+
+        Iterative, with the sets still open on an explicit stack, so a
+        deep nesting is refused by :data:`PARSE_DEPTH_LIMIT` rather than
+        by the interpreter's recursion limit.
+        """
+        open_sets = []  # open sets with their elements so far, innermost last
         while True:
-            elem, pos = self._parse_at(text, pos)
-            sid = self.adjoin_ids(sid, elem)
             pos = _skip_ws(text, pos)
-            if pos >= len(text):
-                raise ValueError("unterminated set")
-            if text[pos] == ",":
-                pos = _skip_ws(text, pos + 1)
-                continue
-            if text[pos] == "}":
-                return sid, pos + 1
-            raise ValueError(f"expected ',' or '}}' at offset {pos}")
+            if pos >= len(text) or text[pos] != "{":
+                raise ValueError(f"expected '{{' at offset {pos}")
+            if len(open_sets) == PARSE_DEPTH_LIMIT:
+                raise ValueError(f"sets nested deeper than "
+                                 f"{PARSE_DEPTH_LIMIT} at offset {pos}")
+            open_sets.append(self._empty_id)
+            pos = _skip_ws(text, pos + 1)
+            if pos < len(text) and text[pos] == "}":
+                pos += 1
+                while True:  # close sets until one more element follows
+                    sid = open_sets.pop()
+                    if not open_sets:
+                        return sid, pos
+                    open_sets[-1] = self.adjoin_ids(open_sets[-1], sid)
+                    pos = _skip_ws(text, pos)
+                    if pos >= len(text):
+                        raise ValueError("unterminated set")
+                    if text[pos] == ",":
+                        pos += 1
+                        break
+                    if text[pos] != "}":
+                        raise ValueError(
+                            f"expected ',' or '}}' at offset {pos}")
+                    pos += 1
 
     # -- handles -------------------------------------------------------------
 

@@ -2,9 +2,11 @@
 
 Each level is built by literally applying its defining equation over the
 interned universe of a dedicated :class:`~adjhier.hfs.SetEngine`, and is
-stored as a dense bitset over ids, so membership and subset tests are
-integer bit operations.  The resulting ground-truth counts are what the
-recurrence modules are checked against at small depth.
+stored as a dense bitset over ids.  Each level is read through one
+decoded view, a bit string, so walks are linear in its size and
+membership tests take constant time; subset counts read a table of the
+levels that hold each element.  The resulting ground-truth counts are
+what the recurrence modules are checked against at small depth.
 
 Depth defaults keep the full suite fast; they are configuration, not
 constants (pass ``depth_cap``/``level_size_cap`` to override).
@@ -30,20 +32,41 @@ DEFAULT_LEVEL_SIZE_CAP = 200_000
 
 def iter_bits(v: int):
     """Indices of set bits, ascending."""
-    while v:
-        low = v & -v
-        yield low.bit_length() - 1
-        v ^= low
+    return _ones(_bit_string(v))
+
+
+def _bit_string(v: int) -> str:
+    """``v`` in binary, lowest bit first: character i is "1" iff bit i is
+    set.  One linear conversion; reading it copies no big int."""
+    return format(v, "b")[::-1]
+
+
+def _ones(view: str):
+    i = view.find("1")
+    while i >= 0:
+        yield i
+        i = view.find("1", i + 1)
 
 
 @dataclass
 class LevelSets:
-    """Materialized levels of one hierarchy."""
+    """Materialized levels of one hierarchy.
+
+    Levels are append-only: a level, once stored, never changes, so its
+    decoded view is computed once.  The per-element level masks that
+    :meth:`held` and the partition counts read depend on how many levels
+    exist, and are rebuilt when that number changes.
+    """
 
     spec: HierarchySpec
     engine: SetEngine
     levels: list = field(repr=False)  # bitsets over engine ids
     atom_ids: tuple = ()
+    _views: list = field(default_factory=list, init=False, repr=False,
+                         compare=False)
+    # (len(levels), element masks, new-member tallies by level)
+    _index: tuple = field(default=(-1, None, None), init=False, repr=False,
+                          compare=False)
 
     @property
     def depth(self) -> int:
@@ -56,21 +79,76 @@ class LevelSets:
         return [lv.bit_count() for lv in self.levels]
 
     def members(self, n: int) -> list:
-        return list(iter_bits(self.levels[n]))
+        return list(_ones(self._view(n)))
 
     def contains(self, n: int, sid: int) -> bool:
-        return bool(self.levels[n] >> sid & 1)
+        view = self._view(n)
+        return 0 <= sid < len(view) and view[sid] == "1"
 
     def new_members(self, n: int) -> list:
         """Members of level n absent from level n-1."""
-        prev = self.levels[n - 1] if n >= 1 else 0
-        return list(iter_bits(self.levels[n] & ~prev))
+        return list(self._new_ids(n))
 
     def held(self, ids, m: int) -> int:
-        """How many of ``ids`` have all their elements in level m."""
-        lv = self.levels[m]
+        """How many of ``ids`` have all their elements in level m.
+
+        The ids are members of the computed levels (their elements lie
+        below the top level); atoms have no elements and are refused.
+        """
+        return _count_with(self._tally(ids), m)
+
+    def _new_ids(self, n: int):
+        prev = self.levels[n - 1] if n >= 1 else 0
+        return iter_bits(self.levels[n] & ~prev)
+
+    def _view(self, n: int) -> str:
+        views = self._views
+        while len(views) <= n:
+            views.append(_bit_string(self.levels[len(views)]))
+        return views[n]
+
+    def _element_masks(self) -> list:
+        """For each id of the levels below the top, the bitmask of the
+        levels that hold it.  Every element of a member lies below the
+        top: a member is built from lower levels' members only."""
+        key, masks, _ = self._index
+        if key != len(self.levels):
+            bound = max((len(self._view(m)) for m in range(self.depth)),
+                        default=0)
+            masks = [0] * bound
+            for m in range(len(self.levels)):
+                bit = 1 << m
+                for e in _ones(self._view(m)[:bound]):
+                    masks[e] |= bit
+            self._index = (len(self.levels), masks, {})
+        return masks
+
+    def _tally(self, ids) -> dict:
+        """Histogram over ``ids`` of the mask of levels that hold all of a
+        set's elements (the AND of its elements' masks)."""
+        masks = self._element_masks()
+        every = (1 << len(self.levels)) - 1
         elements_of = self.engine.elements_of
-        return sum(all(lv >> e & 1 for e in elements_of(sid)) for sid in ids)
+        hist = {}
+        for sid in ids:
+            acc = every
+            for e in elements_of(sid):
+                acc &= masks[e]
+            hist[acc] = hist.get(acc, 0) + 1
+        return hist
+
+    def _new_tally(self, n: int) -> dict:
+        """:meth:`_tally` of level n's new members, computed once."""
+        self._element_masks()  # drops the tallies made over fewer levels
+        tallies = self._index[2]
+        if n not in tallies:
+            tallies[n] = self._tally(self._new_ids(n))
+        return tallies[n]
+
+
+def _count_with(hist: dict, m: int) -> int:
+    """Sets in a tally whose elements all lie in level m."""
+    return sum(c for mask, c in hist.items() if mask >> m & 1)
 
 
 def _check_depth(kind: str, n_max: int, depth_cap):
@@ -147,24 +225,28 @@ def build_cumulative(n_max: int, *, depth_cap=None) -> LevelSets:
 
 
 def partition_counts(ls: LevelSets, n: int, m: int) -> int:
-    """Members new at level n whose elements all lie in level m."""
+    """Members new at level n whose elements all lie in level m.
+
+    One pass over level n's new members tallies, for every m at once,
+    the levels that hold all of a member's elements."""
     if not 0 <= m < n <= ls.depth:
         raise IndexError(f"partition ({n}, {m}) outside computed levels")
-    return ls.held(ls.new_members(n), m)
+    return _count_with(ls._new_tally(n), m)
 
 
 def partition_split(ls: LevelSets, n: int, m: int) -> dict:
     """The same count split by k = #elements that are new at level m."""
     if not 0 <= m < n <= ls.depth:
         raise IndexError(f"partition ({n}, {m}) outside computed levels")
-    lv_m = ls.levels[m]
-    ring = lv_m & ~(ls.levels[m - 1] if m >= 1 else 0)
-    eng = ls.engine
+    masks = ls._element_masks()
+    here = 1 << m
+    near = here | here >> 1  # levels m and m-1; an element new at m reads here
+    elements_of = ls.engine.elements_of
     split = {}
-    for sid in ls.new_members(n):
-        elems = eng.elements_of(sid)
-        if all(lv_m >> e & 1 for e in elems):
-            k = sum(1 for e in elems if ring >> e & 1)
+    for sid in ls._new_ids(n):
+        seen = [masks[e] & near for e in elements_of(sid)]
+        if all(s & here for s in seen):
+            k = seen.count(here)
             split[k] = split.get(k, 0) + 1
     return split
 

@@ -1,3 +1,4 @@
+import time
 from decimal import Decimal
 
 import mpmath
@@ -231,3 +232,16 @@ def test_ratio_check_precision_guard(c12):
     est = constant_C(c12, 1)
     with pytest.raises(ValueError, match="precision"):
         ratio_check(a, est, 9)
+
+
+def test_exact_takes_big_ints_subquadratically():
+    # c(21) has about 885k bits: Decimal(int) is quadratic in that size
+    c21 = c_sequence(compute_b_table(21))[21]
+    start = time.perf_counter()
+    hp = HPReal.exact(c21, 50)
+    fast = time.perf_counter() - start
+    start = time.perf_counter()
+    direct = Decimal(c21)
+    slow = time.perf_counter() - start
+    assert hp.value == direct and hp.error == 0
+    assert fast < slow / 3

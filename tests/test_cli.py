@@ -144,6 +144,16 @@ def test_oracle_verify_plain_depth5(capsys):
     assert "FAIL" not in out
 
 
+@pytest.mark.parametrize("variant, size", [
+    ("plain", "1"), ("atoms", "3"), ("bounded", "1"), ("minbounded", "1")])
+def test_oracle_verify_depth_zero(variant, size, capsys):
+    out = out_of(["oracle-verify", "--variant", variant, "--n", "0",
+                  "--format", "plain"], capsys)
+    assert out.splitlines()[0] == f"sizes: {size}"
+    assert "FAIL" not in out
+    assert main(["oracle-verify", "--variant", variant, "--n", "-1"]) == 2
+
+
 def test_oracle_verify_dump(tmp_path, capsys):
     dump = tmp_path / "dump"
     out_of(["oracle-verify", "--variant", "minbounded", "--n", "4",

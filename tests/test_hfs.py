@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from adjhier.errors import ResourceCapError
-from adjhier.hfs import SetEngine, decode_ackermann, empty_set, parse_set
+from adjhier.hfs import (PARSE_DEPTH_LIMIT, SetEngine, decode_ackermann,
+                         empty_set, parse_set)
 from adjhier.oracle import build_levels
 from adjhier.variants import HierarchySpec
 
@@ -188,6 +189,23 @@ def test_parser_whitespace_and_errors(eng):
     for bad in ("", "{", "{}}", "{,}", "{{}", "a"):
         with pytest.raises(ValueError):
             eng.parse(bad)
+
+
+def test_parser_depth_limit(eng):
+    deepest = eng.parse("{" * PARSE_DEPTH_LIMIT + "}" * PARSE_DEPTH_LIMIT)
+    assert deepest.rank == PARSE_DEPTH_LIMIT - 1
+    assert eng.parse(str(deepest)) == deepest
+    for depth in (PARSE_DEPTH_LIMIT + 1, 5000):
+        with pytest.raises(ValueError,
+                           match=f"offset {PARSE_DEPTH_LIMIT}$"):
+            eng.parse("{" * depth + "}" * depth)
+
+
+def test_parser_reads_back_every_printed_member():
+    ls = build_levels(HierarchySpec.plain(), 4)
+    eng = ls.engine
+    for sid in ls.members(4):
+        assert eng.parse(eng.format_id(sid)).id == sid
 
 
 def test_printer_emits_canonical_order(eng):

@@ -1,7 +1,10 @@
+import ast
 import itertools
 import json
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from adjhier import oracle
 from adjhier.bounded import BoundFunction
@@ -185,3 +188,87 @@ def test_level_lines_and_summary(plain5):
     assert doc["spec"] == {"kind": "plain"}
     assert doc["sizes"] == [str(v) for v in PLAIN_A[:6]]
     json.dumps(doc)  # JSON-serializable
+
+
+def clear_lowest_bits(v):
+    while v:
+        low = v & -v
+        yield low.bit_length() - 1
+        v ^= low
+
+
+@given(st.one_of(
+    st.integers(0, 1 << 20).map(lambda k: 1 << k),
+    st.integers(0, 1 << 4096),
+    st.sets(st.integers(0, (1 << 20) - 1), max_size=40).map(
+        lambda bits: sum(1 << b for b in bits))))
+@example(0)
+def test_iter_bits_matches_clear_lowest_bit(v):
+    assert list(oracle.iter_bits(v)) == list(clear_lowest_bits(v))
+
+
+def raw_held(ls, ids, m):
+    lv = ls.levels[m]
+    return sum(all(lv >> e & 1 for e in ls.engine.elements_of(sid))
+               for sid in ids)
+
+
+def raw_split(ls, n, m):
+    lv, prev = ls.levels[m], ls.levels[m - 1] if m >= 1 else 0
+    split = {}
+    for sid in ls.new_members(n):
+        elems = ls.engine.elements_of(sid)
+        if all(lv >> e & 1 for e in elems):
+            k = sum(1 for e in elems if (lv & ~prev) >> e & 1)
+            split[k] = split.get(k, 0) + 1
+    return split
+
+
+def assert_reads_match_raw_levels(ls):
+    eng = ls.engine
+    for n in range(ls.depth + 1):
+        assert [ls.contains(n, sid) for sid in range(eng.size + 2)] == [
+            bool(ls.levels[n] >> sid & 1) for sid in range(eng.size + 2)]
+        sets = [sid for sid in ls.members(n) if not eng.is_atom(sid)]
+        for m in range(ls.depth + 1):
+            assert ls.held(sets, m) == raw_held(ls, sets, m)
+        for m in range(n):
+            assert (oracle.partition_counts(ls, n, m)
+                    == raw_held(ls, ls.new_members(n), m))
+            assert oracle.partition_split(ls, n, m) == raw_split(ls, n, m)
+
+
+@pytest.mark.parametrize("spec, n_max", [
+    (HierarchySpec.plain(), 4),
+    (HierarchySpec.atoms(1), 3),
+    (HierarchySpec.bounded(BoundFunction("half")), 7),
+    (HierarchySpec.min_bounded(), 4)])
+def test_level_reads_match_raw_bit_tests(spec, n_max):
+    assert_reads_match_raw_levels(oracle.build_levels(spec, n_max))
+
+
+def test_level_reads_follow_appended_levels():
+    # a build appends levels after the counts have been read, as the
+    # minbounded source-level choice does
+    full = oracle.build_levels(HierarchySpec.min_bounded(), 4)
+    ls = oracle.LevelSets(full.spec, full.engine, full.levels[:3])
+    for more in full.levels[3:]:
+        assert_reads_match_raw_levels(ls)
+        ls.levels.append(more)
+    assert_reads_match_raw_levels(ls)
+
+
+def test_oracle_imports_no_counting_code():
+    # the oracle is an independent route: it shares no code with the
+    # recurrences it checks
+    tree = ast.parse(Path(oracle.__file__).read_text())
+    internal = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            internal.update([node.module] if node.module
+                            else [a.name for a in node.names])
+        elif isinstance(node, ast.ImportFrom):
+            assert node.module.split(".")[0] != "adjhier", node.module
+        elif isinstance(node, ast.Import):
+            assert all(a.name.split(".")[0] != "adjhier" for a in node.names)
+    assert internal == {"hfs", "errors", "variants"}
