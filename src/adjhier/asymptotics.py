@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from decimal import Context, Decimal, ROUND_CEILING, ROUND_FLOOR, ROUND_HALF_EVEN
-from functools import lru_cache
 
 from .numstr import _int_to_decimal
 
@@ -87,14 +86,6 @@ class HPReal:
         e = _UP.add(_UP.divide(num, denom), _ulp(prec, v))
         return HPReal(v, e, prec)
 
-    def times_exact(self, k) -> "HPReal":
-        """Multiply by an exactly representable scalar (int or Decimal)."""
-        d = Decimal(k) if isinstance(k, int) else k
-        ctx = _value_context(self.precision)
-        v = ctx.multiply(self.value, d)
-        e = _UP.add(_UP.multiply(abs(d), self.error), _ulp(self.precision, v))
-        return HPReal(v, e, self.precision)
-
     def sqrt(self) -> "HPReal":
         if self.value <= self.error:
             raise ValueError("argument not certified positive")
@@ -106,16 +97,6 @@ class HPReal:
         e = _UP.add(prop, _ulp(self.precision, v))
         return HPReal(v, e, self.precision)
 
-    def ln(self) -> "HPReal":
-        if self.value <= self.error:
-            raise ValueError("argument not certified positive")
-        ctx = _value_context(self.precision)
-        v = ctx.ln(self.value)
-        # |ln(a+d) - ln(a)| <= |d| / (a - |d|)
-        prop = _UP.divide(self.error, _DOWN.subtract(self.value, self.error))
-        e = _UP.add(prop, _ulp(self.precision, v))
-        return HPReal(v, e, self.precision)
-
     def __abs__(self) -> "HPReal":
         return HPReal(abs(self.value), self.error, self.precision)
 
@@ -124,46 +105,6 @@ class HPReal:
 
     def __str__(self):
         return f"{self.value} ± {self.error}"
-
-
-@lru_cache(maxsize=16)
-def _ln2(prec: int) -> Decimal:
-    # correctly rounded, so the same at a given precision for every caller
-    return _value_context(prec).ln(Decimal(2))
-
-
-def log_big(x: int, digits: int) -> HPReal:
-    """Natural log of a positive integer, radius at most 10**-digits.
-
-    Splits x into bit length and a mantissa in [1, 2): ln x = k ln 2 +
-    ln(x / 2**k), evaluated with ten guard digits (plus the width of k,
-    so million-bit inputs keep the stated radius).
-    """
-    if digits < 1:
-        raise ValueError("digits must be positive")
-    if x < 1:
-        raise ValueError("log_big needs a positive integer")
-    k = x.bit_length() - 1
-    prec = digits + 10 + len(str(k + 1))
-    if x == 1:
-        return HPReal(Decimal(0), Decimal(0), prec)
-    ctx = _value_context(prec)
-    ln2_val = _ln2(prec)
-    ln2 = HPReal(ln2_val, _ulp(prec, ln2_val), prec)
-    mant_val = ctx.divide(_int_to_decimal(x), _int_to_decimal(1 << k))
-    mant = HPReal(mant_val, _ulp(prec, mant_val), prec)
-    result = ln2.times_exact(k) + mant.ln()
-    if result.error > Decimal(1).scaleb(-digits):
-        raise AssertionError("guard digits failed to hold the radius")
-    return result
-
-
-def residuals(c: list, digits: int) -> list:
-    """[r(2), r(3), ...] with r(n) = ln c(n) - 2 ln c(n-1)."""
-    if len(c) < 3:
-        raise ValueError("need counts through index 2")
-    us = [log_big(v, digits) for v in c]
-    return [us[n] - us[n - 1].times_exact(2) for n in range(2, len(c))]
 
 
 @dataclass(frozen=True)

@@ -78,19 +78,8 @@ class CommandSpec:
 
     @classmethod
     def from_args(cls, args: argparse.Namespace) -> "CommandSpec":
-        return cls(
-            subcommand=args.subcommand,
-            n_max=getattr(args, "n", 0),
-            u=getattr(args, "u", 0),
-            f_spec=getattr(args, "f", "identity"),
-            t_range=getattr(args, "t_range", None),
-            digits=getattr(args, "digits", 30),
-            fmt=getattr(args, "format", "json"),
-            cache=getattr(args, "cache", None),
-            skip_duplicates=getattr(args, "skip_duplicates", False),
-            variant=getattr(args, "variant", "plain"),
-            dump=getattr(args, "dump", None),
-        )
+        # a subcommand's parser sets only its own options
+        return cls(**vars(args))
 
 
 def _emit_json(obj) -> str:
@@ -307,10 +296,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     def common(p, *, n_default=None, cacheable=True):
-        p.add_argument("--n", type=int, default=n_default,
-                       help="depth (n_max)")
-        p.add_argument("--format", choices=("json", "csv", "plain"),
-                       default="json")
+        p.add_argument("--n", dest="n_max", metavar="N", type=int,
+                       default=n_default, help="depth (n_max)")
+        p.add_argument("--format", dest="fmt",
+                       choices=("json", "csv", "plain"), default="json")
         if cacheable:
             p.add_argument("--cache", help="table cache file path")
 
@@ -329,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--u", type=int, default=1, help="number of atoms")
     p = sub.add_parser("bounded", help="level sizes with a bound function")
     common(p, n_default=29)
-    p.add_argument("--f", default="half",
+    p.add_argument("--f", dest="f_spec", metavar="F", default="half",
                    help="identity|half|sqrt|log2|file:<path>")
     p.add_argument("--skip-duplicates", action="store_true",
                    help="omit rows whose size did not change")
@@ -337,21 +326,21 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, n_default=45)
     p.add_argument("--skip-duplicates", action="store_true")
     p = sub.add_parser("constant", help="certified growth constant")
-    p.add_argument("--n", type=int, default=12,
+    p.add_argument("--n", dest="n_max", metavar="N", type=int, default=12,
                    help="levels used: C is estimated by c(n)**(2**-n)")
     p.add_argument("--digits", type=int, default=30)
-    p.add_argument("--format", choices=("json", "csv", "plain"),
+    p.add_argument("--format", dest="fmt", choices=("json", "csv", "plain"),
                    default="json")
     p = sub.add_parser("oracle-verify",
                        help="brute-force levels vs the recurrences")
     p.add_argument("--variant",
                    choices=("plain", "atoms", "bounded", "minbounded"),
                    default="plain")
-    p.add_argument("--n", type=int, default=None)
+    p.add_argument("--n", dest="n_max", metavar="N", type=int, default=None)
     p.add_argument("--u", type=int, default=2)
-    p.add_argument("--f", default="half")
+    p.add_argument("--f", dest="f_spec", metavar="F", default="half")
     p.add_argument("--dump", help="write level listings into this directory")
-    p.add_argument("--format", choices=("json", "csv", "plain"),
+    p.add_argument("--format", dest="fmt", choices=("json", "csv", "plain"),
                    default="json")
     return parser
 

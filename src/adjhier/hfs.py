@@ -19,8 +19,9 @@ import functools
 from .errors import ResourceCapError
 
 DEFAULT_CODE_BIT_BUDGET = 1 << 20
-# deepest nesting parse accepts; the recursive walks of a parsed set
-# (format_id, compare_ids) stay well inside Python's default recursion limit
+# deepest nesting parse accepts, and one more than the largest rank the
+# engine interns; the recursive walks of a set (format_id, compare_ids,
+# code_of_id) stay well inside Python's default recursion limit
 PARSE_DEPTH_LIMIT = 256
 
 
@@ -53,21 +54,25 @@ class SetEngine:
     # -- construction ------------------------------------------------------
 
     def intern_sorted_ids(self, elems: tuple) -> int:
-        """Intern a duplicate-free tuple of ids already in canonical order."""
+        """Intern a duplicate-free tuple of ids already in canonical order.
+
+        Refuses a set whose rank would reach :data:`PARSE_DEPTH_LIMIT`."""
         found = self._intern.get(elems)
         if found is not None:
             return found
+        rank = 1 + max(self._rank[e] for e in elems) if elems else 0
+        if rank >= PARSE_DEPTH_LIMIT:
+            raise ValueError(f"sets nested deeper than {PARSE_DEPTH_LIMIT}")
         sid = len(self._elems)
         self._elems.append(elems)
         self._label.append(None)
+        self._rank.append(rank)
         if elems:
-            self._rank.append(1 + max(self._rank[e] for e in elems))
             arks = sorted(self._ark[e] for e in elems)
             n = len(arks)
             self._ark.append(1 + max(a + n - 1 - j for j, a in enumerate(arks)))
             self._has_atom.append(any(self._has_atom[e] for e in elems))
         else:
-            self._rank.append(0)
             self._ark.append(0)
             self._has_atom.append(False)
         self._intern[elems] = sid

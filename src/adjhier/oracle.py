@@ -8,8 +8,12 @@ membership tests take constant time; subset counts read a table of the
 levels that hold each element.  The resulting ground-truth counts are
 what the recurrence modules are checked against at small depth.
 
-Depth defaults keep the full suite fast; they are configuration, not
-constants (pass ``depth_cap``/``level_size_cap`` to override).
+Every variant has one limit: a level that may hold more than
+:data:`DEFAULT_LEVEL_SIZE_CAP` sets is refused before it is built, level
+0 (the empty set and the atoms) included.  The bound is |base| +
+|non-atoms of level n| * |source level| for the adjunction levels and
+2**|level n| for the cumulative hierarchy, so the refused level costs
+no pair loop and no interning.
 """
 
 from __future__ import annotations
@@ -20,13 +24,6 @@ from .errors import ResourceCapError
 from .hfs import SetEngine
 from .variants import HierarchySpec
 
-DEFAULT_DEPTH_CAPS = {
-    "plain": 5,
-    "minbounded": 5,
-    "atoms": 4,
-    "cumulative": 5,
-    "bounded": None,  # guarded by level size instead
-}
 DEFAULT_LEVEL_SIZE_CAP = 200_000
 
 
@@ -151,16 +148,18 @@ def _count_with(hist: dict, m: int) -> int:
     return sum(c for mask, c in hist.items() if mask >> m & 1)
 
 
-def _check_depth(kind: str, n_max: int, depth_cap):
-    cap = DEFAULT_DEPTH_CAPS[kind] if depth_cap is None else depth_cap
-    if cap is not None and n_max > cap:
+def _check_size(kind: str, level: int, bound: int, cap, shown=None):
+    """Refuse a level that may hold more than ``cap`` sets (None: no cap).
+
+    ``shown`` is the bound as printed, when its digits would be too many."""
+    if cap is not None and bound > cap:
         raise ResourceCapError(
-            f"{kind} oracle depth {n_max} exceeds cap {cap}",
-            level=n_max, cap=cap)
+            f"{kind} oracle level {level} may hold {shown or bound} sets "
+            f"(cap {cap})", level=level, cap=cap)
 
 
 def build_levels(spec: HierarchySpec, n_max: int, *,
-                 depth_cap=None, level_size_cap=DEFAULT_LEVEL_SIZE_CAP) -> LevelSets:
+                 level_size_cap=DEFAULT_LEVEL_SIZE_CAP) -> LevelSets:
     """Materialize levels 0..n_max of the given adjunctive variant.
 
     Level n+1 is the base level (the empty set and the atoms) plus every
@@ -171,23 +170,16 @@ def build_levels(spec: HierarchySpec, n_max: int, *,
         raise ValueError("n_max must be nonnegative")
     if spec.kind not in ("plain", "atoms", "bounded", "minbounded"):
         raise ValueError(f"build_levels does not handle {spec.kind!r}")
-    # the default depth keeps the pair loop affordable; many atoms
-    # inflate the levels, so the default tightens past u = 3
-    if spec.kind == "atoms" and depth_cap is None and spec.u > 3:
-        depth_cap = 3
-    _check_depth(spec.kind, n_max, depth_cap)
     u = spec.u
+    _check_size(spec.kind, 0, u + 1, level_size_cap)
     eng = SetEngine(n_atoms=u)
     base = (1 << u + 1) - 1  # atoms are ids 0..u-1, the empty set is id u
     ls = LevelSets(spec, eng, [base], tuple(range(u)))
     for n in range(n_max):
         xs = ls.members(n)[u:]  # the atoms lead every level
         ys = ls.members(_source(ls, n))
-        bound = u + 1 + len(xs) * len(ys)
-        if level_size_cap is not None and bound > level_size_cap:
-            raise ResourceCapError(
-                f"{spec.kind} oracle level {n + 1} may hold {bound} sets "
-                f"(cap {level_size_cap})", level=n + 1, cap=level_size_cap)
+        _check_size(spec.kind, n + 1, u + 1 + len(xs) * len(ys),
+                    level_size_cap)
         nxt = base
         for x in xs:
             for y in ys:
@@ -209,13 +201,14 @@ def _source(ls: LevelSets, n: int) -> int:
     return n
 
 
-def build_cumulative(n_max: int, *, depth_cap=None) -> LevelSets:
+def build_cumulative(n_max: int) -> LevelSets:
     """Iterated power-set levels; level 0 is empty, level n+1 = P(level n)."""
-    _check_depth("cumulative", n_max, depth_cap)
     eng = SetEngine()
     levels = [0]
-    for _ in range(n_max):
+    for n in range(n_max):
         mem = eng.sort_ids(iter_bits(levels[-1]))
+        _check_size("cumulative", n + 1, 1 << len(mem),
+                    DEFAULT_LEVEL_SIZE_CAP, f"2**{len(mem)}")
         nxt = 0
         for mask in range(1 << len(mem)):
             picked = tuple(mem[i] for i in iter_bits(mask))

@@ -33,7 +33,6 @@ through the same row step with column functions of their own.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
@@ -44,23 +43,6 @@ from .variants import BoundFunction, HierarchySpec
 # Chained from a(0), the bound admits the plain hierarchy through depth
 # 22 (2**23 - 1 bits; a(22) has 1,770,521) and refuses depth 23 at once.
 ROW_BIT_BUDGET = 3 << 22
-
-
-def binomial_big(a: int, k: int) -> int:
-    """Exact C(a, k): falling-factorial product divided by k! at the end.
-
-    Returns 0 when a < k and 1 when k = 0; a may be arbitrarily large.
-    """
-    if k < 0:
-        raise ValueError("k must be a natural number")
-    if k == 0:
-        return 1
-    if a < k:
-        return 0
-    num = 1
-    for i in range(k):
-        num *= a - i
-    return num // math.factorial(k)
 
 
 class GInverse:

@@ -8,11 +8,12 @@ is a genuine two-route confirmation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from . import oracle
 from .bounded import BoundFunction, compute_bounded_table, compute_minbounded
-from .recurrence import a_sequence, binomial_big, compute_b_table
+from .recurrence import a_sequence, compute_b_table
 from .refinements import (compute_atoms_table, compute_d_table,
                           compute_r_table, d_profile, r_profile)
 from .variants import HierarchySpec
@@ -41,13 +42,13 @@ def _split_expectation(ls, n, m):
     a_m = ls.size(m)
     expected = {0: _oracle_b(ls, n, m - 1)}
     for k in range(1, n - m):
-        expected[k] = _oracle_b(ls, n - k, m - 1) * binomial_big(c_m, k)
-    expected[n - m] = binomial_big(c_m, n - m) * a_m
+        expected[k] = _oracle_b(ls, n - k, m - 1) * math.comb(c_m, k)
+    expected[n - m] = math.comb(c_m, n - m) * a_m
     return {k: v for k, v in expected.items() if v}
 
 
-def verify_plain(n_max: int = 5, **caps):
-    ls = oracle.build_levels(HierarchySpec.plain(), n_max, **caps)
+def verify_plain(n_max: int = 5):
+    ls = oracle.build_levels(HierarchySpec.plain(), n_max)
     table = compute_b_table(n_max)
     checks = [Check(
         "level sizes == a(n)",
@@ -81,8 +82,8 @@ def verify_plain(n_max: int = 5, **caps):
     return ls, checks
 
 
-def verify_atoms(u: int, n_max: int = 4, **caps):
-    ls = oracle.build_levels(HierarchySpec.atoms(u), n_max, **caps)
+def verify_atoms(u: int, n_max: int = 4):
+    ls = oracle.build_levels(HierarchySpec.atoms(u), n_max)
     table = compute_atoms_table(u, n_max)
     checks = [Check(
         f"level sizes == atoms sequence (u={u})",
@@ -95,8 +96,8 @@ def verify_atoms(u: int, n_max: int = 4, **caps):
     return ls, checks
 
 
-def verify_bounded(f: BoundFunction, n_max: int, **caps):
-    ls = oracle.build_levels(HierarchySpec.bounded(f), n_max, **caps)
+def verify_bounded(f: BoundFunction, n_max: int):
+    ls = oracle.build_levels(HierarchySpec.bounded(f), n_max)
     table = compute_bounded_table(f, n_max)
     checks = [Check(
         f"level sizes == bounded sequence (f={f})",
@@ -109,8 +110,8 @@ def verify_bounded(f: BoundFunction, n_max: int, **caps):
     return ls, checks
 
 
-def verify_minbounded(n_max: int = 5, **caps):
-    ls = oracle.build_levels(HierarchySpec.min_bounded(), n_max, **caps)
+def verify_minbounded(n_max: int = 5):
+    ls = oracle.build_levels(HierarchySpec.min_bounded(), n_max)
     table = compute_minbounded(n_max)
     checks = [Check(
         "level sizes == minimally bounded sequence",

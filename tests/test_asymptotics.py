@@ -5,8 +5,8 @@ import mpmath
 import pytest
 from hypothesis import given, strategies as st
 
-from adjhier.asymptotics import (HPReal, constant_C, log_big, ratio_check,
-                                 relative_tail, residuals, sandwich_check)
+from adjhier.asymptotics import (HPReal, constant_C, ratio_check,
+                                 relative_tail, sandwich_check)
 from adjhier.recurrence import a_sequence, c_sequence, compute_b_table
 
 from golden import CONSTANT_PREFIX
@@ -15,15 +15,6 @@ from golden import CONSTANT_PREFIX
 @pytest.fixture(scope="module")
 def c12():
     return c_sequence(compute_b_table(12))
-
-
-def mp_ln(x, dps=80):
-    with mpmath.workdps(dps):
-        return Decimal(mpmath.nstr(mpmath.log(x), 60))
-
-
-def assert_within(hp: HPReal, reference: Decimal, slack="1e-25"):
-    assert abs(hp.value - reference) <= hp.error + Decimal(slack)
 
 
 def test_hpreal_exactness_and_radius_growth():
@@ -41,53 +32,6 @@ def test_hpreal_division_guard():
     tiny = HPReal(Decimal("1e-40"), Decimal("1e-39"), 30)
     with pytest.raises(ZeroDivisionError):
         HPReal.exact(1, 30) / tiny
-
-
-def test_log_big_examples():
-    assert log_big(1, 30).value == 0
-    got = log_big(2 ** 64, 30)
-    assert_within(got, mp_ln(mpmath.mpf(2) ** 64))
-    got = log_big(11568, 30)
-    assert_within(got, mp_ln(11568))
-    assert got.error <= Decimal("1e-30")
-    with pytest.raises(ValueError):
-        log_big(0, 30)
-
-
-def test_log_big_radius_contract_on_huge_input():
-    x = 7 ** 40000  # ~ 112k bits
-    got = log_big(x, 25)
-    assert got.error <= Decimal("1e-25")
-    with mpmath.workdps(40):
-        ref = Decimal(mpmath.nstr(40000 * mpmath.log(7), 30))
-    assert abs(got.value - ref) <= got.error + Decimal("1e-20")
-
-
-@given(st.integers(min_value=1, max_value=10 ** 50))
-def test_log_big_matches_reference(x):
-    got = log_big(x, 25)
-    assert abs(got.value - mp_ln(x)) <= got.error + Decimal("1e-24")
-
-
-def test_residual_examples(c12):
-    rs = residuals(c12, 30)
-    ln2 = mp_ln(2)
-    assert_within(rs[0], ln2)                       # index 2
-    assert_within(rs[1], ln2)                       # index 3: ln 8 - 2 ln 2
-    assert_within(rs[2], mp_ln(mpmath.mpf(100) / 64))
-    with pytest.raises(ValueError):
-        residuals(c12[:2], 30)
-
-
-def test_residuals_nonnegative_and_bounded(c12):
-    rs = residuals(c12, 30)
-    for i, r in enumerate(rs):
-        n = i + 2
-        assert r.value >= -r.error
-        bound = (HPReal.exact(1, r.precision)
-                 + HPReal.exact(4, r.precision)
-                 / HPReal.exact(c12[n - 2], r.precision)).ln()
-        assert r.value - r.error <= bound.value + bound.error
 
 
 def test_constant_matches_published_digits(c12):

@@ -485,6 +485,21 @@ def test_atoms_oracle_refused_before_pair_loop(capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, level, seconds", [
+    (["--variant", "plain", "--n", "7"], 6, 2.0),
+    (["--variant", "minbounded", "--n", "14"], 14, 2.0),
+    # level 0 alone would intern a billion atoms
+    (["--variant", "atoms", "--u", "1000000000", "--n", "0"], 0, 1.0),
+])
+def test_oracle_refusal_names_its_level(argv, level, seconds, capsys):
+    start = time.perf_counter()
+    assert main(["oracle-verify"] + argv) == 3
+    assert time.perf_counter() - start < seconds
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert f"oracle level {level} may hold" in captured.err
+
+
 @pytest.mark.parametrize("argv", [["levels", "--n", "26"],
                                   ["constant", "--n", "26", "--digits", "5"]])
 def test_too_deep_table_refused_at_once(argv, capsys):

@@ -1,4 +1,5 @@
 import itertools
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -199,6 +200,40 @@ def test_parser_depth_limit(eng):
         with pytest.raises(ValueError,
                            match=f"offset {PARSE_DEPTH_LIMIT}$"):
             eng.parse("{" * depth + "}" * depth)
+
+
+def test_engine_refuses_sets_deeper_than_parse_accepts(eng, monkeypatch):
+    chain = [eng.empty().id]
+    with pytest.raises(ValueError, match="nested deeper"):
+        for _ in range(3000):
+            chain.append(eng.adjoin_ids(eng.empty().id, chain[-1]))
+    assert len(chain) == PARSE_DEPTH_LIMIT
+    assert eng.rank_id(chain[-1]) == PARSE_DEPTH_LIMIT - 1
+    # the recursive walks of the deepest set stay within the limit
+    depth = [0, 0]  # current, deepest
+
+    def tracked(method):
+        def wrapper(self, sid):
+            depth[0] += 1
+            depth[1] = max(depth)
+            try:
+                return method(self, sid)
+            finally:
+                depth[0] -= 1
+        return wrapper
+
+    for name in ("format_id", "code_of_id"):
+        monkeypatch.setattr(SetEngine, name, tracked(getattr(SetEngine, name)))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit + 4 * PARSE_DEPTH_LIMIT)  # room for wrappers
+    try:
+        text = eng.format_id(chain[-1])
+        with pytest.raises(ResourceCapError):
+            eng.code_of_id(chain[-1])  # a deep chain's code is a tower of 2s
+    finally:
+        sys.setrecursionlimit(limit)
+    assert text == "{" * PARSE_DEPTH_LIMIT + "}" * PARSE_DEPTH_LIMIT
+    assert depth[1] == PARSE_DEPTH_LIMIT
 
 
 def test_parser_reads_back_every_printed_member():

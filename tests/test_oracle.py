@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, strategies as st
 
-from adjhier import oracle
+from adjhier import oracle, verify
 from adjhier.bounded import BoundFunction
 from adjhier.errors import ResourceCapError
 from adjhier.variants import HierarchySpec
@@ -160,14 +160,20 @@ def test_depth_caps_and_overrides():
         oracle.build_levels(HierarchySpec.plain(), 6)
     with pytest.raises(ResourceCapError):
         oracle.build_cumulative(6)
-    # caps are configuration: a deeper cumulative level is refused only
-    # by the default
-    assert oracle.build_cumulative(2, depth_cap=2).sizes() == [0, 1, 2]
-    # many atoms tighten the default depth; an explicit cap overrides
+    # four atoms inflate level 3 so far that the size bound refuses level 4
     with pytest.raises(ResourceCapError):
         oracle.build_levels(HierarchySpec.atoms(4), 4)
     got = oracle.build_levels(HierarchySpec.atoms(4), 3)
     assert got.sizes() == ATOM_SIZES[4][:4]
+
+
+def test_minbounded_verifies_to_depth_12():
+    # the size bound admits depth 12 (level 12 holds 4096 = 2**12 sets)
+    ls, checks = verify.verify_minbounded(12)
+    assert ls.depth == 12
+    assert all(c.ok for c in checks), [c for c in checks if not c.ok]
+    law = next(c for c in checks if c.name.startswith("power-set law"))
+    assert law.detail == "verified at indices [1, 2, 4, 12]"
 
 
 def test_bounded_level_size_cap():

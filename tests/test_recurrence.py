@@ -5,9 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from adjhier import oracle, recurrence
 from adjhier.errors import ResourceCapError
-from adjhier.recurrence import (a_sequence, binomial_big, c_sequence,
-                                compute_b_table, compute_table,
-                                table_from_cells)
+from adjhier.recurrence import (a_sequence, c_sequence, compute_b_table,
+                                compute_table, table_from_cells)
 from adjhier.variants import BoundFunction, HierarchySpec
 
 from golden import PLAIN_A
@@ -16,21 +15,6 @@ from golden import PLAIN_A
 @pytest.fixture(scope="module")
 def t9():
     return compute_b_table(9)
-
-
-def test_binomial_examples():
-    assert binomial_big(5, 2) == 10
-    assert binomial_big(3, 7) == 0
-    for n in (0, 1, 7, 10 ** 30):
-        assert binomial_big(n, 0) == 1
-    with pytest.raises(ValueError):
-        binomial_big(5, -1)
-
-
-@given(st.integers(min_value=0, max_value=10 ** 24),
-       st.integers(min_value=0, max_value=40))
-def test_binomial_matches_stdlib(a, k):
-    assert binomial_big(a, k) == math.comb(a, k)
 
 
 def test_level_sizes_table(t9):
