@@ -10,6 +10,13 @@ descending order lexicographically (recursing into elements); on pure
 sets this is exactly the numeric order of their Ackermann codes.  All
 operations are pure given the table; inserts must be serialized by the
 caller (single-writer), reads are safe to share.
+
+Interning keeps two properties per set, its rank and whether an atom
+occurs in it.  A set new to :meth:`SetEngine.adjoin_ids` takes both from
+x and y (rank max(rank x, rank y + 1)), so an adjunction costs O(1)
+beyond building its element tuple; :meth:`SetEngine.intern_sorted_ids`
+reads them off the elements.  The adjunctive rank is computed on its
+first read and kept.
 """
 
 from __future__ import annotations
@@ -26,28 +33,25 @@ PARSE_DEPTH_LIMIT = 256
 
 
 class SetEngine:
-    """Intern table plus rank/ark/code caches for one universe of sets."""
+    """Intern table plus rank, atom-flag, ark and code caches for one
+    universe of sets."""
 
     def __init__(self, n_atoms: int = 0, atom_labels=None,
                  code_bit_budget: int = DEFAULT_CODE_BIT_BUDGET):
         if atom_labels is not None and len(atom_labels) != n_atoms:
             raise ValueError("atom_labels length must equal n_atoms")
         self.code_bit_budget = code_bit_budget
-        self._elems = []        # id -> sorted tuple of element ids, None for atoms
-        self._label = []        # id -> display label (atoms only)
-        self._rank = []         # id -> classical rank
-        self._ark = []          # id -> adjunctive rank
-        self._has_atom = []     # id -> atom occurs in transitive closure
+        # id -> sorted tuple of element ids, None for atoms
+        self._elems = [None] * n_atoms
+        self._rank = [0] * n_atoms          # id -> classical rank
+        self._has_atom = [True] * n_atoms   # id -> atom in transitive closure
+        self._label = list(atom_labels) if atom_labels else [
+            f"u{i + 1}" for i in range(n_atoms)]  # atom id -> display label
+        self._ark = {}          # id -> adjunctive rank, filled on first read
         self._intern = {}       # element tuple -> id
         self._codes = {}        # id -> Ackermann code (only within bit budget)
         self._decoded = {}      # code -> id
         self._cmp_cache = {}
-        for i in range(n_atoms):
-            self._elems.append(None)
-            self._label.append(atom_labels[i] if atom_labels else f"u{i + 1}")
-            self._rank.append(0)
-            self._ark.append(0)
-            self._has_atom.append(True)
         self.n_atoms = n_atoms
         self._empty_id = self.intern_sorted_ids(())
 
@@ -60,26 +64,15 @@ class SetEngine:
         found = self._intern.get(elems)
         if found is not None:
             return found
-        rank = 1 + max(self._rank[e] for e in elems) if elems else 0
-        if rank >= PARSE_DEPTH_LIMIT:
-            raise ValueError(f"sets nested deeper than {PARSE_DEPTH_LIMIT}")
-        sid = len(self._elems)
-        self._elems.append(elems)
-        self._label.append(None)
-        self._rank.append(rank)
-        if elems:
-            arks = sorted(self._ark[e] for e in elems)
-            n = len(arks)
-            self._ark.append(1 + max(a + n - 1 - j for j, a in enumerate(arks)))
-            self._has_atom.append(any(self._has_atom[e] for e in elems))
-        else:
-            self._ark.append(0)
-            self._has_atom.append(False)
-        self._intern[elems] = sid
-        return sid
+        rank, has_atom = self._rank, self._has_atom
+        return self._add(elems, 1 + max((rank[e] for e in elems), default=-1),
+                         any(has_atom[e] for e in elems))
 
     def adjoin_ids(self, x: int, y: int) -> int:
-        """Id of ``x with y added``; returns ``x`` itself when y is a member."""
+        """Id of ``x with y added``; returns ``x`` itself when y is a member.
+
+        A new set's rank and atom flag follow from those of x and y, so
+        the bookkeeping beyond building its element tuple is O(1)."""
         ex = self._elems[x]
         if ex is None:
             raise ValueError("cannot adjoin an element to an atom")
@@ -93,7 +86,23 @@ class SetEngine:
                 lo = mid + 1
             else:
                 hi = mid
-        return self.intern_sorted_ids(ex[:lo] + (y,) + ex[lo:])
+        elems = ex[:lo] + (y,) + ex[lo:]
+        found = self._intern.get(elems)
+        if found is not None:
+            return found
+        return self._add(elems, max(self._rank[x], self._rank[y] + 1),
+                         self._has_atom[x] or self._has_atom[y])
+
+    def _add(self, elems: tuple, rank: int, has_atom: bool) -> int:
+        """Append a set not yet interned, with its rank and atom flag."""
+        if rank >= PARSE_DEPTH_LIMIT:
+            raise ValueError(f"sets nested deeper than {PARSE_DEPTH_LIMIT}")
+        sid = len(self._elems)
+        self._elems.append(elems)
+        self._rank.append(rank)
+        self._has_atom.append(has_atom)
+        self._intern[elems] = sid
+        return sid
 
     # -- canonical order ---------------------------------------------------
 
@@ -149,7 +158,20 @@ class SetEngine:
         return self._rank[sid]
 
     def ark_id(self, sid: int) -> int:
-        return self._ark[sid]
+        """Adjunctive rank: 0 for atoms and the empty set, else
+        1 + max(a_j + n - 1 - j) over the n element arks sorted ascending.
+        Computed on the first read and kept."""
+        ark = self._ark.get(sid)
+        if ark is None:
+            elems = self._elems[sid]
+            if elems:
+                arks = sorted(self.ark_id(e) for e in elems)
+                n = len(arks)
+                ark = 1 + max(a + n - 1 - j for j, a in enumerate(arks))
+            else:
+                ark = 0
+            self._ark[sid] = ark
+        return ark
 
     def cardinality_id(self, sid: int) -> int:
         elems = self._elems[sid]

@@ -2,7 +2,10 @@
 
 Each level is built by literally applying its defining equation over the
 interned universe of a dedicated :class:`~adjhier.hfs.SetEngine`, and is
-stored as a dense bitset over ids.  Each level is read through one
+stored as a dense bitset over ids.  A level is assembled in one linear
+pass: the sets its loop interns are a range of fresh ids, and only the
+ids found again below that range are marked, in a byte array, so no big
+int is built per pair.  Each level is read through one
 decoded view, a bit string, so walks are linear in its size and
 membership tests take constant time; subset counts read a table of the
 levels that hold each element.  The resulting ground-truth counts are
@@ -61,9 +64,9 @@ class LevelSets:
     atom_ids: tuple = ()
     _views: list = field(default_factory=list, init=False, repr=False,
                          compare=False)
-    # (len(levels), element masks, new-member tallies by level)
-    _index: tuple = field(default=(-1, None, None), init=False, repr=False,
-                          compare=False)
+    # (len(levels), element masks, new-member tallies and k-splits by level)
+    _index: tuple = field(default=(-1, None, None, None), init=False,
+                          repr=False, compare=False)
 
     @property
     def depth(self) -> int:
@@ -108,7 +111,7 @@ class LevelSets:
         """For each id of the levels below the top, the bitmask of the
         levels that hold it.  Every element of a member lies below the
         top: a member is built from lower levels' members only."""
-        key, masks, _ = self._index
+        key, masks = self._index[:2]
         if key != len(self.levels):
             bound = max((len(self._view(m)) for m in range(self.depth)),
                         default=0)
@@ -117,7 +120,7 @@ class LevelSets:
                 bit = 1 << m
                 for e in _ones(self._view(m)[:bound]):
                     masks[e] |= bit
-            self._index = (len(self.levels), masks, {})
+            self._index = (len(self.levels), masks, {}, {})
         return masks
 
     def _tally(self, ids) -> dict:
@@ -141,6 +144,33 @@ class LevelSets:
         if n not in tallies:
             tallies[n] = self._tally(self._new_ids(n))
         return tallies[n]
+
+    def _new_splits(self, n: int) -> list:
+        """:func:`partition_split` of level n for every m < n, from one
+        walk over its new members, computed once.
+
+        Each member maps to its elements' level masks, sorted; the
+        elements new at level m are those with bit m set and bit m-1
+        clear (``s & ~(s << 1)``)."""
+        masks = self._element_masks()
+        splits = self._index[3]
+        if n not in splits:
+            elements_of = self.engine.elements_of
+            hist = {}
+            for sid in self._new_ids(n):
+                key = tuple(sorted([masks[e] for e in elements_of(sid)]))
+                hist[key] = hist.get(key, 0) + 1
+            by_m = [{} for _ in range(n)]
+            for key, c in hist.items():
+                held = (1 << n) - 1
+                for s in key:
+                    held &= s
+                new_at = [s & ~(s << 1) for s in key]
+                for m in _ones(_bit_string(held)):
+                    k = sum(b >> m & 1 for b in new_at)
+                    by_m[m][k] = by_m[m].get(k, 0) + c
+            splits[n] = by_m
+        return splits[n]
 
 
 def _count_with(hist: dict, m: int) -> int:
@@ -180,12 +210,27 @@ def build_levels(spec: HierarchySpec, n_max: int, *,
         ys = ls.members(_source(ls, n))
         _check_size(spec.kind, n + 1, u + 1 + len(xs) * len(ys),
                     level_size_cap)
-        nxt = base
-        for x in xs:
-            for y in ys:
-                nxt |= 1 << eng.adjoin_ids(x, y)
-        ls.levels.append(nxt)
+        ls.levels.append(_assemble(
+            eng, base, (eng.adjoin_ids(x, y) for x in xs for y in ys)))
     return ls
+
+
+def _assemble(eng: SetEngine, base: int, ids) -> int:
+    """The bitset of ``base`` and the ids an iterator yields, in one
+    linear pass.
+
+    Every set interned while ``ids`` is consumed is one of its ids, so
+    the ids at or above the engine's size before the first one form a
+    single range; only the ids found again below that mark are recorded,
+    one bit each in a byte array.  No big int is built per id.
+    """
+    mark = eng.size
+    found = bytearray((mark + 7) >> 3)
+    for sid in ids:
+        if sid < mark:
+            found[sid >> 3] |= 1 << (sid & 7)
+    fresh = (1 << eng.size) - (1 << mark)
+    return base | fresh | int.from_bytes(found, "little")
 
 
 def _source(ls: LevelSets, n: int) -> int:
@@ -209,11 +254,10 @@ def build_cumulative(n_max: int) -> LevelSets:
         mem = eng.sort_ids(iter_bits(levels[-1]))
         _check_size("cumulative", n + 1, 1 << len(mem),
                     DEFAULT_LEVEL_SIZE_CAP, f"2**{len(mem)}")
-        nxt = 0
-        for mask in range(1 << len(mem)):
-            picked = tuple(mem[i] for i in iter_bits(mask))
-            nxt |= 1 << eng.intern_sorted_ids(picked)
-        levels.append(nxt)
+        subsets = [()]  # each ascending, in binary counting order of mem
+        for e in mem:
+            subsets += [s + (e,) for s in subsets]
+        levels.append(_assemble(eng, 0, map(eng.intern_sorted_ids, subsets)))
     return LevelSets(HierarchySpec.cumulative(), eng, levels)
 
 
@@ -228,20 +272,12 @@ def partition_counts(ls: LevelSets, n: int, m: int) -> int:
 
 
 def partition_split(ls: LevelSets, n: int, m: int) -> dict:
-    """The same count split by k = #elements that are new at level m."""
+    """The same count split by k = #elements that are new at level m.
+
+    Read from one tally of level n's new members that serves every m."""
     if not 0 <= m < n <= ls.depth:
         raise IndexError(f"partition ({n}, {m}) outside computed levels")
-    masks = ls._element_masks()
-    here = 1 << m
-    near = here | here >> 1  # levels m and m-1; an element new at m reads here
-    elements_of = ls.engine.elements_of
-    split = {}
-    for sid in ls._new_ids(n):
-        seen = [masks[e] & near for e in elements_of(sid)]
-        if all(s & here for s in seen):
-            k = seen.count(here)
-            split[k] = split.get(k, 0) + 1
-    return split
+    return dict(ls._new_splits(n)[m])
 
 
 def profile_counts(ls: LevelSets, n: int, by: str) -> dict:
@@ -287,11 +323,13 @@ def verify_ark_lemma(ls: LevelSets) -> ArkReport:
         raise ValueError("ark verification is defined on the plain hierarchy")
     eng = ls.engine
     deepest = ls.depth
+    masks = ls._element_masks()  # ids beyond it are new at the deepest level
     mismatches = []
     total = 0
     for sid in ls.members(deepest):
         total += 1
-        by_levels = next(n for n in range(deepest + 1) if ls.contains(n, sid))
+        first = masks[sid] if sid < len(masks) else 1 << deepest
+        by_levels = (first & -first).bit_length() - 1
         by_formula = eng.ark_id(sid)
         if by_levels != by_formula:
             mismatches.append((eng.format_id(sid), by_levels, by_formula))

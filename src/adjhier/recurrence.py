@@ -43,6 +43,10 @@ from .variants import BoundFunction, HierarchySpec
 # Chained from a(0), the bound admits the plain hierarchy through depth
 # 22 (2**23 - 1 bits; a(22) has 1,770,521) and refuses depth 23 at once.
 ROW_BIT_BUDGET = 3 << 22
+# Rows a table may have.  It keeps a(n) and cap(n) for every row, so a
+# deeper request is refused before any row is filled; a sparse bound
+# (log2) fills 2**22 rows in about a second and 100 MB.
+ROW_COUNT_CAP = 1 << 22
 
 
 class GInverse:
@@ -310,6 +314,10 @@ def _sweep(spec: HierarchySpec, n_max: int, cells=None, layer=None,
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
+    if n_max > ROW_COUNT_CAP:
+        raise ResourceCapError(
+            f"depth {n_max} is past the row cap of {ROW_COUNT_CAP}",
+            level=n_max, cap=ROW_COUNT_CAP)
     f = spec.f
     if f is not None and f.kind == "table" and len(f.values) < n_max:
         raise BoundFunctionError(

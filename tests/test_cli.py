@@ -1,4 +1,7 @@
+import contextlib
+import functools
 import hashlib
+import io
 import json
 import os
 import re
@@ -8,7 +11,9 @@ from decimal import Decimal
 from pathlib import Path
 
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
+from adjhier import oracle, recurrence
 from adjhier.bounded import BoundFunction, compute_bounded_table, compute_minbounded
 from adjhier.cache import cache_roundtrip, load_table, save_table
 from adjhier.cli import (CommandSpec, build_parser, main,
@@ -511,6 +516,20 @@ def test_too_deep_table_refused_at_once(argv, capsys):
     assert "level 23 may need" in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ["bounded", "--f", "log2", "--n", str(recurrence.ROW_COUNT_CAP + 1)],
+    ["bounded", "--f", "half", "--n", str(10 ** 30)],
+    ["minbounded", "--n", str(10 ** 30)],
+])
+def test_more_rows_than_the_cap_refused_at_once(argv, capsys):
+    start = time.perf_counter()
+    assert main(argv) == 3
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert f"past the row cap of {recurrence.ROW_COUNT_CAP}" in captured.err
+
+
 def _write_count_cache(path, n_max, cells):
     from adjhier.cache import FORMAT_VERSION, _checksum
     payload = {"kind": "count-table", "spec": {"kind": "plain"},
@@ -577,3 +596,90 @@ def test_failed_verification_exits_one(monkeypatch, capsys):
     out = capsys.readouterr().out
     doc = json.loads(out)
     assert any(not c["ok"] for c in doc["checks"])
+
+
+# Argv fuzz.  Under small caps every input, hostile ones included, must
+# end fast with an exit code in 0-3: 0 success, 1 failed verification,
+# 2 usage or input error (argparse exits 2 itself), 3 resource cap.
+FUZZ_BIT_BUDGET = 1024
+FUZZ_LEVEL_SIZE_CAP = 2000
+FUZZ_SECONDS = 3.0
+HOSTILE = ["-1", "-99999999999", "1000000000", str(10 ** 30), "x", "1e3",
+           "", " 7", "0x10"]
+NUMBER = st.one_of(st.integers(-2, 12).map(str), st.sampled_from(HOSTILE))
+COUNT_OPTS = ["--cache"]
+OPTIONS = {
+    "levels": COUNT_OPTS,
+    "table": COUNT_OPTS,
+    "rank-profile": COUNT_OPTS + ["--t-range"],
+    "card-profile": COUNT_OPTS + ["--t-range"],
+    "atoms": COUNT_OPTS + ["--u"],
+    "bounded": COUNT_OPTS + ["--f", "--skip-duplicates"],
+    "minbounded": COUNT_OPTS + ["--skip-duplicates"],
+    "constant": ["--digits"],
+    "oracle-verify": ["--variant", "--u", "--f", "--dump"],
+}
+
+
+@st.composite
+def fuzz_argv(draw, tmp):
+    sub = draw(st.sampled_from(sorted(OPTIONS)))
+    values = {
+        "--n": NUMBER, "--u": NUMBER,
+        "--digits": st.one_of(st.integers(-2, 40).map(str),
+                              st.sampled_from(HOSTILE)),
+        "--format": st.sampled_from(["json", "csv", "plain", "xml"]),
+        "--f": st.sampled_from(["identity", "half", "sqrt", "log2", "cube",
+                                f"file:{tmp / 'f.txt'}",
+                                f"file:{tmp / 'missing.txt'}"]),
+        "--t-range": st.sampled_from(["0:3", "2:4", "5:1", "-1:3", "3", ":",
+                                      "x:y", "1000000000:1000000001"]),
+        "--cache": st.sampled_from([str(tmp / "a.json"), str(tmp / "b.json"),
+                                    str(tmp / "no-dir" / "c.json")]),
+        "--variant": st.sampled_from(["plain", "atoms", "bounded",
+                                      "minbounded", "cumulative"]),
+        "--dump": st.just(str(tmp / "dump")),
+    }
+    argv = [sub]
+    for opt in draw(st.lists(st.sampled_from(
+            ["--n", "--format"] + OPTIONS[sub]), unique=True)):
+        argv.append(opt)
+        if opt != "--skip-duplicates":
+            argv.append(draw(values[opt]))
+    argv += draw(st.lists(st.sampled_from(["--bogus", "extra", "--n"]),
+                          max_size=1))
+    return argv
+
+
+BOUND_LINE = st.one_of(st.integers(-1, 30).map(str),
+                       st.sampled_from(["", "x", " 3 ", str(10 ** 20)]))
+
+
+def _run_captured(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return main(argv), err.getvalue()
+        except SystemExit as exc:  # argparse: usage errors and --help
+            return exc.code, err.getvalue()
+
+
+@settings(max_examples=150)
+@given(data=st.data())
+def test_argv_fuzz_exits_cleanly_and_fast(tmp_path_factory, data):
+    tmp = tmp_path_factory.getbasetemp() / "argv-fuzz"
+    tmp.mkdir(exist_ok=True)
+    (tmp / "f.txt").write_text("\n".join(data.draw(
+        st.lists(BOUND_LINE, max_size=40), label="bound file")) + "\n")
+    argv = data.draw(fuzz_argv(tmp), label="argv")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(recurrence, "ROW_BIT_BUDGET", FUZZ_BIT_BUDGET)
+        mp.setattr(oracle, "build_levels", functools.partial(
+            oracle.build_levels, level_size_cap=FUZZ_LEVEL_SIZE_CAP))
+        start = time.perf_counter()
+        code, err = _run_captured(argv)
+        elapsed = time.perf_counter() - start
+    event(f"exit {code}")
+    assert code in (0, 1, 2, 3), (argv, code, err)
+    assert "Traceback" not in err, (argv, err)
+    assert elapsed < FUZZ_SECONDS, (argv, elapsed)

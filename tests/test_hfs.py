@@ -7,8 +7,8 @@ from hypothesis import given, strategies as st
 from adjhier.errors import ResourceCapError
 from adjhier.hfs import (PARSE_DEPTH_LIMIT, SetEngine, decode_ackermann,
                          empty_set, parse_set)
-from adjhier.oracle import build_levels
-from adjhier.variants import HierarchySpec
+from adjhier.oracle import build_cumulative, build_levels
+from adjhier.variants import BoundFunction, HierarchySpec
 
 
 @pytest.fixture()
@@ -236,6 +236,18 @@ def test_engine_refuses_sets_deeper_than_parse_accepts(eng, monkeypatch):
     assert depth[1] == PARSE_DEPTH_LIMIT
 
 
+def test_interned_chain_stops_at_the_same_rank(eng):
+    # intern_sorted_ids reads the rank off the elements, adjoin_ids off
+    # x and y; both refuse at the same depth
+    chain = [eng.empty().id]
+    with pytest.raises(ValueError, match="nested deeper"):
+        for _ in range(3000):
+            chain.append(eng.intern_sorted_ids((chain[-1],)))
+    assert len(chain) == PARSE_DEPTH_LIMIT
+    assert eng.rank_id(chain[-1]) == PARSE_DEPTH_LIMIT - 1
+    assert_bookkeeping_by_definition(eng)  # the lazy ark recurses as deep
+
+
 def test_parser_reads_back_every_printed_member():
     ls = build_levels(HierarchySpec.plain(), 4)
     eng = ls.engine
@@ -268,3 +280,73 @@ def test_atoms_are_opaque():
         s.code()
     with pytest.raises(ValueError):
         a0.code()
+
+
+def recomputed(eng):
+    """(rank, ark, atom flag, cardinality) of every interned id, from its
+    elements by definition; elements are interned before their sets."""
+    props = []
+    for sid in range(eng.size):
+        if eng.is_atom(sid):
+            props.append((0, 0, True, 0))
+            continue
+        elems = eng.elements_of(sid)
+        sub = [props[e] for e in elems]
+        arks = sorted(p[1] for p in sub)
+        props.append((
+            1 + max((p[0] for p in sub), default=-1),
+            _ark_formula(arks) if arks else 0,
+            any(p[2] for p in sub),
+            len(elems)))
+    return props
+
+
+def assert_bookkeeping_by_definition(eng):
+    size = eng.size
+    for sid, want in enumerate(recomputed(eng)):
+        got = (eng.rank_id(sid), eng.ark_id(sid), eng.contains_atom(sid),
+               eng.cardinality_id(sid))
+        assert got == want, (sid, eng.format_id(sid))
+        if not eng.is_atom(sid):
+            elems = eng.elements_of(sid)
+            assert list(elems) == eng.sort_ids(set(elems))
+            assert eng.intern_sorted_ids(elems) == sid
+    assert eng.size == size  # every element tuple was interned once
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_levels(HierarchySpec.plain(), 5),
+    lambda: build_levels(HierarchySpec.atoms(2), 3),
+    lambda: build_levels(HierarchySpec.bounded(BoundFunction("sqrt")), 27),
+    lambda: build_levels(HierarchySpec.min_bounded(), 5),
+    lambda: build_cumulative(4),
+], ids=["plain-5", "atoms-2-3", "bounded-sqrt-27", "minbounded-5",
+        "cumulative-4"])
+def test_oracle_bookkeeping_matches_definition(build):
+    assert_bookkeeping_by_definition(build().engine)
+
+
+def test_parsed_and_decoded_bookkeeping_matches_definition(eng):
+    for n in range(3000):
+        eng.decode_id(n)
+    for text in ("{{{{{}}}},{{},{{}}}}", "{" * 40 + "}" * 40,
+                 "{{{{{}}},{}},{{{}},{{{}}}},{}}"):
+        eng.parse(text)
+    atoms = SetEngine(n_atoms=2)
+    s = atoms.adjoin_ids(atoms.empty().id, 0)
+    atoms.adjoin_ids(atoms.adjoin_ids(atoms.empty().id, s), 1)
+    for e in (eng, atoms):
+        assert_bookkeeping_by_definition(e)
+
+
+@given(st.lists(st.tuples(st.integers(0, 63), st.integers(0, 63)),
+                max_size=60))
+def test_random_adjunctions_match_definition(pairs):
+    eng = SetEngine(n_atoms=2)
+    for i, j in pairs:
+        x, y = i % eng.size, j % eng.size
+        if eng.is_atom(x):
+            eng.intern_sorted_ids(tuple(eng.sort_ids({x, y})))
+        else:
+            eng.adjoin_ids(x, y)
+    assert_bookkeeping_by_definition(eng)

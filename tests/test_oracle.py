@@ -253,6 +253,36 @@ def test_level_reads_match_raw_bit_tests(spec, n_max):
     assert_reads_match_raw_levels(oracle.build_levels(spec, n_max))
 
 
+@pytest.mark.parametrize("spec, n_max", [
+    (HierarchySpec.plain(), 5),
+    (HierarchySpec.atoms(2), 3),
+    (HierarchySpec.bounded(BoundFunction("sqrt")), 27),
+    (HierarchySpec.min_bounded(), 5)])
+def test_levels_equal_or_of_adjoined_ids(spec, n_max):
+    ls = oracle.build_levels(spec, n_max)
+    eng = ls.engine
+    size = eng.size
+    for n in range(n_max):
+        ref = ls.levels[0]
+        for x in ls.members(n)[spec.u:]:
+            for y in ls.members(oracle._source(ls, n)):
+                ref |= 1 << eng.adjoin_ids(x, y)
+        assert ls.levels[n + 1] == ref, n
+    assert eng.size == size  # the replay interned nothing new
+
+
+def test_cumulative_levels_equal_or_of_subset_ids():
+    ls = oracle.build_cumulative(4)
+    eng = ls.engine
+    for n in range(4):
+        mem = eng.sort_ids(ls.members(n))
+        ref = 0
+        for mask in range(1 << len(mem)):
+            picked = tuple(mem[i] for i in oracle.iter_bits(mask))
+            ref |= 1 << eng.intern_sorted_ids(picked)
+        assert ls.levels[n + 1] == ref, n
+
+
 def test_level_reads_follow_appended_levels():
     # a build appends levels after the counts have been read, as the
     # minbounded source-level choice does
