@@ -6,10 +6,9 @@ extraction of the growth constant."""
 from .asymptotics import (ConstantEstimate, HPReal, constant_C, ratio_check,
                           sandwich_check)
 from .bounded import (BoundFunction, compute_bounded_table,
-                      compute_minbounded, inverse_g)
+                      compute_minbounded)
 from .errors import BoundFunctionError, CacheError, ResourceCapError
-from .hfs import (HFSet, SetEngine, ackermann_code, adjoin, ark,
-                  decode_ackermann, empty_set, parse_set, rank)
+from .hfs import HFSet, SetEngine
 from .oracle import (LevelSets, build_cumulative, build_levels,
                      partition_counts, partition_split, profile_counts,
                      verify_ark_lemma)

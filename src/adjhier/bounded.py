@@ -13,19 +13,14 @@ same recurrence with g(m) = abar(m-1) (abar = its level sizes, abar(-1)
 equal to 2**abar(m-1).
 
 :class:`BoundFunction` is defined beside the hierarchy specs and
-:class:`GInverse` beside the recurrence that uses it; both are imported
-here, where the bounded variants are described.
+imported here, where the bounded variants are described; g is computed
+by :class:`adjhier.recurrence.GInverse`, beside the recurrence.
 """
 
 from __future__ import annotations
 
-from .recurrence import CountTable, GInverse, MinBoundedTable, compute_table
+from .recurrence import CountTable, MinBoundedTable, compute_table
 from .variants import BoundFunction, HierarchySpec
-
-
-def inverse_g(f: BoundFunction, m: int) -> int:
-    """One-shot least t with f(t) >= m; see :class:`GInverse` for bulk use."""
-    return GInverse(f)(m)
 
 
 def compute_bounded_table(f: BoundFunction, n_max: int) -> CountTable:
@@ -45,23 +40,3 @@ def changed_indices(a: list) -> list:
     """Indices where the size sequence moves; what table output keeps
     when duplicate rows are skipped."""
     return [n for n in range(len(a)) if n == 0 or a[n] != a[n - 1]]
-
-
-def distinct_values(a: list) -> list:
-    """The size sequence with consecutive repeats collapsed."""
-    out = []
-    for v in a:
-        if not out or out[-1] != v:
-            out.append(v)
-    return out
-
-
-def same_sequence_ignoring_repetitions(a1: list, a2: list) -> bool:
-    """Empirical check that two size sequences agree up to repetitions.
-
-    Compares the collapsed sequences over their common length.  This is
-    an observation tool, not a guaranteed invariant.
-    """
-    d1, d2 = distinct_values(a1), distinct_values(a2)
-    k = min(len(d1), len(d2))
-    return d1[:k] == d2[:k]

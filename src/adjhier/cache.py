@@ -155,9 +155,3 @@ def load_table(path, expect=None):
         for n in sorted({1, rng.randint(1, table.n_max)}):
             spot_check(table, n)
     return table
-
-
-def cache_roundtrip(path, table):
-    """Save then load; the result equals the input cell for cell."""
-    save_table(path, table)
-    return load_table(path)

@@ -1,9 +1,11 @@
 """Command-line interface: sequences, tables, profiles, and verification.
 
-Every output format renders counts as decimal strings; nothing is ever
-routed through floating point.  Identical invocations produce byte
-identical output.  Exit codes: 0 success, 1 verification failure,
-2 usage error, 3 resource cap.
+Each subcommand body returns an exit code, a JSON document, a CSV
+header and rows; one emitter, ``_emit``, turns them into the text of
+every format.  Every output format renders counts as decimal strings;
+nothing is ever routed through floating point.  Identical invocations
+produce byte identical output.  Exit codes: 0 success, 1 verification
+failure, 2 usage error, 3 resource cap.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from .bounded import (BoundFunction, changed_indices, compute_bounded_table,
 from .cache import load_table, save_table
 from .errors import BoundFunctionError, CacheError, ResourceCapError
 from .numstr import decimal_str
-from .recurrence import a_sequence, c_sequence, compute_b_table
+from .recurrence import c_sequence, compute_b_table
 from .refinements import (compute_atoms_table, compute_d_table,
                           compute_r_table, d_profile, r_profile)
 from .variants import HierarchySpec
@@ -82,16 +84,14 @@ class CommandSpec:
         return cls(**vars(args))
 
 
-def _emit_json(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
-
-
-def _emit_rows(fmt: str, header, rows) -> str:
+def _emit(fmt: str, doc, header, rows) -> str:
+    """The one renderer: ``doc`` as sorted, indented JSON, or ``rows`` as
+    CSV under ``header`` or as tab-separated plain lines."""
+    if fmt == "json":
+        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
     if fmt == "csv":
-        lines = [",".join(header)]
-        lines += [",".join(r) for r in rows]
-        return "\n".join(lines) + "\n"
-    return "\n".join("\t".join(r) for r in rows) + "\n"
+        return "\n".join([",".join(r) for r in [header, *rows]]) + "\n"
+    return "\n".join(["\t".join(r) for r in rows]) + "\n"
 
 
 def _cached_table(cmd: CommandSpec, want, compute):
@@ -114,34 +114,54 @@ def _parse_t_range(spec, n_max):
     lo, hi = int(lo or 0), int(hi or n_max)
     if lo < 0 or hi < lo:
         raise ValueError(f"bad t-range {spec!r}")
+    if hi > n_max:
+        # a level-n rank or cardinality is at most n: such columns are empty
+        raise ValueError(f"t-range {spec!r} ends past --n {n_max}; "
+                         f"HI may be at most {n_max}")
     return lo, hi
 
 
-# -- subcommand bodies -------------------------------------------------------
+# -- subcommand bodies: each returns (code, doc, header, rows) for _emit ------
 
-def _plain_table(cmd: CommandSpec):
-    return _cached_table(cmd, HierarchySpec.plain(),
-                         lambda: compute_b_table(cmd.n_max))
-
-
-def _run_levels(cmd: CommandSpec):
-    a = [decimal_str(v) for v in a_sequence(_plain_table(cmd))]
-    if cmd.fmt == "json":
-        return 0, _emit_json({"command": "levels", "variant": "plain",
-                              "n_max": str(cmd.n_max), "a": a})
-    rows = [(str(n), v) for n, v in enumerate(a)]
-    return 0, _emit_rows(cmd.fmt, ["n", "a_n"], rows)
+def _run_sizes(cmd: CommandSpec):
+    """a(n) of one hierarchy: ``levels``, ``atoms``, ``bounded`` and
+    ``minbounded`` differ only in spec, JSON keys and CSV column."""
+    if cmd.subcommand == "levels":
+        spec, compute = HierarchySpec.plain(), compute_b_table
+        doc, key, column = {"variant": "plain"}, "a", "a_n"
+    elif cmd.subcommand == "atoms":
+        spec = HierarchySpec.atoms(cmd.u)
+        compute = lambda n: compute_atoms_table(cmd.u, n)
+        doc, key, column = {"u": str(cmd.u)}, "sizes", "size"
+    elif cmd.subcommand == "bounded":
+        f = parse_bound_function(cmd.f_spec)
+        spec = HierarchySpec.bounded(f)
+        compute = lambda n: compute_bounded_table(f, n)
+        doc, key, column = {"f": cmd.f_spec}, "rows", "a_f_n"
+    else:
+        spec, compute = HierarchySpec.min_bounded(), compute_minbounded
+        doc, key, column = {}, "rows", "a_bar_n"
+    table = _cached_table(cmd, spec, lambda: compute(cmd.n_max))
+    indices = (changed_indices(table.a) if cmd.skip_duplicates
+               else range(cmd.n_max + 1))
+    rows = [[str(n), decimal_str(table.a[n])] for n in indices]
+    if key == "rows":  # the bounded pair also report --skip-duplicates
+        doc.update(skip_duplicates=cmd.skip_duplicates, rows=rows)
+    else:
+        doc[key] = [v for _, v in rows]
+    doc.update(command=cmd.subcommand, n_max=str(cmd.n_max))
+    return 0, doc, ["n", column], rows
 
 
 def _run_table(cmd: CommandSpec):
-    rows = [[decimal_str(v) for v in row] for row in _plain_table(cmd).rows]
-    if cmd.fmt == "json":
-        return 0, _emit_json({"command": "table", "n_max": str(cmd.n_max),
-                              "rows": rows})
+    table = _cached_table(cmd, HierarchySpec.plain(),
+                          lambda: compute_b_table(cmd.n_max))
+    rows = [[decimal_str(v) for v in row] for row in table.rows]
+    doc = {"command": "table", "n_max": str(cmd.n_max), "rows": rows}
     header = ["n"] + [f"m={m}" for m in range(-1, cmd.n_max)]
     out = [[str(n)] + row + [""] * (cmd.n_max + 1 - len(row))
            for n, row in enumerate(rows)]
-    return 0, _emit_rows(cmd.fmt, header, out)
+    return 0, doc, header, out
 
 
 def _run_profile(cmd: CommandSpec):
@@ -160,46 +180,12 @@ def _run_profile(cmd: CommandSpec):
         hist = profile(table, n)
         profiles.append([decimal_str(hist[t])
                          for t in range(lo, min(hi, n) + 1)])
-    if cmd.fmt == "json":
-        return 0, _emit_json({
-            "command": cmd.subcommand, "n_max": str(cmd.n_max),
-            "t_range": f"{lo}:{hi}", "profiles": profiles})
+    doc = {"command": cmd.subcommand, "n_max": str(cmd.n_max),
+           "t_range": f"{lo}:{hi}", "profiles": profiles}
     header = ["n"] + [f"{label}^{t}" for t in range(lo, hi + 1)]
     rows = [[str(n)] + p + [""] * (hi - lo + 1 - len(p))
             for n, p in enumerate(profiles)]
-    return 0, _emit_rows(cmd.fmt, header, rows)
-
-
-def _run_atoms(cmd: CommandSpec):
-    table = _cached_table(cmd, HierarchySpec.atoms(cmd.u),
-                          lambda: compute_atoms_table(cmd.u, cmd.n_max))
-    sizes = [decimal_str(v) for v in table.sizes]
-    if cmd.fmt == "json":
-        return 0, _emit_json({"command": "atoms", "u": str(cmd.u),
-                              "n_max": str(cmd.n_max), "sizes": sizes})
-    rows = [(str(n), v) for n, v in enumerate(sizes)]
-    return 0, _emit_rows(cmd.fmt, ["n", "size"], rows)
-
-
-def _run_bounded(cmd: CommandSpec):
-    """Both bounded subcommands: ``bounded`` with its --f, ``minbounded``."""
-    if cmd.subcommand == "bounded":
-        f = parse_bound_function(cmd.f_spec)
-        table = _cached_table(cmd, HierarchySpec.bounded(f),
-                              lambda: compute_bounded_table(f, cmd.n_max))
-        doc, column = {"f": cmd.f_spec}, "a_f_n"
-    else:
-        table = _cached_table(cmd, HierarchySpec.min_bounded(),
-                              lambda: compute_minbounded(cmd.n_max))
-        doc, column = {}, "a_bar_n"
-    indices = (changed_indices(table.a) if cmd.skip_duplicates
-               else range(cmd.n_max + 1))
-    rows = [[str(n), decimal_str(table.a[n])] for n in indices]
-    if cmd.fmt == "json":
-        return 0, _emit_json(dict(
-            doc, command=cmd.subcommand, n_max=str(cmd.n_max),
-            skip_duplicates=cmd.skip_duplicates, rows=rows))
-    return 0, _emit_rows(cmd.fmt, ["n", column], rows)
+    return 0, doc, header, rows
 
 
 def _run_constant(cmd: CommandSpec):
@@ -224,10 +210,7 @@ def _run_constant(cmd: CommandSpec):
         "truncation_bound": str(est.truncation_bound.upper()),
         "error_radius": str(est.C_value.error),
     }
-    if cmd.fmt == "json":
-        return 0, _emit_json(doc)
-    rows = [[k, v] for k, v in doc.items()]
-    return 0, _emit_rows(cmd.fmt, ["key", "value"], rows)
+    return 0, doc, ["key", "value"], [[k, v] for k, v in doc.items()]
 
 
 def _run_oracle_verify(cmd: CommandSpec):
@@ -243,41 +226,39 @@ def _run_oracle_verify(cmd: CommandSpec):
         ls, checks = verify.verify_minbounded(5 if n is None else n)
     else:
         raise ValueError(f"unknown variant {cmd.variant!r}")
-    if cmd.dump:
-        _dump_levels(cmd.dump, ls, checks)
-    ok = all(c.ok for c in checks)
     doc = oracle.summary(ls, [c.as_dict() for c in checks])
-    if cmd.fmt == "json":
-        return (0 if ok else 1), _emit_json(doc)
-    if cmd.fmt == "csv":
-        rows = [[c.name, "ok" if c.ok else "FAIL", c.detail] for c in checks]
-        return (0 if ok else 1), _emit_rows(
-            "csv", ["check", "status", "detail"],
-            [[f.replace(",", ";") for f in r] for r in rows])
-    lines = [f"sizes: {' '.join(doc['sizes'])}"]
-    lines += [f"{'ok  ' if c.ok else 'FAIL'} {c.name}"
-              + (f" ({c.detail})" if c.detail else "") for c in checks]
-    return (0 if ok else 1), "\n".join(lines) + "\n"
+    if cmd.dump:
+        _dump_levels(cmd.dump, ls, doc)
+    if cmd.fmt == "plain":
+        rows = [[f"sizes: {' '.join(doc['sizes'])}"]]
+        rows += [[f"{'ok  ' if c.ok else 'FAIL'} {c.name}"
+                  + (f" ({c.detail})" if c.detail else "")] for c in checks]
+    else:
+        rows = [[f.replace(",", ";")
+                 for f in (c.name, "ok" if c.ok else "FAIL", c.detail)]
+                for c in checks]
+    code = 0 if all(c.ok for c in checks) else 1
+    return code, doc, ["check", "status", "detail"], rows
 
 
-def _dump_levels(path, ls, checks):
+def _dump_levels(path, ls, summary):
     os.makedirs(path, exist_ok=True)
     for n in range(ls.depth + 1):
         with open(os.path.join(path, f"level_{n:02d}.txt"), "w") as fh:
             for line in oracle.level_lines(ls, n):
                 fh.write(line + "\n")
     with open(os.path.join(path, "summary.json"), "w") as fh:
-        fh.write(_emit_json(oracle.summary(ls, [c.as_dict() for c in checks])))
+        fh.write(_emit("json", summary, None, None))
 
 
 _RUNNERS = {
-    "levels": _run_levels,
+    "levels": _run_sizes,
     "table": _run_table,
     "rank-profile": _run_profile,
     "card-profile": _run_profile,
-    "atoms": _run_atoms,
-    "bounded": _run_bounded,
-    "minbounded": _run_bounded,
+    "atoms": _run_sizes,
+    "bounded": _run_sizes,
+    "minbounded": _run_sizes,
     "constant": _run_constant,
     "oracle-verify": _run_oracle_verify,
 }
@@ -285,7 +266,8 @@ _RUNNERS = {
 
 def run(cmd: CommandSpec):
     """Dispatch one command; returns (exit_code, output text)."""
-    return _RUNNERS[cmd.subcommand](cmd)
+    code, doc, header, rows = _RUNNERS[cmd.subcommand](cmd)
+    return code, _emit(cmd.fmt, doc, header, rows)
 
 
 def build_parser() -> argparse.ArgumentParser:

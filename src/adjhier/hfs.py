@@ -385,37 +385,3 @@ class HFSet:
 def _check_same_engine(x: HFSet, y: HFSet):
     if x.engine is not y.engine:
         raise ValueError("sets belong to different engines")
-
-
-# Module-level convenience API over a shared default engine.
-
-_DEFAULT_ENGINE = SetEngine()
-
-
-def empty_set(engine: SetEngine | None = None) -> HFSet:
-    return (engine or _DEFAULT_ENGINE).empty()
-
-
-def adjoin(x: HFSet, y: HFSet) -> HFSet:
-    return x.adjoin(y)
-
-
-def rank(x: HFSet) -> int:
-    return x.rank
-
-
-def ark(x: HFSet) -> int:
-    return x.ark
-
-
-def ackermann_code(x: HFSet) -> int:
-    return x.code()
-
-
-def decode_ackermann(code: int, engine: SetEngine | None = None) -> HFSet:
-    eng = engine or _DEFAULT_ENGINE
-    return eng.wrap(eng.decode_id(code))
-
-
-def parse_set(text: str, engine: SetEngine | None = None) -> HFSet:
-    return (engine or _DEFAULT_ENGINE).parse(text)

@@ -143,14 +143,6 @@ class CountTable:
         return self.a
 
     @property
-    def variant(self) -> HierarchySpec:
-        return self.spec
-
-    @property
-    def f(self):
-        return self.spec.f
-
-    @property
     def _m_caps(self) -> list:
         return self.caps
 
@@ -170,12 +162,6 @@ class MinBoundedTable(CountTable):
             raise ValueError(
                 f"depth {self.n_max} insufficient: abar({self.n_max}) <= {n}")
         return bisect_right(self.a, n)
-
-    def gbar(self, n: int) -> int:
-        """Inverse bound: abar(n-1), with gbar(0) = 0."""
-        if n < 0:
-            raise ValueError("gbar takes natural arguments")
-        return self.a[n - 1] if n >= 1 else 0
 
     def fbar_function(self) -> BoundFunction:
         """fbar packaged as a table bound over 0..n_max-1."""

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from . import oracle
 from .bounded import BoundFunction, compute_bounded_table, compute_minbounded
-from .recurrence import a_sequence, compute_b_table
+from .recurrence import compute_b_table
 from .refinements import (compute_atoms_table, compute_d_table,
                           compute_r_table, d_profile, r_profile)
 from .variants import HierarchySpec
@@ -47,19 +47,28 @@ def _split_expectation(ls, n, m):
     return {k: v for k, v in expected.items() if v}
 
 
-def verify_plain(n_max: int = 5):
-    ls = oracle.build_levels(HierarchySpec.plain(), n_max)
-    table = compute_b_table(n_max)
-    checks = [Check(
-        "level sizes == a(n)",
-        ls.sizes() == a_sequence(table),
-        f"oracle {ls.sizes()}")]
+def _shared_checks(spec, n_max, compute, sizes_name, cells_name=None,
+                   cells_ok=""):
+    """The oracle levels, the recurrence table ``compute(n_max)`` and the
+    checks every variant shares: level sizes and, when ``cells_name`` is
+    given, every b(n, m) against the oracle's partition counts.  The
+    levels are built first, so a refused level keeps its message."""
+    ls = oracle.build_levels(spec, n_max)
+    table = compute(n_max)
+    checks = [Check(f"level sizes == {sizes_name}", ls.sizes() == table.a,
+                    f"oracle {ls.sizes()}")]
+    if cells_name is not None:
+        bad = [(n, m) for n in range(1, n_max + 1) for m in range(n)
+               if oracle.partition_counts(ls, n, m) != table.b(n, m)]
+        checks.append(Check(f"{cells_name} == oracle partition counts",
+                            not bad, f"mismatches {bad}" if bad else cells_ok))
+    return ls, table, checks
 
-    bad = [(n, m) for n in range(1, n_max + 1) for m in range(n)
-           if oracle.partition_counts(ls, n, m) != table.b(n, m)]
-    checks.append(Check("b(n, m) == oracle partition counts", not bad,
-                        f"mismatches {bad}" if bad else
-                        f"all cells to depth {n_max}"))
+
+def verify_plain(n_max: int = 5):
+    ls, table, checks = _shared_checks(
+        HierarchySpec.plain(), n_max, compute_b_table, "a(n)",
+        "b(n, m)", f"all cells to depth {n_max}")
 
     bad = [(n, m) for n in range(1, n_max + 1) for m in range(n)
            if oracle.partition_split(ls, n, m) != _split_expectation(ls, n, m)]
@@ -83,40 +92,26 @@ def verify_plain(n_max: int = 5):
 
 
 def verify_atoms(u: int, n_max: int = 4):
-    ls = oracle.build_levels(HierarchySpec.atoms(u), n_max)
-    table = compute_atoms_table(u, n_max)
-    checks = [Check(
-        f"level sizes == atoms sequence (u={u})",
-        ls.sizes() == table.sizes,
-        f"oracle {ls.sizes()} table {table.sizes}")]
-    bad = [(n, m) for n in range(1, n_max + 1) for m in range(n)
-           if oracle.partition_counts(ls, n, m) != table.b(n, m)]
-    checks.append(Check("atoms b(n, m) == oracle partition counts", not bad,
-                        f"mismatches {bad}" if bad else ""))
+    ls, table, checks = _shared_checks(
+        HierarchySpec.atoms(u), n_max,
+        lambda n: compute_atoms_table(u, n),
+        f"atoms sequence (u={u})", "atoms b(n, m)")
+    checks[0].detail += f" table {table.sizes}"
     return ls, checks
 
 
 def verify_bounded(f: BoundFunction, n_max: int):
-    ls = oracle.build_levels(HierarchySpec.bounded(f), n_max)
-    table = compute_bounded_table(f, n_max)
-    checks = [Check(
-        f"level sizes == bounded sequence (f={f})",
-        ls.sizes() == table.a,
-        f"oracle {ls.sizes()}")]
-    bad = [(n, m) for n in range(1, n_max + 1) for m in range(n)
-           if oracle.partition_counts(ls, n, m) != table.b(n, m)]
-    checks.append(Check("bounded b(n, m) == oracle partition counts", not bad,
-                        f"mismatches {bad}" if bad else ""))
+    ls, _, checks = _shared_checks(
+        HierarchySpec.bounded(f), n_max,
+        lambda n: compute_bounded_table(f, n),
+        f"bounded sequence (f={f})", "bounded b(n, m)")
     return ls, checks
 
 
 def verify_minbounded(n_max: int = 5):
-    ls = oracle.build_levels(HierarchySpec.min_bounded(), n_max)
-    table = compute_minbounded(n_max)
-    checks = [Check(
-        "level sizes == minimally bounded sequence",
-        ls.sizes() == table.a,
-        f"oracle {ls.sizes()}")]
+    ls, _, checks = _shared_checks(HierarchySpec.min_bounded(), n_max,
+                                   compute_minbounded,
+                                   "minimally bounded sequence")
 
     # level(size(n)) must equal the power set of level n: every member is
     # a subset and the count is exactly 2**size(n)

@@ -3,11 +3,9 @@ from hypothesis import given, settings, strategies as st
 
 from adjhier import oracle
 from adjhier.bounded import (BoundFunction, changed_indices,
-                             compute_bounded_table, compute_minbounded,
-                             distinct_values, inverse_g,
-                             same_sequence_ignoring_repetitions)
+                             compute_bounded_table, compute_minbounded)
 from adjhier.errors import BoundFunctionError
-from adjhier.recurrence import a_sequence, compute_b_table
+from adjhier.recurrence import GInverse, a_sequence, compute_b_table
 from adjhier.variants import HierarchySpec
 
 from golden import HALF_ROWS, LOG2_ROWS, MINBOUNDED_A, SQRT_ROWS
@@ -51,17 +49,17 @@ def test_dipping_bound_would_break_nesting():
 
 
 def test_inverse_examples():
-    assert inverse_g(BoundFunction("identity"), 7) == 7
-    assert inverse_g(BoundFunction("half"), 2) == 3
-    assert inverse_g(BoundFunction("sqrt"), 2) == 4
-    assert inverse_g(BoundFunction("log2"), 16) == 65535
-    assert inverse_g(BoundFunction("identity"), 0) == 0
+    assert GInverse(BoundFunction("identity"))(7) == 7
+    assert GInverse(BoundFunction("half"))(2) == 3
+    assert GInverse(BoundFunction("sqrt"))(2) == 4
+    assert GInverse(BoundFunction("log2"))(16) == 65535
+    assert GInverse(BoundFunction("identity"))(0) == 0
 
 
 def test_inverse_exhaustion_error():
     f = BoundFunction("table", (0, 0, 1, 1, 1))
     with pytest.raises(BoundFunctionError, match="never reaches"):
-        inverse_g(f, 2)
+        GInverse(f)(2)
 
 
 def test_identity_reduction_cell_for_cell():
@@ -104,8 +102,6 @@ def test_fbar_examples():
     assert mb.fbar(16) == 5
     with pytest.raises(ValueError, match="insufficient"):
         mb.fbar(10 ** 9)
-    assert mb.gbar(0) == 0
-    assert [mb.gbar(n) for n in (1, 2, 3, 5)] == [1, 2, 4, 16]
 
 
 def test_minbounded_as_bounded_reduction():
@@ -153,21 +149,10 @@ def test_von_neumann_subsequence_and_growth():
 
 def test_duplicate_law():
     tb = compute_bounded_table(BoundFunction("sqrt"), 40)
-    f = tb.f
+    f = tb.spec.f
     for n in range(1, 41):
         flat = tb.a[n] == tb.a[n - 1]
         assert flat == (tb.b(n, f(n - 1)) == 0)
-
-
-def test_same_sequence_checker():
-    sq = compute_bounded_table(BoundFunction("sqrt"), 40)
-    lg = compute_bounded_table(BoundFunction("log2"), 35)
-    mb = compute_minbounded(16)
-    assert same_sequence_ignoring_repetitions(sq.a, lg.a)
-    assert same_sequence_ignoring_repetitions(sq.a, mb.a)
-    hf = compute_bounded_table(BoundFunction("half"), 16)
-    assert not same_sequence_ignoring_repetitions(hf.a, mb.a)
-    assert distinct_values([1, 1, 2, 2, 3]) == [1, 2, 3]
 
 
 def test_bounded_tables_match_oracle_builtins():
@@ -179,6 +164,16 @@ def test_bounded_tables_match_oracle_builtins():
         for n in range(1, depth + 1):
             for m in range(n):
                 assert oracle.partition_counts(ls, n, m) == tb.b(n, m)
+
+
+@pytest.mark.parametrize("depth", [5, 8, 12])
+def test_minbounded_cells_match_oracle(depth):
+    ls = oracle.build_levels(HierarchySpec.min_bounded(), depth)
+    mb = compute_minbounded(depth)
+    assert ls.sizes() == mb.a
+    for n in range(1, depth + 1):
+        for m in range(n):
+            assert oracle.partition_counts(ls, n, m) == mb.b(n, m), (n, m)
 
 
 @st.composite

@@ -15,7 +15,7 @@ from hypothesis import event, given, settings, strategies as st
 
 from adjhier import oracle, recurrence
 from adjhier.bounded import BoundFunction, compute_bounded_table, compute_minbounded
-from adjhier.cache import cache_roundtrip, load_table, save_table
+from adjhier.cache import load_table, save_table
 from adjhier.cli import (CommandSpec, build_parser, main,
                          parse_bound_function, run)
 from adjhier.errors import BoundFunctionError, CacheError
@@ -58,6 +58,19 @@ def test_rank_profile_json_and_range(capsys):
         ["rank-profile", "--n", "5", "--t-range", "2:4"], capsys))
     assert doc["profiles"][5] == ["2", "12", "912"]
     assert doc["profiles"][1] == []  # window starts above this level's ranks
+
+
+@pytest.mark.parametrize("command", ["rank-profile", "card-profile"])
+@pytest.mark.parametrize("fmt", ["json", "csv", "plain"])
+def test_t_range_past_depth_refused(command, fmt, capsys):
+    # columns past --n are always empty; a 3e8-column header is never built
+    start = time.perf_counter()
+    assert main([command, "--n", "3", "--t-range", "0:300000000",
+                 "--format", fmt]) == 2
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert "ends past --n 3" in captured.err
 
 
 def test_card_profile_csv(capsys):
@@ -230,7 +243,8 @@ def test_bound_file_range_exhaustion(tmp_path, capsys):
 def test_cache_roundtrip_all_kinds(tmp_path, make):
     table = make()
     path = tmp_path / "cache.json"
-    assert cache_roundtrip(path, table) == table
+    save_table(path, table)
+    assert load_table(path) == table
     # load then save is byte identical
     first = path.read_bytes()
     save_table(path, load_table(path))
@@ -461,6 +475,34 @@ def test_oracle_verify_matches_recorded_digests(argv):
     assert hashlib.sha256(text.encode()).hexdigest() == ORACLE_DIGESTS[argv]
 
 
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def cli_record(argv: str, tmp: Path) -> dict:
+    """Exit code and stdout/stderr digests of one command line; a DUMP
+    argument becomes a directory under ``tmp`` whose summary.json is
+    digested too."""
+    dump = tmp / "dump"
+    code, out, err = _run_captured(
+        [str(dump) if a == "DUMP" else a for a in argv.split()])
+    record = {"code": code, "stdout": _sha(out), "stderr": _sha(err)}
+    if "DUMP" in argv.split():
+        record["summary.json"] = _sha((dump / "summary.json").read_text())
+    return record
+
+
+CLI_DIGESTS = json.loads(
+    (Path(__file__).parent / "cli_digests.json").read_text())
+
+
+@pytest.mark.parametrize("argv", sorted(CLI_DIGESTS))
+def test_cli_matches_recorded_digests(tmp_path, argv):
+    """Every subcommand in every format, refusals included, is pinned
+    byte for byte: exit code, stdout, stderr and a --dump summary.json."""
+    assert cli_record(argv, tmp_path) == CLI_DIGESTS[argv]
+
+
 def test_bounded_oracle_refused_before_pair_loop(monkeypatch, capsys):
     # levels 1..5 take 12,709 adjunctions; level 6 would take 21 million
     from adjhier.hfs import SetEngine
@@ -633,7 +675,8 @@ def fuzz_argv(draw, tmp):
                                 f"file:{tmp / 'f.txt'}",
                                 f"file:{tmp / 'missing.txt'}"]),
         "--t-range": st.sampled_from(["0:3", "2:4", "5:1", "-1:3", "3", ":",
-                                      "x:y", "1000000000:1000000001"]),
+                                      "x:y", "1000000000:1000000001",
+                                      "0:1000000000"]),
         "--cache": st.sampled_from([str(tmp / "a.json"), str(tmp / "b.json"),
                                     str(tmp / "no-dir" / "c.json")]),
         "--variant": st.sampled_from(["plain", "atoms", "bounded",
@@ -659,9 +702,10 @@ def _run_captured(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            return main(argv), err.getvalue()
+            code = main(argv)
         except SystemExit as exc:  # argparse: usage errors and --help
-            return exc.code, err.getvalue()
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
 
 
 @settings(max_examples=150)
@@ -677,7 +721,7 @@ def test_argv_fuzz_exits_cleanly_and_fast(tmp_path_factory, data):
         mp.setattr(oracle, "build_levels", functools.partial(
             oracle.build_levels, level_size_cap=FUZZ_LEVEL_SIZE_CAP))
         start = time.perf_counter()
-        code, err = _run_captured(argv)
+        code, _, err = _run_captured(argv)
         elapsed = time.perf_counter() - start
     event(f"exit {code}")
     assert code in (0, 1, 2, 3), (argv, code, err)

@@ -83,7 +83,7 @@ def test_cells_match_oracle_partitions():
 
 def test_variant_tag():
     t = compute_b_table(2)
-    assert t.variant == HierarchySpec.plain()
+    assert t.spec == HierarchySpec.plain()
 
 
 # -- the kernel against a dense row-by-row reference --------------------------
