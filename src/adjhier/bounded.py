@@ -34,9 +34,3 @@ def compute_minbounded(n_max: int) -> MinBoundedTable:
     trailing factor abar(abar(m-1)) and row cap fbar(n-1) are read off
     the growing size prefix."""
     return compute_table(HierarchySpec.min_bounded(), n_max)
-
-
-def changed_indices(a: list) -> list:
-    """Indices where the size sequence moves; what table output keeps
-    when duplicate rows are skipped."""
-    return [n for n in range(len(a)) if n == 0 or a[n] != a[n - 1]]

@@ -1,11 +1,15 @@
 """Command-line interface: sequences, tables, profiles, and verification.
 
 Each subcommand body returns an exit code, a JSON document, a CSV
-header and rows; one emitter, ``_emit``, turns them into the text of
-every format.  Every output format renders counts as decimal strings;
-nothing is ever routed through floating point.  Identical invocations
-produce byte identical output.  Exit codes: 0 success, 1 verification
-failure, 2 usage error, 3 resource cap.
+header and rows; one emitter, ``_emit``, yields the text of every format
+in chunks, and ``main`` writes them to stdout in batches of about 64k
+characters.  The long listings are views whose rows are rendered only
+as they are written, so a listing is never held whole; every refusal,
+the output budget included, comes before the first byte.  Every output
+format renders counts as decimal strings; nothing is ever routed
+through floating point.  Identical invocations produce byte identical
+output.  Exit codes: 0 success, 1 verification failure, 2 usage error,
+3 resource cap.
 """
 
 from __future__ import annotations
@@ -14,13 +18,14 @@ import argparse
 import json
 import os
 import sys
+from bisect import bisect_right
 from dataclasses import dataclass
 from decimal import Context, Decimal
+from itertools import accumulate, repeat
 
 from . import oracle, verify
 from .asymptotics import constant_C, relative_tail
-from .bounded import (BoundFunction, changed_indices, compute_bounded_table,
-                      compute_minbounded)
+from .bounded import BoundFunction, compute_bounded_table, compute_minbounded
 from .cache import load_table, save_table
 from .errors import BoundFunctionError, CacheError, ResourceCapError
 from .numstr import decimal_str
@@ -84,14 +89,93 @@ class CommandSpec:
         return cls(**vars(args))
 
 
-def _emit(fmt: str, doc, header, rows) -> str:
-    """The one renderer: ``doc`` as sorted, indented JSON, or ``rows`` as
-    CSV under ``header`` or as tab-separated plain lines."""
+# Characters a listing may print, bounded before any is rendered; past
+# it the command is refused with exit 3.
+OUTPUT_CHAR_BUDGET = 1 << 30
+# Characters a cell may add to its digits: a JSON cell's indentation,
+# quotes, comma and newline, its share of its row's brackets, and a row
+# index of up to 7 digits, or a CSV or plain separator.
+_CELL_CHARS = 20
+_BATCH_CHARS = 1 << 16  # characters gathered into one write to stdout
+
+
+class _Rows(list):
+    """``count`` rows made by ``make()`` each time the view is iterated.
+
+    json's encoder takes it for a list (it tests ``isinstance`` and
+    emptiness by ``len``), so a listing is rendered while it is written
+    and never held whole.
+    """
+
+    def __init__(self, count, make):
+        super().__init__()
+        self.count, self.make = count, make
+
+    def __len__(self):
+        return self.count
+
+    def __iter__(self):
+        return self.make()
+
+
+def _digits(v: int) -> int:
+    """A bound on len(decimal_str(v)): floor(bits * log10(2)) + 1."""
+    return v.bit_length() * 30103 // 100000 + 1
+
+
+def _check_output(cells: int, digits: int):
+    """Refuse a listing of ``cells`` cells holding ``digits`` digits when
+    its bound passes OUTPUT_CHAR_BUDGET."""
+    chars = cells * _CELL_CHARS + digits
+    if chars > OUTPUT_CHAR_BUDGET:
+        raise ResourceCapError(
+            f"the listing may take {chars} characters, past the output "
+            f"budget of {OUTPUT_CHAR_BUDGET}", cap=OUTPUT_CHAR_BUDGET)
+
+
+def _runs(a: list) -> list:
+    """(value, length) of each run of equal values in ``a``, found by
+    bisection: level sizes never decrease, a(n) = a(n-1) + b(n, cap(n))."""
+    runs, n = [], 0
+    while n < len(a):
+        end = bisect_right(a, a[n], n)
+        runs.append((a[n], end - n))
+        n = end
+    return runs
+
+
+def _triangle(values: list, width: int):
+    """Views of the int rows ``values`` as JSON rows and as CSV rows, each
+    led by its index n and padded to ``width`` cells, rendered on demand;
+    refused first when past the output budget."""
+    _check_output(len(values) * (width + 1),
+                  sum(_digits(v) for row in values for v in row))
+
+    def rendered():
+        return ([decimal_str(v) for v in row] for row in values)
+
+    return _Rows(len(values), rendered), _Rows(len(values), lambda: (
+        [str(n)] + row + [""] * (width - len(row))
+        for n, row in enumerate(rendered())))
+
+
+def _emit(fmt: str, doc, header, rows):
+    """The one renderer: yields ``doc`` as sorted, indented JSON, or
+    ``rows`` as CSV under ``header`` or as tab-separated plain lines, in
+    chunks."""
     if fmt == "json":
-        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    if fmt == "csv":
-        return "\n".join([",".join(r) for r in [header, *rows]]) + "\n"
-    return "\n".join(["\t".join(r) for r in rows]) + "\n"
+        # the encoder that json.dumps(indent=2) runs, yielding its chunks
+        yield from json.JSONEncoder(indent=2, sort_keys=True).iterencode(doc)
+        yield "\n"
+    elif fmt == "csv":
+        yield ",".join(header) + "\n"
+        for r in rows:
+            yield ",".join(r) + "\n"
+    else:
+        if not rows:
+            yield "\n"
+        for r in rows:
+            yield "\t".join(r) + "\n"
 
 
 def _cached_table(cmd: CommandSpec, want, compute):
@@ -142,13 +226,23 @@ def _run_sizes(cmd: CommandSpec):
         spec, compute = HierarchySpec.min_bounded(), compute_minbounded
         doc, key, column = {}, "rows", "a_bar_n"
     table = _cached_table(cmd, spec, lambda: compute(cmd.n_max))
-    indices = (changed_indices(table.a) if cmd.skip_duplicates
-               else range(cmd.n_max + 1))
-    rows = [[str(n), decimal_str(table.a[n])] for n in indices]
+    runs = _runs(table.a)
+    if cmd.skip_duplicates:
+        indices = list(accumulate((k for _, k in runs[:-1]), initial=0))
+        runs = [(v, 1) for v, _ in runs]
+    else:
+        indices = range(cmd.n_max + 1)
+    _check_output(2 * len(indices), sum(k * _digits(v) for v, k in runs))
+
+    def texts():  # each value of a run is rendered once
+        for v, k in runs:
+            yield from repeat(decimal_str(v), k)
+
+    rows = _Rows(len(indices), lambda: zip(map(str, indices), texts()))
     if key == "rows":  # the bounded pair also report --skip-duplicates
         doc.update(skip_duplicates=cmd.skip_duplicates, rows=rows)
     else:
-        doc[key] = [v for _, v in rows]
+        doc[key] = _Rows(len(indices), texts)
     doc.update(command=cmd.subcommand, n_max=str(cmd.n_max))
     return 0, doc, ["n", column], rows
 
@@ -156,11 +250,9 @@ def _run_sizes(cmd: CommandSpec):
 def _run_table(cmd: CommandSpec):
     table = _cached_table(cmd, HierarchySpec.plain(),
                           lambda: compute_b_table(cmd.n_max))
-    rows = [[decimal_str(v) for v in row] for row in table.rows]
+    rows, out = _triangle(table.rows, cmd.n_max + 1)
     doc = {"command": "table", "n_max": str(cmd.n_max), "rows": rows}
     header = ["n"] + [f"m={m}" for m in range(-1, cmd.n_max)]
-    out = [[str(n)] + row + [""] * (cmd.n_max + 1 - len(row))
-           for n, row in enumerate(rows)]
     return 0, doc, header, out
 
 
@@ -178,13 +270,11 @@ def _run_profile(cmd: CommandSpec):
     profiles = []
     for n in range(cmd.n_max + 1):
         hist = profile(table, n)
-        profiles.append([decimal_str(hist[t])
-                         for t in range(lo, min(hi, n) + 1)])
+        profiles.append([hist[t] for t in range(lo, min(hi, n) + 1)])
+    profiles, rows = _triangle(profiles, hi - lo + 1)
     doc = {"command": cmd.subcommand, "n_max": str(cmd.n_max),
            "t_range": f"{lo}:{hi}", "profiles": profiles}
     header = ["n"] + [f"{label}^{t}" for t in range(lo, hi + 1)]
-    rows = [[str(n)] + p + [""] * (hi - lo + 1 - len(p))
-            for n, p in enumerate(profiles)]
     return 0, doc, header, rows
 
 
@@ -248,7 +338,7 @@ def _dump_levels(path, ls, summary):
             for line in oracle.level_lines(ls, n):
                 fh.write(line + "\n")
     with open(os.path.join(path, "summary.json"), "w") as fh:
-        fh.write(_emit("json", summary, None, None))
+        fh.writelines(_emit("json", summary, None, None))
 
 
 _RUNNERS = {
@@ -267,7 +357,7 @@ _RUNNERS = {
 def run(cmd: CommandSpec):
     """Dispatch one command; returns (exit_code, output text)."""
     code, doc, header, rows = _RUNNERS[cmd.subcommand](cmd)
-    return code, _emit(cmd.fmt, doc, header, rows)
+    return code, "".join(_emit(cmd.fmt, doc, header, rows))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -331,7 +421,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     cmd = CommandSpec.from_args(args)
     try:
-        code, text = run(cmd)
+        code, doc, header, rows = _RUNNERS[cmd.subcommand](cmd)
     except ResourceCapError as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return 3
@@ -339,7 +429,15 @@ def main(argv=None) -> int:
             OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    sys.stdout.write(text)
+    write = sys.stdout.write  # looked up now: callers may redirect stdout
+    batch, size = [], 0
+    for chunk in _emit(cmd.fmt, doc, header, rows):
+        batch.append(chunk)
+        size += len(chunk)
+        if size >= _BATCH_CHARS:
+            write("".join(batch))
+            batch, size = [], 0
+    write("".join(batch))
     return code
 
 

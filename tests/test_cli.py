@@ -267,6 +267,19 @@ def test_interrupted_save_keeps_previous_cache(tmp_path, monkeypatch, target):
     assert os.listdir(tmp_path) == ["cache.json"]
 
 
+def test_cache_write_error_names_the_given_path(tmp_path):
+    # the temporary file beside the cache cannot be created; its random
+    # name is no part of the message
+    path = tmp_path / "missing" / "c.json"
+    argv = ["levels", "--n", "3", "--cache", str(path)]
+    first, second = _run_captured(argv), _run_captured(argv)
+    assert first == second
+    code, out, err = first
+    assert code == 2 and out == ""
+    assert err == f"error: [Errno 2] No such file or directory: '{path}'\n"
+    assert os.listdir(tmp_path) == []
+
+
 def test_save_keeps_plain_file_mode(tmp_path):
     plain = tmp_path / "plain.json"
     with open(plain, "w"):

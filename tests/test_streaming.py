@@ -1,0 +1,183 @@
+"""Streamed output: the emitter's chunks, rendering each level size once,
+the output budget, and the memory a long listing takes in a fresh
+process."""
+
+import json
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
+
+import pytest
+from hypothesis import given, strategies as st
+
+from adjhier import cli
+from adjhier.bounded import BoundFunction, compute_bounded_table
+from adjhier.cli import _emit, _Rows, main
+
+ROOT = Path(__file__).resolve().parents[1]
+CHILD_ENV = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+linux_only = pytest.mark.skipif(not sys.platform.startswith("linux"),
+                                reason="RLIMIT_AS and ru_maxrss in KiB")
+
+TEXT = st.one_of(st.text(), st.sampled_from(
+    ['"', "\\", '\\"', "é", " ", "\x00", "a,b\tc\n"]))
+DOCS = st.recursive(
+    st.one_of(TEXT, st.booleans(), st.none()),
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.dictionaries(TEXT, inner, max_size=4)),
+    max_leaves=30)
+
+
+def _as_views(doc):
+    """``doc`` with every list replaced by a view that makes its items."""
+    if isinstance(doc, dict):
+        return {k: _as_views(v) for k, v in doc.items()}
+    if isinstance(doc, list):
+        items = [_as_views(v) for v in doc]
+        return _Rows(len(items), lambda: iter(items))
+    return doc
+
+
+@given(doc=st.dictionaries(TEXT, DOCS, max_size=5))
+def test_json_chunks_join_to_json_dumps(doc):
+    expect = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    assert "".join(_emit("json", doc, None, None)) == expect
+    assert "".join(_emit("json", _as_views(doc), None, None)) == expect
+
+
+@pytest.mark.parametrize("skip", [[], ["--skip-duplicates"]])
+def test_each_distinct_level_size_rendered_once(monkeypatch, capsys, skip):
+    a = compute_bounded_table(BoundFunction("log2"), 4095).a
+    calls = []
+    render = cli.decimal_str
+
+    def counted(v):
+        calls.append(v)
+        return render(v)
+
+    monkeypatch.setattr(cli, "decimal_str", counted)
+    assert main(["bounded", "--f", "log2", "--n", "4095"] + skip) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert len(calls) == len(set(a)) < len(a) // 10
+    kept = [n for n in range(len(a)) if not skip or n == 0 or a[n] != a[n - 1]]
+    assert rows == [[str(n), str(a[n])] for n in kept]
+
+
+@pytest.mark.parametrize("argv", [
+    ["levels", "--n", "12"],
+    ["table", "--n", "6"],
+    ["rank-profile", "--n", "6", "--t-range", "2:4"],
+    ["bounded", "--f", "log2", "--n", "300", "--skip-duplicates"],
+])
+@pytest.mark.parametrize("fmt", ["json", "csv", "plain"])
+def test_output_budget_refuses_before_any_byte(monkeypatch, capsys, argv,
+                                               fmt):
+    monkeypatch.setattr(cli, "OUTPUT_CHAR_BUDGET", 100)
+    assert main(argv + ["--format", fmt]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert captured.err.startswith("resource cap: the listing may take ")
+    assert "past the output budget of 100" in captured.err
+
+
+# the JSON keys around a listing, which its bound leaves out
+DOC_CHARS = 160
+
+
+@pytest.mark.parametrize("argv", [
+    ["levels", "--n", "14"],
+    ["atoms", "--u", "2", "--n", "5"],
+    ["table", "--n", "12"],
+    ["rank-profile", "--n", "9"],
+    ["card-profile", "--n", "9", "--t-range", "3:5"],
+    ["bounded", "--f", "log2", "--n", "20000"],
+    ["bounded", "--f", "sqrt", "--n", "300", "--skip-duplicates"],
+    ["minbounded", "--n", "300"],
+])
+@pytest.mark.parametrize("fmt", ["json", "csv", "plain"])
+def test_output_bound_covers_the_listing(monkeypatch, capsys, argv, fmt):
+    bounds = []
+    check = cli._check_output
+
+    def recorded(cells, digits):
+        bounds.append(cells * cli._CELL_CHARS + digits)
+        return check(cells, digits)
+
+    monkeypatch.setattr(cli, "_check_output", recorded)
+    assert main(argv + ["--format", fmt]) == 0
+    out = capsys.readouterr().out
+    assert len(bounds) == 1
+    assert len(out) <= bounds[0] + DOC_CHARS
+
+
+def _child(argv, limit_s, address_space=1536 << 20):
+    """Run ``python -m adjhier argv`` in a child that caps its own address
+    space; (exit code or None when killed, stdout bytes, stderr)."""
+    code = ("import resource, runpy, sys; "
+            f"resource.setrlimit(resource.RLIMIT_AS, ({address_space},) * 2); "
+            "sys.argv[0] = 'adjhier'; "
+            "runpy.run_module('adjhier', run_name='__main__')")
+    proc = subprocess.Popen([sys.executable, "-c", code] + argv,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=CHILD_ENV)
+    counted = [0]
+
+    def drain():  # counted, not kept: a listing may take 600 MB
+        while chunk := proc.stdout.read(1 << 20):
+            counted[0] += len(chunk)
+
+    reader = threading.Thread(target=drain)
+    reader.start()
+    try:
+        exit_code = proc.wait(timeout=limit_s)
+    except subprocess.TimeoutExpired:
+        proc.kill()
+        proc.wait()
+        exit_code = None
+    reader.join()
+    err = proc.stderr.read().decode()
+    proc.stdout.close()
+    proc.stderr.close()
+    return exit_code, counted[0], err
+
+
+@linux_only
+@pytest.mark.parametrize("argv", [
+    # 1,048,576 rows, about 564 MB of CSV, rendered from 2,609 values
+    ["bounded", "--f", "log2", "--n", "1048575", "--format", "csv"],
+    # about 4.2 G digits: refused by the output budget after the fill
+    ["bounded", "--f", "log2", "--n", "4194303"],
+])
+def test_long_listing_ends_cleanly_in_bounded_memory(argv):
+    code, out_bytes, err = _child(argv, limit_s=15)
+    assert code in (0, 3), (code, err[-500:])  # None: killed at 15 s
+    assert "Traceback" not in err
+    if code == 3:
+        assert out_bytes == 0 and "output budget" in err
+
+
+@linux_only
+def test_full_listing_costs_no_more_memory_than_skipped(tmp_path):
+    """Peak RSS of children launched as the benchmark launches them."""
+    spawner = subprocess.Popen(
+        [sys.executable, str(ROOT / "perfbench" / "spawner.py")],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
+        env=CHILD_ENV)
+    stdout, rss = tmp_path / "stdout", {}
+    try:
+        for skip in ([], ["--skip-duplicates"]):
+            argv = [sys.executable, "-m", "adjhier", "bounded", "--f", "log2",
+                    "--n", "65551", "--format", "json"] + skip
+            spawner.stdin.write(json.dumps(
+                {"argv": argv, "stdout": str(stdout), "limit": 30}) + "\n")
+            spawner.stdin.flush()
+            reply = json.loads(spawner.stdout.readline())
+            assert reply["code"] == 0
+            rss[bool(skip)] = reply["rss_kb"] / 1024
+    finally:
+        spawner.stdin.close()
+        spawner.wait()
+        spawner.stdout.close()
+    assert rss[False] <= rss[True] + 8, rss
