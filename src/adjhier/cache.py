@@ -1,11 +1,14 @@
 """Versioned, checksummed JSON caches for computed tables.
 
-A cache file is ``{"format_version": N, "payload": {...}, "checksum":
+A cache file is ``{"format_version": 4, "payload": {...}, "checksum":
 sha256(canonical payload)}`` dumped with sorted keys and no whitespace
-variance, so load-then-save is byte identical.  Every count is a decimal
-string; nothing numeric ever passes through floating point.  Caches are
-an optimization only: loads are spot-checked by recomputing row 1 and
-one row seeded from the checksum against the cached cells.
+variance, so load-then-save is byte identical.  Every payload is
+``{"table": name, "n_max": "<n>", "layers": [[[n, m, "<hex>"], ...],
+...]}``: a count table is one layer named by its spec's descriptor, a
+rank or cardinality table n_max + 1 layers named by its kind.  Cells
+are lowercase hex, linear to convert both ways; decimal is only for
+people.  Caches are an optimization only: loads are spot-checked by
+recomputing row 1 and one row seeded from the checksum.
 """
 
 from __future__ import annotations
@@ -17,12 +20,11 @@ import random
 import stat
 
 from .errors import CacheError
-from .numstr import decimal_str, parse_decimal
-from .recurrence import CountTable, table_from_cells
+from .recurrence import table_from_cells
 from .refinements import RefinedTable, refined_table
 from .variants import HierarchySpec
 
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 
 def _canonical(obj) -> str:
@@ -33,25 +35,32 @@ def _checksum(payload) -> str:
     return hashlib.sha256(_canonical(payload).encode()).hexdigest()
 
 
-def _cells(table: CountTable) -> list:
-    return sorted([n, m, decimal_str(v)]
+def _cells(table) -> list:
+    return sorted([n, m, format(v, "x")]
                   for m, col in enumerate(table.cols) for n, v in col.items())
 
 
+def _hex(s) -> int:
+    """int(s, 16) for exactly the strings ``format(v, "x")`` writes."""
+    v = int(s, 16)
+    if v < 0 or format(v, "x") != s:
+        raise ValueError(f"cell value {s[:40]!r} is not lowercase hex")
+    return v
+
+
 def _parse_cells(cells) -> list:
-    return [(int(n), int(m), parse_decimal(v)) for n, m, v in cells]
+    return [(int(n), int(m), _hex(v)) for n, m, v in cells]
 
 
 def table_payload(table) -> dict:
-    """A count table is its spec plus its nonzero cells [n, m, b(n, m)];
-    a refined table keeps the nonzero cells of each of its layers."""
-    if isinstance(table, CountTable):
-        return {"kind": "count-table", "spec": table.spec.descriptor(),
-                "n_max": str(table.n_max), "cells": _cells(table)}
+    """The table's name and the nonzero cells [n, m, b(n, m)] of each of
+    its layers; a count table is its own single layer."""
     if isinstance(table, RefinedTable):
-        return {"kind": f"{table.kind}-refined", "n_max": str(table.n_max),
-                "layers": [_cells(layer) for layer in table.layers]}
-    raise TypeError(f"no cache payload for {type(table).__name__}")
+        name, layers = table.kind, table.layers
+    else:
+        name, layers = table.spec.descriptor(), [table]
+    return {"table": name, "n_max": str(table.n_max),
+            "layers": [_cells(layer) for layer in layers]}
 
 
 def table_from_payload(payload, expect=None):
@@ -59,28 +68,22 @@ def table_from_payload(payload, expect=None):
     (spec or refinement kind, n_max) is not ``expect``."""
     if not isinstance(payload, dict):
         raise CacheError("cache payload is not a JSON object")
-    kind = payload.get("kind")
     try:
-        n_max = int(payload["n_max"])
-        if kind == "count-table":
-            spec = HierarchySpec.from_descriptor(payload["spec"])
-            if expect is not None and expect != (spec, n_max):
-                return None
-            return table_from_cells(spec, n_max,
-                                    _parse_cells(payload["cells"]))
-        if kind in ("rank-refined", "cardinality-refined"):
-            refinement = kind.split("-")[0]
-            if expect is not None and expect != (refinement, n_max):
-                return None
-            layers = payload["layers"]
-            if len(layers) != n_max + 1:
-                raise ValueError(f"{len(layers)} layers for depth {n_max}")
-            return refined_table(refinement, n_max,
-                                 [_parse_cells(cells) for cells in layers])
+        name, n_max = payload["table"], int(payload["n_max"])
+        refined = name in ("rank", "cardinality")
+        key = name if refined else HierarchySpec.from_descriptor(name)
+        if expect is not None and expect != (key, n_max):
+            return None
+        layers = payload["layers"]
+        if len(layers) != (n_max + 1 if refined else 1):
+            raise ValueError(f"{len(layers)} layers for depth {n_max}")
+        cells = [_parse_cells(layer) for layer in layers]
+        if refined:
+            return refined_table(name, n_max, cells)
+        return table_from_cells(key, n_max, cells[0])
     except (KeyError, ValueError, IndexError, TypeError,
             AttributeError) as exc:
-        raise CacheError(f"malformed {kind or 'cache'} payload: {exc}") from exc
-    raise CacheError(f"unknown payload kind {kind!r}")
+        raise CacheError(f"malformed cache payload: {exc}") from exc
 
 
 def spot_check(table, n: int):

@@ -36,17 +36,11 @@ class SetEngine:
     """Intern table plus rank, atom-flag, ark and code caches for one
     universe of sets."""
 
-    def __init__(self, n_atoms: int = 0, atom_labels=None,
-                 code_bit_budget: int = DEFAULT_CODE_BIT_BUDGET):
-        if atom_labels is not None and len(atom_labels) != n_atoms:
-            raise ValueError("atom_labels length must equal n_atoms")
-        self.code_bit_budget = code_bit_budget
+    def __init__(self, n_atoms: int = 0):
         # id -> sorted tuple of element ids, None for atoms
         self._elems = [None] * n_atoms
         self._rank = [0] * n_atoms          # id -> classical rank
         self._has_atom = [True] * n_atoms   # id -> atom in transitive closure
-        self._label = list(atom_labels) if atom_labels else [
-            f"u{i + 1}" for i in range(n_atoms)]  # atom id -> display label
         self._ark = {}          # id -> adjunctive rank, filled on first read
         self._intern = {}       # element tuple -> id
         self._codes = {}        # id -> Ackermann code (only within bit budget)
@@ -191,8 +185,8 @@ class SetEngine:
         """Ackermann code: 0 for the empty set, else sum of 2**code(element).
 
         Refuses with :class:`ResourceCapError` when the code would need
-        more than ``code_bit_budget`` bits; sets containing atoms have no
-        code and raise ValueError.
+        more than :data:`DEFAULT_CODE_BIT_BUDGET` bits; sets containing
+        atoms have no code and raise ValueError.
         """
         code = self._codes.get(sid)
         if code is not None:
@@ -201,7 +195,7 @@ class SetEngine:
             raise ValueError("atoms have no Ackermann code")
         if self._has_atom[sid]:
             raise ValueError("sets containing atoms have no Ackermann code")
-        budget = self.code_bit_budget
+        budget = DEFAULT_CODE_BIT_BUDGET
         total = 0
         for e in self._elems[sid]:
             c = self.code_of_id(e)
@@ -216,10 +210,10 @@ class SetEngine:
         """Inverse of :meth:`code_of_id` (pure sets only)."""
         if code < 0:
             raise ValueError("codes are nonnegative")
-        if code.bit_length() > self.code_bit_budget:
-            raise ResourceCapError(
-                f"code has more than {self.code_bit_budget} bits",
-                cap=self.code_bit_budget)
+        budget = DEFAULT_CODE_BIT_BUDGET
+        if code.bit_length() > budget:
+            raise ResourceCapError(f"code has more than {budget} bits",
+                                   cap=budget)
         cached = self._decoded.get(code)
         if cached is not None:
             return cached
@@ -238,7 +232,7 @@ class SetEngine:
 
     def format_id(self, sid: int) -> str:
         if self._elems[sid] is None:
-            return self._label[sid]
+            return f"u{sid + 1}"
         return "{" + ",".join(self.format_id(e) for e in self._elems[sid]) + "}"
 
     def parse(self, text: str) -> HFSet:

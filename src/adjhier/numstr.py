@@ -2,9 +2,9 @@
 
 CPython guards int<->str conversions beyond a few thousand digits, and
 on 3.10/3.11 its conversions are quadratic in the digit count; deep
-tables exceed the guard (a(22) alone has ~533k digits), so every
-serialization path converts through these helpers instead of relying on
-the built-ins.  Neither function touches the interpreter-wide guard.
+tables exceed the guard (a(22) alone has ~533k digits), so every count
+the CLI prints is rendered by :func:`decimal_str` instead of ``str()``.
+Neither function touches the interpreter-wide guard.
 
 Render: values under the guard use ``str()``; larger values are split
 at half their bit length and rebuilt as an exact :class:`decimal.Decimal`,
@@ -16,7 +16,11 @@ against the O(n**2) of repeated division by a power of ten.
 Parse: the digit string is split in half, x = int(hi) * 10**len(lo) +
 int(lo), down to pieces of at most ``_PARSE_LEAF_DIGITS``; with
 Karatsuba multiplication of Python ints this is O(n**1.59) against the
-O(n**2) of a left-to-right block loop.
+O(n**2) of a left-to-right block loop.  Nothing in the package calls
+:func:`parse_decimal` (the cache stores hex); it stays only because the
+benchmark's tracing table (``perfbench/tracing.py``) names it, and
+``tests/test_perfbench.py::test_every_traced_span_resolves`` requires
+every name there to resolve.
 
 Powers of two and ten are memoised within one call and dropped when it
 returns.

@@ -178,18 +178,18 @@ def _count_with(hist: dict, m: int) -> int:
     return sum(c for mask, c in hist.items() if mask >> m & 1)
 
 
-def _check_size(kind: str, level: int, bound: int, cap, shown=None):
-    """Refuse a level that may hold more than ``cap`` sets (None: no cap).
-
-    ``shown`` is the bound as printed, when its digits would be too many."""
-    if cap is not None and bound > cap:
+def _check_size(kind: str, level: int, bound: int, shown=None):
+    """Refuse a level that may hold more than :data:`DEFAULT_LEVEL_SIZE_CAP`
+    sets.  ``shown`` is the bound as printed, when its digits would be too
+    many."""
+    cap = DEFAULT_LEVEL_SIZE_CAP
+    if bound > cap:
         raise ResourceCapError(
             f"{kind} oracle level {level} may hold {shown or bound} sets "
             f"(cap {cap})", level=level, cap=cap)
 
 
-def build_levels(spec: HierarchySpec, n_max: int, *,
-                 level_size_cap=DEFAULT_LEVEL_SIZE_CAP) -> LevelSets:
+def build_levels(spec: HierarchySpec, n_max: int) -> LevelSets:
     """Materialize levels 0..n_max of the given adjunctive variant.
 
     Level n+1 is the base level (the empty set and the atoms) plus every
@@ -201,15 +201,14 @@ def build_levels(spec: HierarchySpec, n_max: int, *,
     if spec.kind not in ("plain", "atoms", "bounded", "minbounded"):
         raise ValueError(f"build_levels does not handle {spec.kind!r}")
     u = spec.u
-    _check_size(spec.kind, 0, u + 1, level_size_cap)
+    _check_size(spec.kind, 0, u + 1)
     eng = SetEngine(n_atoms=u)
     base = (1 << u + 1) - 1  # atoms are ids 0..u-1, the empty set is id u
     ls = LevelSets(spec, eng, [base], tuple(range(u)))
     for n in range(n_max):
         xs = ls.members(n)[u:]  # the atoms lead every level
         ys = ls.members(_source(ls, n))
-        _check_size(spec.kind, n + 1, u + 1 + len(xs) * len(ys),
-                    level_size_cap)
+        _check_size(spec.kind, n + 1, u + 1 + len(xs) * len(ys))
         ls.levels.append(_assemble(
             eng, base, (eng.adjoin_ids(x, y) for x in xs for y in ys)))
     return ls
@@ -252,8 +251,7 @@ def build_cumulative(n_max: int) -> LevelSets:
     levels = [0]
     for n in range(n_max):
         mem = eng.sort_ids(iter_bits(levels[-1]))
-        _check_size("cumulative", n + 1, 1 << len(mem),
-                    DEFAULT_LEVEL_SIZE_CAP, f"2**{len(mem)}")
+        _check_size("cumulative", n + 1, 1 << len(mem), f"2**{len(mem)}")
         subsets = [()]  # each ascending, in binary counting order of mem
         for e in mem:
             subsets += [s + (e,) for s in subsets]

@@ -47,6 +47,8 @@ ROW_BIT_BUDGET = 3 << 22
 # deeper request is refused before any row is filled; a sparse bound
 # (log2) fills 2**22 rows in about a second and 100 MB.
 ROW_COUNT_CAP = 1 << 22
+# Bits of a power-set-law level size that MinBoundedTable.a_bar_at serves.
+A_BAR_BIT_CAP = 1 << 26
 
 
 class GInverse:
@@ -167,28 +169,25 @@ class MinBoundedTable(CountTable):
         """fbar packaged as a table bound over 0..n_max-1."""
         return BoundFunction("table", tuple(self.fbar(n) for n in range(self.n_max)))
 
-    def a_bar_at(self, idx: int, *, extend: bool = True,
-                 bit_cap: int = 1 << 26) -> int:
+    def a_bar_at(self, idx: int, *, extend: bool = True) -> int:
         """Level size at idx, serving indices beyond n_max when possible.
 
         Indices that are themselves level sizes follow the power-set law
-        abar(abar(j)) = 2**abar(j); anything else is recomputed at the
-        needed depth when ``extend`` is set.  Results that would not fit
-        in ``bit_cap`` bits are refused.
+        abar(abar(j)) = 2**abar(j); a power that would not fit in
+        :data:`A_BAR_BIT_CAP` bits is refused.  Anything else is
+        recomputed at the needed depth when ``extend`` is set, which the
+        fill refuses past :data:`ROW_COUNT_CAP`.
         """
         if idx < 0:
             raise IndexError("negative level")
         if idx <= self.n_max:
             return self.a[idx]
         if idx in set(self.a):
-            if idx + 1 > bit_cap:
+            if idx + 1 > A_BAR_BIT_CAP:
                 raise ResourceCapError(
-                    f"abar({idx}) needs {idx + 1} bits", cap=bit_cap)
+                    f"abar({idx}) needs {idx + 1} bits", cap=A_BAR_BIT_CAP)
             return 1 << idx
         if extend:
-            if idx > bit_cap:
-                raise ResourceCapError(
-                    f"extending the level sizes to {idx} refused", cap=bit_cap)
             return compute_table(self.spec, idx).a[idx]
         raise IndexError(f"abar({idx}) not derivable from depth {self.n_max}")
 

@@ -192,8 +192,9 @@ def test_random_bound_function_matches_oracle(f):
     # depth small enough that levels stay tiny whatever f does
     depth = 5
     tb = compute_bounded_table(f, depth)
-    ls = oracle.build_levels(HierarchySpec.bounded(f), depth,
-                             level_size_cap=20000)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "DEFAULT_LEVEL_SIZE_CAP", 20000)
+        ls = oracle.build_levels(HierarchySpec.bounded(f), depth)
     assert ls.sizes() == tb.a
     for n in range(1, depth + 1):
         for m in range(n):

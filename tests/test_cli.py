@@ -1,5 +1,4 @@
 import contextlib
-import functools
 import hashlib
 import io
 import json
@@ -298,7 +297,7 @@ def test_cache_tamper_detected(tmp_path):
     path = tmp_path / "cache.json"
     save_table(path, compute_b_table(5))
     doc = json.loads(path.read_text())
-    doc["payload"]["cells"][2][2] = "13"
+    doc["payload"]["layers"][0][2][2] = "13"
     path.write_text(json.dumps(doc))
     with pytest.raises(CacheError, match="checksum"):
         load_table(path)
@@ -310,7 +309,7 @@ def test_cache_cell_corruption_caught_by_spot_check(tmp_path):
     doc = json.loads(path.read_text())
     # recompute the checksum so only the row check can object; this cell
     # feeds every other row's recomputation, so any sampled row trips
-    doc["payload"]["cells"][0][2] = "999"
+    doc["payload"]["layers"][0][0][2] = "999"
     from adjhier.cache import _checksum
     doc["checksum"] = _checksum(doc["payload"])
     path.write_text(json.dumps(doc, sort_keys=True, separators=(",", ":")))
@@ -343,7 +342,7 @@ def test_cli_cache_reuse_and_mismatch(tmp_path, capsys):
 def test_cli_corrupt_cache_is_hard_error(tmp_path, capsys):
     cache = tmp_path / "b.json"
     out_of(["levels", "--n", "5", "--cache", str(cache)], capsys)
-    raw = cache.read_text().replace('"100"', '"101"')
+    raw = cache.read_text().replace('"64"', '"65"')  # 100 in hex
     cache.write_text(raw)
     assert main(["levels", "--n", "5", "--cache", str(cache)]) == 2
     assert "checksum" in capsys.readouterr().err
@@ -361,9 +360,9 @@ def test_cache_base_cell_corruption_caught(tmp_path, make):
     doc = json.loads(path.read_text())
     # b(1, 0) is the first cell; every recomputed row reads it, directly
     # or through the level sizes rebuilt from the cells
-    cell = doc["payload"]["cells"][0]
+    cell = doc["payload"]["layers"][0][0]
     assert cell[:2] == [1, 0]
-    cell[2] = str(int(cell[2]) + 998)
+    cell[2] = format(int(cell[2], 16) + 998, "x")
     from adjhier.cache import _checksum
     doc["checksum"] = _checksum(doc["payload"])
     path.write_text(json.dumps(doc))
@@ -373,7 +372,7 @@ def test_cache_base_cell_corruption_caught(tmp_path, make):
 
 @pytest.mark.parametrize("payload", [
     [], "x", None,
-    {"kind": "count-table", "spec": "plain", "n_max": "3", "cells": []},
+    {"table": "plain", "n_max": "3", "layers": [[]]},  # spec not a dict
 ])
 def test_cache_payload_not_an_object_refused(tmp_path, capsys, payload):
     from adjhier.cache import FORMAT_VERSION, _checksum
@@ -420,7 +419,7 @@ def _base_cell_changed(layers):
     # every row
     cell = next(cell for cells in layers for cell in cells
                 if cell[:2] == [1, 0])
-    cell[2] = str(int(cell[2]) + 998)
+    cell[2] = format(int(cell[2], 16) + 998, "x")
 
 
 @pytest.mark.parametrize("edit, reason", [
@@ -587,8 +586,8 @@ def test_more_rows_than_the_cap_refused_at_once(argv, capsys):
 
 def _write_count_cache(path, n_max, cells):
     from adjhier.cache import FORMAT_VERSION, _checksum
-    payload = {"kind": "count-table", "spec": {"kind": "plain"},
-               "n_max": str(n_max), "cells": cells}
+    payload = {"table": {"kind": "plain"}, "n_max": str(n_max),
+               "layers": [cells]}
     path.write_text(json.dumps({"format_version": FORMAT_VERSION,
                                 "payload": payload,
                                 "checksum": _checksum(payload)}))
@@ -731,8 +730,7 @@ def test_argv_fuzz_exits_cleanly_and_fast(tmp_path_factory, data):
     argv = data.draw(fuzz_argv(tmp), label="argv")
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(recurrence, "ROW_BIT_BUDGET", FUZZ_BIT_BUDGET)
-        mp.setattr(oracle, "build_levels", functools.partial(
-            oracle.build_levels, level_size_cap=FUZZ_LEVEL_SIZE_CAP))
+        mp.setattr(oracle, "DEFAULT_LEVEL_SIZE_CAP", FUZZ_LEVEL_SIZE_CAP)
         start = time.perf_counter()
         code, _, err = _run_captured(argv)
         elapsed = time.perf_counter() - start

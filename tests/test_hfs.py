@@ -4,6 +4,7 @@ import sys
 import pytest
 from hypothesis import given, strategies as st
 
+from adjhier import hfs
 from adjhier.errors import ResourceCapError
 from adjhier.hfs import PARSE_DEPTH_LIMIT, SetEngine
 from adjhier.oracle import build_cumulative, build_levels
@@ -173,8 +174,9 @@ def test_ark_value_is_tie_order_independent():
                 assert _ark_formula(list(perm)) == eng.ark_id(sid)
 
 
-def test_code_bit_budget_refusal():
-    eng = SetEngine(code_bit_budget=16)
+def test_code_bit_budget_refusal(monkeypatch):
+    monkeypatch.setattr(hfs, "DEFAULT_CODE_BIT_BUDGET", 16)
+    eng = SetEngine()
     big = eng.decode_id(40000)  # needs 40001 bits to re-encode its parent
     with pytest.raises(ResourceCapError):
         eng.code_of_id(eng.intern_sorted_ids((big,)))

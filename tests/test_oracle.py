@@ -176,12 +176,12 @@ def test_minbounded_verifies_to_depth_12():
     assert law.detail == "verified at indices [1, 2, 4, 12]"
 
 
-def test_bounded_level_size_cap():
+def test_bounded_level_size_cap(monkeypatch):
+    monkeypatch.setattr(oracle, "DEFAULT_LEVEL_SIZE_CAP", 100)
     err = None
     try:
         oracle.build_levels(
-            HierarchySpec.bounded(BoundFunction("identity")), 5,
-            level_size_cap=100)
+            HierarchySpec.bounded(BoundFunction("identity")), 5)
     except ResourceCapError as exc:
         err = exc
     assert err is not None and err.level == 4 and err.cap == 100
