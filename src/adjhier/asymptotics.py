@@ -17,7 +17,7 @@ arithmetic, never through floats.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from decimal import Context, Decimal, ROUND_CEILING, ROUND_FLOOR, ROUND_HALF_EVEN
 
 from .numstr import _int_to_decimal
@@ -39,13 +39,10 @@ def _ulp(prec: int, result: Decimal) -> Decimal:
     return Decimal(1).scaleb(result.adjusted() - prec + 1)
 
 
-@dataclass(frozen=True)
-class HPReal:
+class HPReal(namedtuple("HPReal", "value error precision")):
     """A decimal approximation plus a rigorous radius |stored - true|."""
 
-    value: Decimal
-    error: Decimal
-    precision: int
+    __slots__ = ()
 
     @classmethod
     def exact(cls, x, precision: int) -> "HPReal":
@@ -107,17 +104,15 @@ class HPReal:
         return f"{self.value} ± {self.error}"
 
 
-@dataclass(frozen=True)
-class ConstantEstimate:
+class ConstantEstimate(namedtuple("ConstantEstimate",
+                                  "C_value terms_used truncation_bound")):
     """Certified estimate of the growth constant.
 
     ``C_value`` is C_N = c(N)**(2**-N), N = ``terms_used``; its radius
     adds C_N times the relative tail ``truncation_bound``, so it covers C.
     """
 
-    C_value: HPReal
-    terms_used: int
-    truncation_bound: HPReal
+    __slots__ = ()
 
 
 def relative_tail(c: list) -> Decimal:
@@ -141,11 +136,11 @@ def constant_C(c: list, digits: int) -> ConstantEstimate:
                             HPReal(tail, Decimal(0), _UP.prec))
 
 
-@dataclass
 class SandwichReport:
     """Exact-integer margins for the squared-growth sandwich."""
 
-    entries: list  # dicts with n, lower_margin, upper_margin
+    def __init__(self, entries: list):
+        self.entries = entries  # dicts with n, lower_margin, upper_margin
 
     @property
     def ok(self) -> bool:

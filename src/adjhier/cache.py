@@ -48,8 +48,15 @@ def _hex(s) -> int:
     return v
 
 
+def _index(x) -> int:
+    """A cell's n or m: a JSON int, as ``_cells`` writes it."""
+    if type(x) is not int:
+        raise ValueError(f"cell index {x!r:.40} is not an int")
+    return x
+
+
 def _parse_cells(cells) -> list:
-    return [(int(n), int(m), _hex(v)) for n, m, v in cells]
+    return [(_index(n), _index(m), _hex(v)) for n, m, v in cells]
 
 
 def table_payload(table) -> dict:
@@ -70,6 +77,9 @@ def table_from_payload(payload, expect=None):
         raise CacheError("cache payload is not a JSON object")
     try:
         name, n_max = payload["table"], int(payload["n_max"])
+        if str(n_max) != payload["n_max"]:
+            raise ValueError(f"n_max {payload['n_max']!r:.40} is not a "
+                             f"decimal string")
         refined = name in ("rank", "cardinality")
         key = name if refined else HierarchySpec.from_descriptor(name)
         if expect is not None and expect != (key, n_max):

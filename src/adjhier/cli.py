@@ -10,29 +10,30 @@ format renders counts as decimal strings; nothing is ever routed
 through floating point.  Identical invocations produce byte identical
 output.  Exit codes: 0 success, 1 verification failure, 2 usage error,
 3 resource cap.
+
+Most commands finish in well under a second, so start-up counts: a
+command imports only the layers it runs.  This module loads argparse,
+``errors``, ``numstr``, ``variants`` and ``recurrence``; each runner
+imports the rest when it is called: ``oracle`` and ``verify`` for
+oracle-verify, ``asymptotics`` and :mod:`decimal` for constant,
+``refinements`` for the profiles and atoms, ``bounded`` for bounded and
+minbounded, ``cache`` only when ``--cache`` is given, and :mod:`json`
+only when JSON is written.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from bisect import bisect_right
-from dataclasses import dataclass
-from decimal import Context, Decimal
+from collections import namedtuple
 from itertools import accumulate, repeat
 
-from . import oracle, verify
-from .asymptotics import constant_C, relative_tail
-from .bounded import BoundFunction, compute_bounded_table, compute_minbounded
-from .cache import load_table, save_table
 from .errors import BoundFunctionError, CacheError, ResourceCapError
 from .numstr import decimal_str
 from .recurrence import c_sequence, compute_b_table
-from .refinements import (compute_atoms_table, compute_d_table,
-                          compute_r_table, d_profile, r_profile)
-from .variants import HierarchySpec
+from .variants import BoundFunction, HierarchySpec
 
 
 def parse_bound_function(spec: str) -> BoundFunction:
@@ -67,21 +68,14 @@ def parse_bound_function(spec: str) -> BoundFunction:
     raise BoundFunctionError(f"unknown bound function spec {spec!r}")
 
 
-@dataclass(frozen=True)
-class CommandSpec:
+class CommandSpec(namedtuple(
+        "CommandSpec", "subcommand n_max u f_spec t_range digits fmt cache "
+        "skip_duplicates variant dump",
+        defaults=(0, 0, "identity", None, 30, "json", None, False, "plain",
+                  None))):
     """Everything a run depends on; replays are reproducible from this."""
 
-    subcommand: str
-    n_max: int = 0
-    u: int = 0
-    f_spec: str = "identity"
-    t_range: str | None = None
-    digits: int = 30
-    fmt: str = "json"
-    cache: str | None = None
-    skip_duplicates: bool = False
-    variant: str = "plain"
-    dump: str | None = None
+    __slots__ = ()
 
     @classmethod
     def from_args(cls, args: argparse.Namespace) -> "CommandSpec":
@@ -102,9 +96,10 @@ _BATCH_CHARS = 1 << 16  # characters gathered into one write to stdout
 class _Rows(list):
     """``count`` rows made by ``make()`` each time the view is iterated.
 
-    json's encoder takes it for a list (it tests ``isinstance`` and
-    emptiness by ``len``), so a listing is rendered while it is written
-    and never held whole.
+    ``_json`` walks it as a list of ``count`` items, so a listing is
+    rendered while it is written and never held whole.  It is never
+    handed to json itself, whose C encoder would read it as an empty
+    list.
     """
 
     def __init__(self, count, make):
@@ -159,13 +154,58 @@ def _triangle(values: list, width: int):
         for n, row in enumerate(rendered())))
 
 
+def _json(value, nl: str, quote):
+    """Chunks of ``value`` as ``json.dumps(value, indent=2,
+    sort_keys=True)`` writes it, where ``nl`` is a newline and the
+    indentation of ``value``.  Nonempty dicts, lists and tuples, views
+    included, are walked here, and an item that is a string or a list of
+    strings is one chunk; strings are quoted as json quotes them, and
+    any other value is json's text, re-indented."""
+    inner = nl + "  "
+    if isinstance(value, str):
+        yield quote(value)
+    elif isinstance(value, dict) and value:
+        sep = "{" + inner
+        for key in sorted(value):
+            yield f"{sep}{quote(key)}: "
+            yield from _json(value[key], inner, quote)
+            sep = "," + inner
+        yield nl + "}"
+    elif isinstance(value, (list, tuple)) and value:
+        sep, item_nl = "[" + inner, inner + "  "
+        join = ("," + item_nl).join
+        for item in value:
+            text = None
+            if isinstance(item, str):
+                text = quote(item)
+            elif isinstance(item, (list, tuple)) and item:
+                try:
+                    text = f"[{item_nl}{join(map(quote, item))}{inner}]"
+                except TypeError:  # an item that is not a string
+                    pass
+            if text is None:
+                yield sep
+                yield from _json(item, inner, quote)
+            else:
+                yield sep + text
+            sep = "," + inner
+        yield nl + "]"
+    else:
+        import json
+        yield json.dumps(value, indent=2, sort_keys=True).replace("\n", nl)
+
+
 def _emit(fmt: str, doc, header, rows):
     """The one renderer: yields ``doc`` as sorted, indented JSON, or
     ``rows`` as CSV under ``header`` or as tab-separated plain lines, in
     chunks."""
     if fmt == "json":
-        # the encoder that json.dumps(indent=2) runs, yielding its chunks
-        yield from json.JSONEncoder(indent=2, sort_keys=True).iterencode(doc)
+        import json
+        from functools import lru_cache
+        # a listing repeats a value over a run of rows, and looking a
+        # long value up costs less than quoting it again
+        quote = lru_cache(16)(json.encoder.encode_basestring_ascii)
+        yield from _json(doc, "\n", quote)
         yield "\n"
     elif fmt == "csv":
         yield ",".join(header) + "\n"
@@ -181,13 +221,15 @@ def _emit(fmt: str, doc, header, rows):
 def _cached_table(cmd: CommandSpec, want, compute):
     """Load the cached table if it holds ``want`` (a count table's spec or
     a refinement kind) to depth n_max, else compute and (re)write it."""
-    if cmd.cache and os.path.exists(cmd.cache):
+    if not cmd.cache:
+        return compute()
+    from .cache import load_table, save_table
+    if os.path.exists(cmd.cache):
         table = load_table(cmd.cache, (want, cmd.n_max))
         if table is not None:
             return table
     table = compute()
-    if cmd.cache:
-        save_table(cmd.cache, table)
+    save_table(cmd.cache, table)
     return table
 
 
@@ -214,15 +256,18 @@ def _run_sizes(cmd: CommandSpec):
         spec, compute = HierarchySpec.plain(), compute_b_table
         doc, key, column = {"variant": "plain"}, "a", "a_n"
     elif cmd.subcommand == "atoms":
+        from .refinements import compute_atoms_table
         spec = HierarchySpec.atoms(cmd.u)
         compute = lambda n: compute_atoms_table(cmd.u, n)
         doc, key, column = {"u": str(cmd.u)}, "sizes", "size"
     elif cmd.subcommand == "bounded":
+        from .bounded import compute_bounded_table
         f = parse_bound_function(cmd.f_spec)
         spec = HierarchySpec.bounded(f)
         compute = lambda n: compute_bounded_table(f, n)
         doc, key, column = {"f": cmd.f_spec}, "rows", "a_f_n"
     else:
+        from .bounded import compute_minbounded
         spec, compute = HierarchySpec.min_bounded(), compute_minbounded
         doc, key, column = {}, "rows", "a_bar_n"
     table = _cached_table(cmd, spec, lambda: compute(cmd.n_max))
@@ -257,6 +302,8 @@ def _run_table(cmd: CommandSpec):
 
 
 def _run_profile(cmd: CommandSpec):
+    from .refinements import (compute_d_table, compute_r_table, d_profile,
+                              r_profile)
     if cmd.subcommand == "rank-profile":
         kind, label = "rank", "r"
         compute = lambda: compute_r_table(cmd.n_max)
@@ -283,6 +330,8 @@ def _run_constant(cmd: CommandSpec):
     # the radius (C_N >= 1), so it refuses before any work at --digits
     if cmd.digits < 1:
         raise ValueError(f"--digits must be at least 1, got {cmd.digits}")
+    from decimal import Context, Decimal
+    from .asymptotics import constant_C, relative_tail
     c = c_sequence(compute_b_table(cmd.n_max))
     limit = Decimal((0, (1,), -cmd.digits))
     radius = relative_tail(c)
@@ -304,6 +353,7 @@ def _run_constant(cmd: CommandSpec):
 
 
 def _run_oracle_verify(cmd: CommandSpec):
+    from . import oracle, verify
     n = cmd.n_max  # None when --n is not given; 0 is a depth
     if cmd.variant == "plain":
         ls, checks = verify.verify_plain(5 if n is None else n)
@@ -332,10 +382,11 @@ def _run_oracle_verify(cmd: CommandSpec):
 
 
 def _dump_levels(path, ls, summary):
+    from .oracle import level_lines
     os.makedirs(path, exist_ok=True)
     for n in range(ls.depth + 1):
         with open(os.path.join(path, f"level_{n:02d}.txt"), "w") as fh:
-            for line in oracle.level_lines(ls, n):
+            for line in level_lines(ls, n):
                 fh.write(line + "\n")
     with open(os.path.join(path, "summary.json"), "w") as fh:
         fh.writelines(_emit("json", summary, None, None))

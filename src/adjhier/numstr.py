@@ -11,7 +11,9 @@ at half their bit length and rebuilt as an exact :class:`decimal.Decimal`,
 x = hi * 2**w + lo, whose string form is linear to produce.  libmpdec
 multiplies large operands by a number-theoretic transform in
 M(n) = O(n log n) for n digits, so the rebuild costs O(M(n) log n),
-against the O(n**2) of repeated division by a power of ten.
+against the O(n**2) of repeated division by a power of ten.  Only the
+rebuild imports :mod:`decimal`, so a listing of small values never
+loads it.
 
 Parse: the digit string is split in half, x = int(hi) * 10**len(lo) +
 int(lo), down to pieces of at most ``_PARSE_LEAF_DIGITS``; with
@@ -26,14 +28,13 @@ Powers of two and ten are memoised within one call and dropped when it
 returns.
 """
 
-from decimal import Context, Decimal, Inexact, MAX_EMAX, MAX_PREC, MIN_EMIN
-
-_LEAF_BITS = 4096  # rebuild pieces converted directly by Decimal(int)
+_LEAF_BITS = 4096  # rebuild pieces converted directly to Decimal
 _PARSE_LEAF_DIGITS = 512  # below the guard's smallest allowed setting
 
 
-def _int_to_decimal(n: int) -> Decimal:
+def _int_to_decimal(n: int):
     """The exact Decimal of an int, subquadratic in its size."""
+    from decimal import Context, Inexact, MAX_EMAX, MAX_PREC, MIN_EMIN
     ctx = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN,
                   traps=[Inexact])
     return _rebuild(n, n.bit_length(), ctx, {})
@@ -41,11 +42,12 @@ def _int_to_decimal(n: int) -> Decimal:
 
 # The recursions are module-level functions, not closures: a closure that
 # calls itself is a reference cycle, which would keep the memo alive
-# after the call until the cyclic collector runs.
+# after the call until the cyclic collector runs.  Leaves are made by
+# ctx.create_decimal, exact at MAX_PREC (Inexact is trapped).
 
-def _rebuild(x: int, bits: int, ctx: Context, pow2: dict) -> Decimal:
+def _rebuild(x: int, bits: int, ctx, pow2: dict):
     if bits <= _LEAF_BITS:
-        return Decimal(x)
+        return ctx.create_decimal(x)
     w = bits >> 1
     hi = x >> w
     lo = x - (hi << w)
@@ -55,11 +57,11 @@ def _rebuild(x: int, bits: int, ctx: Context, pow2: dict) -> Decimal:
         _rebuild(lo, w, ctx, pow2))
 
 
-def _power_of_two(w: int, ctx: Context, pow2: dict) -> Decimal:
+def _power_of_two(w: int, ctx, pow2: dict):
     p = pow2.get(w)
     if p is None:
         if w <= _LEAF_BITS:
-            p = Decimal(1 << w)
+            p = ctx.create_decimal(1 << w)
         else:
             p = ctx.multiply(_power_of_two(w >> 1, ctx, pow2),
                              _power_of_two(w - (w >> 1), ctx, pow2))

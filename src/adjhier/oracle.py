@@ -21,8 +21,6 @@ no pair loop and no interning.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .errors import ResourceCapError
 from .hfs import SetEngine
 from .variants import HierarchySpec
@@ -48,7 +46,6 @@ def _ones(view: str):
         i = view.find("1", i + 1)
 
 
-@dataclass
 class LevelSets:
     """Materialized levels of one hierarchy.
 
@@ -58,15 +55,14 @@ class LevelSets:
     exist, and are rebuilt when that number changes.
     """
 
-    spec: HierarchySpec
-    engine: SetEngine
-    levels: list = field(repr=False)  # bitsets over engine ids
-    atom_ids: tuple = ()
-    _views: list = field(default_factory=list, init=False, repr=False,
-                         compare=False)
-    # (len(levels), element masks, new-member tallies and k-splits by level)
-    _index: tuple = field(default=(-1, None, None, None), init=False,
-                          repr=False, compare=False)
+    def __init__(self, spec: HierarchySpec, engine: SetEngine, levels: list,
+                 atom_ids: tuple = ()):
+        self.spec, self.engine, self.atom_ids = spec, engine, atom_ids
+        self.levels = levels  # bitsets over engine ids
+        self._views = []
+        # (len(levels), element masks, new-member tallies and k-splits by
+        # level)
+        self._index = (-1, None, None, None)
 
     @property
     def depth(self) -> int:
@@ -300,12 +296,11 @@ def profile_counts(ls: LevelSets, n: int, by: str) -> dict:
     return dict(sorted(hist.items()))
 
 
-@dataclass
 class ArkReport:
     """Outcome of checking recursive adjunctive rank against level membership."""
 
-    total: int
-    mismatches: list
+    def __init__(self, total: int, mismatches: list):
+        self.total, self.mismatches = total, mismatches
 
     @property
     def ok(self) -> bool:

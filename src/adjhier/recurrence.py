@@ -34,7 +34,6 @@ through the same row step with column functions of their own.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
 
 from .errors import BoundFunctionError, ResourceCapError
 from .variants import BoundFunction, HierarchySpec
@@ -107,21 +106,26 @@ def _params(spec: HierarchySpec):
     return u + 1, col, h
 
 
-@dataclass
 class CountTable:
     """Filled count triangle of one hierarchy.
 
     ``cols[m]`` maps a row n with ``caps[n] >= m`` to b(n, m) when that
     cell is nonzero; ``a`` holds the level sizes and ``col`` the column
     function that filled them.  The cells are immutable once filled.
+    Tables are equal when their cells and sizes are; ``col`` is not
+    compared.
     """
 
-    spec: HierarchySpec
-    n_max: int
-    cols: list = field(repr=False)
-    a: list = field(repr=False)
-    caps: list = field(repr=False)
-    col: object = field(repr=False, compare=False)
+    def __init__(self, spec: HierarchySpec, n_max: int, cols: list, a: list,
+                 caps: list, col):
+        self.spec, self.n_max = spec, n_max
+        self.cols, self.a, self.caps, self.col = cols, a, caps, col
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.spec, self.n_max, self.cols, self.a, self.caps)
+                == (other.spec, other.n_max, other.cols, other.a, other.caps))
 
     def b(self, n: int, m: int) -> int:
         if not (0 <= n <= self.n_max and -1 <= m < n):

@@ -12,13 +12,10 @@ urelements folded into the base cell.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .recurrence import CountTable, _sweep, compute_table
 from .variants import HierarchySpec
 
 
-@dataclass
 class RefinedTable:
     """Threshold-indexed triangle cells for one refinement kind, held in
     layers.  Reads below threshold 0 give 0 and reads above range
@@ -26,9 +23,15 @@ class RefinedTable:
     level n cardinality at most n.
     """
 
-    kind: str  # "rank" | "cardinality"
-    n_max: int
-    layers: list = field(repr=False)
+    def __init__(self, kind: str, n_max: int, layers: list):
+        self.kind = kind  # "rank" | "cardinality"
+        self.n_max, self.layers = n_max, layers
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.kind, self.n_max, self.layers)
+                == (other.kind, other.n_max, other.layers))
 
     def value(self, n: int, m: int, t: int) -> int:
         if t < 0:

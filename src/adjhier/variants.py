@@ -4,8 +4,7 @@ and oracle modules."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
+from collections import namedtuple
 
 from .errors import BoundFunctionError
 
@@ -13,8 +12,7 @@ KINDS = ("plain", "atoms", "bounded", "minbounded", "cumulative")
 BUILTIN_BOUNDS = ("identity", "half", "sqrt", "log2")
 
 
-@dataclass(frozen=True)
-class BoundFunction:
+class BoundFunction(namedtuple("BoundFunction", "kind values")):
     """A level bound: one of the built-ins or an explicit value table.
 
     Built-ins: identity n, half = ceil(n/2), sqrt = isqrt(n), log2 =
@@ -24,13 +22,12 @@ class BoundFunction:
     end of the table raises :class:`BoundFunctionError`.
     """
 
-    kind: str
-    values: tuple = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind == "table":
-            object.__setattr__(self, "values", tuple(int(v) for v in self.values))
-            for i, v in enumerate(self.values):
+    def __new__(cls, kind: str, values: tuple = ()):
+        if kind == "table":
+            values = tuple(int(v) for v in values)
+            for i, v in enumerate(values):
                 if v > i:
                     raise BoundFunctionError(
                         f"not sublinear: f({i}) = {v} > {i}")
@@ -38,12 +35,13 @@ class BoundFunction:
                     raise BoundFunctionError(f"negative value at index {i}")
                 # a dip would let later levels lose members, breaking the
                 # nesting the count recurrence relies on
-                if i and v < self.values[i - 1]:
+                if i and v < values[i - 1]:
                     raise BoundFunctionError(
                         f"not monotone: f({i}) = {v} < f({i - 1}) = "
-                        f"{self.values[i - 1]}")
-        elif self.kind not in BUILTIN_BOUNDS:
-            raise BoundFunctionError(f"unknown bound function {self.kind!r}")
+                        f"{values[i - 1]}")
+        elif kind not in BUILTIN_BOUNDS:
+            raise BoundFunctionError(f"unknown bound function {kind!r}")
+        return super().__new__(cls, kind, values)
 
     def __call__(self, n: int) -> int:
         if n < 0:
@@ -79,21 +77,19 @@ class BoundFunction:
         return self.kind
 
 
-@dataclass(frozen=True)
-class HierarchySpec:
+class HierarchySpec(namedtuple("HierarchySpec", "kind u f")):
     """Which hierarchy a level set or count table describes."""
 
-    kind: str
-    u: int = 0
-    f: Optional[BoundFunction] = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown hierarchy kind {self.kind!r}")
-        if self.kind == "atoms" and self.u < 0:
+    def __new__(cls, kind: str, u: int = 0, f: BoundFunction | None = None):
+        if kind not in KINDS:
+            raise ValueError(f"unknown hierarchy kind {kind!r}")
+        if kind == "atoms" and u < 0:
             raise ValueError("atom count must be nonnegative")
-        if self.kind == "bounded" and self.f is None:
+        if kind == "bounded" and f is None:
             raise ValueError("bounded hierarchies need a bound function")
+        return super().__new__(cls, kind, u, f)
 
     @classmethod
     def plain(cls) -> "HierarchySpec":

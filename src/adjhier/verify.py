@@ -9,7 +9,7 @@ is a genuine two-route confirmation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import oracle
 from .bounded import BoundFunction, compute_bounded_table, compute_minbounded
@@ -19,11 +19,8 @@ from .refinements import (compute_atoms_table, compute_d_table,
 from .variants import HierarchySpec
 
 
-@dataclass
-class Check:
-    name: str
-    ok: bool
-    detail: str = ""
+class Check(namedtuple("Check", "name ok detail", defaults=("",))):
+    __slots__ = ()
 
     def as_dict(self) -> dict:
         return {"name": self.name, "ok": self.ok, "detail": self.detail}
@@ -96,7 +93,8 @@ def verify_atoms(u: int, n_max: int = 4):
         HierarchySpec.atoms(u), n_max,
         lambda n: compute_atoms_table(u, n),
         f"atoms sequence (u={u})", "atoms b(n, m)")
-    checks[0].detail += f" table {table.sizes}"
+    checks[0] = checks[0]._replace(
+        detail=f"{checks[0].detail} table {table.sizes}")
     return ls, checks
 
 

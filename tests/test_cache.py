@@ -55,6 +55,10 @@ def test_v3_file_refused(tmp_path, capsys):
 def test_noncanonical_hex_cell_refused(tmp_path, capsys, cell):
     doc = json.loads(V4.read_text())
     doc["payload"]["layers"][-1][-1][2] = cell
+    _refused(tmp_path, capsys, doc)
+
+
+def _refused(tmp_path, capsys, doc):
     doc["checksum"] = _checksum(doc["payload"])
     path = tmp_path / "cache.json"
     path.write_text(json.dumps(doc))
@@ -63,3 +67,19 @@ def test_noncanonical_hex_cell_refused(tmp_path, capsys, cell):
     assert captured.out == ""
     assert captured.err.startswith("error: malformed cache payload")
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("at", [0, 1])
+@pytest.mark.parametrize("index", [1.75, 5.0, True, "5", " 5", "5_0", None])
+def test_noncanonical_cell_index_refused(tmp_path, capsys, at, index):
+    doc = json.loads(V4.read_text())
+    doc["payload"]["layers"][-1][-1][at] = index
+    _refused(tmp_path, capsys, doc)
+
+
+@pytest.mark.parametrize("n_max", [5, 5.0, True, " 5", "5 ", "+5", "05",
+                                   "5_0", "0x5", None])
+def test_noncanonical_n_max_refused(tmp_path, capsys, n_max):
+    doc = json.loads(V4.read_text())
+    doc["payload"]["n_max"] = n_max
+    _refused(tmp_path, capsys, doc)
