@@ -16,12 +16,10 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import random
 import stat
 
 from .errors import CacheError
-from .recurrence import table_from_cells
-from .refinements import RefinedTable, refined_table
+from .recurrence import CountTable, table_from_cells
 from .variants import HierarchySpec
 
 FORMAT_VERSION = 4
@@ -62,10 +60,10 @@ def _parse_cells(cells) -> list:
 def table_payload(table) -> dict:
     """The table's name and the nonzero cells [n, m, b(n, m)] of each of
     its layers; a count table is its own single layer."""
-    if isinstance(table, RefinedTable):
-        name, layers = table.kind, table.layers
-    else:
+    if isinstance(table, CountTable):
         name, layers = table.spec.descriptor(), [table]
+    else:
+        name, layers = table.kind, table.layers
     return {"table": name, "n_max": str(table.n_max),
             "layers": [_cells(layer) for layer in layers]}
 
@@ -89,6 +87,7 @@ def table_from_payload(payload, expect=None):
             raise ValueError(f"{len(layers)} layers for depth {n_max}")
         cells = [_parse_cells(layer) for layer in layers]
         if refined:
+            from .refinements import refined_table
             return refined_table(name, n_max, cells)
         return table_from_cells(key, n_max, cells[0])
     except (KeyError, ValueError, IndexError, TypeError,
@@ -167,6 +166,7 @@ def load_table(path, expect=None):
         raise CacheError("cache checksum mismatch")
     table = table_from_payload(payload, expect)
     if table is not None and table.n_max >= 1:
+        import random
         # row 1 too: an all-zero table recomputes to zeros in every other row
         rng = random.Random(doc["checksum"])
         for n in sorted({1, rng.randint(1, table.n_max)}):

@@ -17,11 +17,18 @@ x and y (rank max(rank x, rank y + 1)), so an adjunction costs O(1)
 beyond building its element tuple; :meth:`SetEngine.intern_sorted_ids`
 reads them off the elements.  The adjunctive rank is computed on its
 first read and kept.
+
+A whole level of adjunctions goes through :meth:`SetEngine.adjoin_level`
+in one batched pass: one canonical sort per level gives every set it
+touches an integer position, so each pair finds its slot with a C
+bisection instead of recursive comparisons, and every set gets the id
+:meth:`SetEngine.adjoin_ids` would give it pair by pair.
 """
 
 from __future__ import annotations
 
 import functools
+from bisect import bisect_left
 
 from .errors import ResourceCapError
 
@@ -86,6 +93,55 @@ class SetEngine:
             return found
         return self._add(elems, max(self._rank[x], self._rank[y] + 1),
                          self._has_atom[x] or self._has_atom[y])
+
+    def adjoin_level(self, xs, ys):
+        """Yield the id of ``x with y added`` for every x in the sequence
+        ``xs`` and y in the sequence ``ys``, x-major: the ids
+        :meth:`adjoin_ids` gives pair by pair.
+
+        One canonical sort of the ys and of every element of the xs gives
+        each of them an integer position, so y's slot in x is one C
+        bisection over x's element positions, and a pair costs one tuple
+        build and one dict lookup.  A set new to the table takes its rank
+        and atom flag from x and y, as in :meth:`adjoin_ids`; one whose
+        rank would reach :data:`PARSE_DEPTH_LIMIT` is refused and left
+        out of the table."""
+        elems, rank, has_atom = self._elems, self._rank, self._has_atom
+        intern = self._intern
+        touched = set(ys)
+        for x in xs:
+            if elems[x] is None:
+                raise ValueError("cannot adjoin an element to an atom")
+            touched.update(elems[x])
+        order = self.sort_ids(touched)
+        pos = {sid: i for i, sid in enumerate(order)}
+        yinfo = [(y, pos[y], rank[y] + 1, has_atom[y]) for y in ys]
+        end = len(order)  # sentinel past every position
+        for x in xs:
+            ex = elems[x]
+            at = [pos[e] for e in ex]
+            at.append(end)
+            cuts = [(ex[:i], ex[i:]) for i in range(len(ex) + 1)]
+            rx, ax = rank[x], has_atom[x]
+            for y, p, ry, ay in yinfo:
+                i = bisect_left(at, p)
+                if at[i] == p:
+                    yield x
+                    continue
+                pre, suf = cuts[i]
+                t = pre + (y,) + suf
+                fresh = len(elems)
+                sid = intern.setdefault(t, fresh)
+                if sid == fresh:
+                    r = rx if rx > ry else ry
+                    if r >= PARSE_DEPTH_LIMIT:
+                        del intern[t]
+                        raise ValueError(
+                            f"sets nested deeper than {PARSE_DEPTH_LIMIT}")
+                    elems.append(t)
+                    rank.append(r)
+                    has_atom.append(ax or ay)
+                yield sid
 
     def _add(self, elems: tuple, rank: int, has_atom: bool) -> int:
         """Append a set not yet interned, with its rank and atom flag."""

@@ -2,7 +2,9 @@
 
 Each level is built by literally applying its defining equation over the
 interned universe of a dedicated :class:`~adjhier.hfs.SetEngine`, and is
-stored as a dense bitset over ids.  A level is assembled in one linear
+stored as a dense bitset over ids.  The engine adjoins a whole level in
+one batched pass (:meth:`~adjhier.hfs.SetEngine.adjoin_level`), whose ids
+are consumed as they are made.  A level is assembled in one linear
 pass: the sets its loop interns are a range of fresh ids, and only the
 ids found again below that range are marked, in a byte array, so no big
 int is built per pair.  Each level is read through one
@@ -205,8 +207,7 @@ def build_levels(spec: HierarchySpec, n_max: int) -> LevelSets:
         xs = ls.members(n)[u:]  # the atoms lead every level
         ys = ls.members(_source(ls, n))
         _check_size(spec.kind, n + 1, u + 1 + len(xs) * len(ys))
-        ls.levels.append(_assemble(
-            eng, base, (eng.adjoin_ids(x, y) for x in xs for y in ys)))
+        ls.levels.append(_assemble(eng, base, eng.adjoin_level(xs, ys)))
     return ls
 
 

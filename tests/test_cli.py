@@ -181,6 +181,37 @@ def test_oracle_verify_dump(tmp_path, capsys):
     assert summary["sizes"] == ["1", "2", "4", "12", "16"]
 
 
+# sha256 of every level file --dump writes, recorded before the oracle
+# adjoined a level in one batched pass
+DUMP_DIGESTS = {
+    "--variant plain --n 4": [
+        "ca3d163bab055381827226140568f3bef7eaac187cebd76878e0b63e9e442356",
+        "4dae498f5211e6713ca65ad635101978e609d79cbb0b946a42aefa1d5866a7d6",
+        "781f00f966e496036a2e7e2c927c9917a6c1c8583f77cb0b467bdaa6d2f59467",
+        "4c437889f4ad2e86d11e8fc4e936a903ed4f31fc69cd2b060bc4debe4628fa50",
+        "a605e82948b539cde9996de2a50c6d2a32b652084d715a7f974b64ffc73b2fad",
+    ],
+    "--variant atoms --u 1 --n 3": [
+        "c1074173ab031ca3e52702acd27aee7f12df4363ecb8f5348f4f7e25ae815fb0",
+        "80ba48ae3429e151746a803756f57c628b9bbc0689a49726e4a5b3dbcfcb8abd",
+        "40d011cf9cb40574184ba737741b8a10dd5c8da10ce573afb2b2cd9874c8eaa3",
+        "b47dca74bd7132b72cad4968c6c5d92ff33feae6b8d2998cfe3074e071138a61",
+    ],
+}
+
+
+@pytest.mark.parametrize("args", sorted(DUMP_DIGESTS))
+def test_oracle_verify_dump_levels_match_recorded_digests(args, tmp_path,
+                                                          capsys):
+    dump = tmp_path / "dump"
+    out_of(["oracle-verify", *args.split(), "--dump", str(dump)], capsys)
+    files = sorted(p.name for p in dump.glob("level_*.txt"))
+    assert files == [f"level_{n:02d}.txt"
+                     for n in range(len(DUMP_DIGESTS[args]))]
+    assert [hashlib.sha256((dump / f).read_bytes()).hexdigest()
+            for f in files] == DUMP_DIGESTS[args]
+
+
 def test_output_determinism(capsys):
     one = out_of(["minbounded", "--n", "20"], capsys)
     two = out_of(["minbounded", "--n", "20"], capsys)
@@ -518,19 +549,20 @@ def test_cli_matches_recorded_digests(tmp_path, argv):
 def test_bounded_oracle_refused_before_pair_loop(monkeypatch, capsys):
     # levels 1..5 take 12,709 adjunctions; level 6 would take 21 million
     from adjhier.hfs import SetEngine
-    calls = []
-    adjoin = SetEngine.adjoin_ids
+    pairs = []
+    adjoin_level = SetEngine.adjoin_level
 
-    def counted(self, x, y):
-        calls.append(1)
-        return adjoin(self, x, y)
+    def counted(self, xs, ys):
+        for sid in adjoin_level(self, xs, ys):
+            pairs.append(1)
+            yield sid
 
-    monkeypatch.setattr(SetEngine, "adjoin_ids", counted)
+    monkeypatch.setattr(SetEngine, "adjoin_level", counted)
     assert main(["oracle-verify", "--variant", "bounded", "--f", "identity",
                  "--n", "7"]) == 3
     err = capsys.readouterr().err
     assert "level 6" in err and "Traceback" not in err
-    assert len(calls) < 20_000
+    assert 0 < len(pairs) < 20_000
 
 
 def test_atoms_oracle_refused_before_pair_loop(capsys):

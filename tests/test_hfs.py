@@ -351,3 +351,109 @@ def test_random_adjunctions_match_definition(pairs):
         else:
             eng.adjoin_ids(x, y)
     assert_bookkeeping_by_definition(eng)
+
+
+def _grown(pairs, n_atoms=2):
+    """An engine grown by random adjunctions, atoms allowed as elements."""
+    eng = SetEngine(n_atoms=n_atoms)
+    for i, j in pairs:
+        x, y = i % eng.size, j % eng.size
+        if eng.is_atom(x):
+            eng.intern_sorted_ids(tuple(eng.sort_ids({x, y})))
+        else:
+            eng.adjoin_ids(x, y)
+    return eng
+
+
+def _pairwise(eng, xs, ys, batch):
+    """Ids of every x with y added, x-major, and the refusal message if
+    one stopped the pairs."""
+    got = []
+    try:
+        if batch:
+            got.extend(eng.adjoin_level(xs, ys))
+        else:
+            for x in xs:
+                for y in ys:
+                    got.append(eng.adjoin_ids(x, y))
+    except ValueError as exc:
+        return got, str(exc)
+    return got, None
+
+
+def _state(eng):
+    return (eng._elems, eng._rank, eng._has_atom, list(eng._intern.items()))
+
+
+def _assert_batch_equals_pairwise(build, xs, ys):
+    """Both routes on two equal engines; returns the batched route's ids
+    and refusal, and its engine."""
+    batch, single = build(), build()
+    got = _pairwise(batch, xs, ys, True)
+    assert got == _pairwise(single, xs, ys, False)
+    assert _state(batch) == _state(single)
+    assert_bookkeeping_by_definition(batch)
+    return got, batch
+
+
+@given(st.lists(st.tuples(st.integers(0, 63), st.integers(0, 63)),
+                max_size=40),
+       st.integers(0, 2),
+       st.lists(st.integers(0, 63), max_size=8),
+       st.lists(st.integers(0, 63), max_size=8),
+       st.booleans())
+def test_adjoin_level_equals_adjoin_ids(pairs, n_atoms, xi, yi, member):
+    probe = _grown(pairs, n_atoms)
+    sets = [s for s in range(probe.size) if not probe.is_atom(s)]
+    xs = [sets[i % len(sets)] for i in xi]
+    ys = [j % probe.size for j in yi]
+    if member and any(probe.elements_of(x) for x in xs):
+        # a y that some x already holds
+        ys.append(next(probe.elements_of(x)[-1] for x in xs
+                       if probe.elements_of(x)))
+    _assert_batch_equals_pairwise(lambda: _grown(pairs, n_atoms), xs, ys)
+
+
+def test_adjoin_level_members_and_outside_elements():
+    eng = SetEngine(n_atoms=1)
+    e = eng.empty().id
+    one = eng.adjoin_ids(e, e)                  # {{}}
+    x = eng.adjoin_ids(eng.adjoin_ids(one, 0), one)  # {u1,{},{{}}}
+    ys = [e, one, eng.adjoin_ids(e, one)]      # x's element u1 is not a y
+    got = list(eng.adjoin_level([x, e], ys))
+    assert got[:2] == [x, x]                   # y already a member
+    assert eng.format_id(got[2]) == "{u1,{},{{}},{{{}}}}"
+    assert got[3:] == [eng.adjoin_ids(e, y) for y in ys]
+    with pytest.raises(ValueError, match="atom"):
+        list(eng.adjoin_level([0], ys))
+
+
+def _chain():
+    """The chain {}, {{}}, ... up to rank PARSE_DEPTH_LIMIT - 1, and a
+    few sets of small rank beside it."""
+    eng = SetEngine(n_atoms=1)
+    chain = [eng.empty().id]
+    while len(chain) < PARSE_DEPTH_LIMIT:
+        chain.append(eng.intern_sorted_ids((chain[-1],)))
+    eng.adjoin_ids(chain[1], 0)
+    eng.adjoin_ids(chain[2], chain[0])
+    return eng, chain
+
+
+@given(st.lists(st.integers(0, PARSE_DEPTH_LIMIT + 1), min_size=1,
+                max_size=4),
+       st.lists(st.integers(PARSE_DEPTH_LIMIT - 6, PARSE_DEPTH_LIMIT - 2),
+                max_size=6),
+       st.integers(0, 6))
+def test_adjoin_level_refusal_leaves_engine_consistent(xi, yi, at):
+    probe, chain = _chain()
+    sets = [s for s in range(probe.size) if not probe.is_atom(s)]
+    xs = [sets[i % len(sets)] for i in xi]
+    ys = [chain[j] for j in yi]
+    ys.insert(at % (len(ys) + 1), chain[-1])  # no set holds the top
+    (got, refusal), eng = _assert_batch_equals_pairwise(
+        lambda: _chain()[0], xs, ys)
+    assert refusal and "nested deeper" in refusal
+    assert len(got) == ys.index(chain[-1])  # refused at x's first top
+    assert max(eng._rank) == PARSE_DEPTH_LIMIT - 1
+    assert len(eng._intern) + eng.n_atoms == eng.size  # nothing half-interned

@@ -78,3 +78,12 @@ def test_package_names_resolve_on_first_use():
         assert getattr(adjhier, name).__module__.startswith("adjhier.")
     with pytest.raises(AttributeError):
         adjhier.no_such_name
+
+
+def test_count_table_cache_loads_no_refinements(tmp_path):
+    argv = ["levels", "--n", "5", "--cache", str(tmp_path / "levels.json")]
+    for phase in ("cold", "warm"):
+        added = _added(argv)
+        assert "adjhier.cache" in added, phase
+        assert "adjhier.refinements" not in added, phase
+    assert (tmp_path / "levels.json").exists()
