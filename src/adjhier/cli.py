@@ -8,8 +8,8 @@ as they are written, so a listing is never held whole; every refusal,
 the output budget included, comes before the first byte.  Every output
 format renders counts as decimal strings; nothing is ever routed
 through floating point.  Identical invocations produce byte identical
-output.  Exit codes: 0 success, 1 verification failure, 2 usage error,
-3 resource cap.
+output.  Exit codes: 0 success, 1 verification failure, 2 usage error
+or output that cannot be written, 3 resource cap.
 
 Most commands finish in well under a second, so start-up counts: a
 command imports only the layers it runs.  This module loads argparse,
@@ -480,15 +480,24 @@ def main(argv=None) -> int:
             OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    write = sys.stdout.write  # looked up now: callers may redirect stdout
+    out = sys.stdout  # looked up now: callers may redirect stdout
     batch, size = [], 0
-    for chunk in _emit(cmd.fmt, doc, header, rows):
-        batch.append(chunk)
-        size += len(chunk)
-        if size >= _BATCH_CHARS:
-            write("".join(batch))
-            batch, size = [], 0
-    write("".join(batch))
+    try:
+        for chunk in _emit(cmd.fmt, doc, header, rows):
+            batch.append(chunk)
+            size += len(chunk)
+            if size >= _BATCH_CHARS:
+                out.write("".join(batch))
+                batch, size = [], 0
+        out.write("".join(batch))
+        out.flush()
+    except OSError as exc:  # a closed pipe, a full device
+        # the interpreter flushes stdout again at exit: let that succeed
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, out.fileno())
+        os.close(devnull)
+        print(f"error: cannot write the output: {exc}", file=sys.stderr)
+        return 2
     return code
 
 

@@ -25,10 +25,20 @@ with a(m) > n-1 (minbounded), so the cells with cap(n) < m < n all equal
 b(n, cap(n)) and are not stored.  Rows are filled in order, each from
 the cells of earlier rows, into sparse columns that keep only nonzero
 cells.  Runs of rows that cannot hold a nonzero cell are skipped in
-bulk, and each C(c(m), k) is computed once, in a binomial row per value
-of c(m), so runs to n in the hundreds of thousands stay cheap when most
+bulk, so runs to n in the hundreds of thousands stay cheap when most
 rows are zero.  The rank and cardinality refinements fill their layers
 through the same row step with column functions of their own.
+
+A column's window and trailing terms are one sum sum_{k=1}^{K} w_k C(c, k)
+with c = c(m), K = min(q, c), q = n - g(m), w_k = b(n-k, m-1) for k < q
+and w_q = a(g(m)) - u.  A column whose c(m) fits in a machine word
+(:data:`NESTED_MIN_BITS`) reads each C(c(m), k) from a binomial row
+computed once per value of c(m); the sparse bounded fills, whose c(m)
+stay small, spend their time there.  A wider column evaluates the sum in
+nested form (see :func:`_nested`), so that each big product pairs the
+one-column-wide factor c(m) - k with a partial sum, and keeps no
+binomial row; the deep plain, atoms and refinement fills spend their
+time there.
 """
 
 from __future__ import annotations
@@ -48,6 +58,10 @@ ROW_BIT_BUDGET = 3 << 22
 ROW_COUNT_CAP = 1 << 22
 # Bits of a power-set-law level size that MinBoundedTable.a_bar_at serves.
 A_BAR_BIT_CAP = 1 << 26
+# A column whose c(m) has at least this many bits sums its window and
+# trailing terms in nested form; a narrower one reads a binomial row.
+# Chosen once per column, when the column opens.
+NESTED_MIN_BITS = 65
 
 
 class GInverse:
@@ -200,12 +214,15 @@ class _RowStep:
     """The recurrence's row step over the sparse columns of one table.
 
     Once a row first reaches column m it takes the column's constants
-    c(m), g(m), tail(m) from the table's column function, the sorted rows
-    of its stored cells and the binomial row C(c(m), 0), C(c(m), 1), ...
-    from ``binoms``, rows keyed by c(m) that the layers of one build
-    share.  ``live`` is the last row that the open columns can reach:
-    past it every window and tail term is empty until another column
-    opens.
+    c(m), g(m), tail(m) from the table's column function and the sorted
+    rows of its stored cells.  A column narrower than
+    :data:`NESTED_MIN_BITS` also takes the binomial row C(c(m), 0),
+    C(c(m), 1), ... from ``binoms``, rows keyed by c(m) that the layers of
+    one build share; a wider one is summed in nested form, and ``inner``
+    keeps its last innermost product (q, (c(m) - q + 1) * tail(m)), which
+    is linear in q.  ``live`` is the last row that the open columns can
+    reach: past it every window and tail term is empty until another
+    column opens.
     """
 
     def __init__(self, table: CountTable, binoms=None):
@@ -213,6 +230,7 @@ class _RowStep:
         self.binoms = {} if binoms is None else binoms
         self.consts = []
         self.rows = []
+        self.inner = {}
         self.live = 0
 
     def __call__(self, n: int) -> list:
@@ -227,18 +245,21 @@ class _RowStep:
             dm, gm, tail, binom = consts[m]
             q = n - gm
             val = prev
-            kmax = min(q - 1, dm)  # C(dm, k) = 0 past kmax
-            if kmax >= 1 and m >= 1:
-                rows_c, vals_c = rows[m - 1], cols[m - 1]
-                lo = bisect_left(rows_c, n - kmax)
-                hi = bisect_right(rows_c, n - 1)
-                if lo < hi:
-                    _extend(binom, dm, n - rows_c[lo])
-                    for r in rows_c[lo:hi]:
-                        val += vals_c[r] * binom[n - r]
-            if q <= dm:
-                _extend(binom, dm, q)
-                val += binom[q] * tail
+            if binom is None:
+                val += self._nested_terms(m, n, q)
+            else:
+                kmax = min(q - 1, dm)  # C(dm, k) = 0 past kmax
+                if kmax >= 1 and m >= 1:
+                    rows_c, vals_c = rows[m - 1], cols[m - 1]
+                    lo = bisect_left(rows_c, n - kmax)
+                    hi = bisect_right(rows_c, n - 1)
+                    if lo < hi:
+                        _extend(binom, dm, n - rows_c[lo])
+                        for r in rows_c[lo:hi]:
+                            val += vals_c[r] * binom[n - r]
+                if q <= dm:
+                    _extend(binom, dm, q)
+                    val += binom[q] * tail
             out.append(val)
             prev = val
         return out
@@ -250,6 +271,22 @@ class _RowStep:
                 self.table.cols[m][n] = val
                 self.rows[m].append(n)
                 self._reach(m + 1, n)
+
+    def _nested_terms(self, m: int, n: int, q: int) -> int:
+        """Column m's window and tail terms at row n, in nested form.  The
+        innermost product (c(m) - q + 1) * tail(m) at row n equals the one
+        at an earlier row q' less (q - q') * tail(m), which on consecutive
+        rows costs one subtraction."""
+        dm, _, tail, _ = self.consts[m]
+        get = self.table.cols[m - 1].get if m else {}.get
+        w = [get(n - k, 0) for k in range(1, min(q - 1, dm) + 1)]
+        if q > dm:  # C(c(m), q) = 0: no tail term
+            return _nested(dm, w) if w else 0
+        last = self.inner.get(m)
+        inner = ((dm - q + 1) * tail if last is None
+                 else last[1] - (q - last[0]) * tail)
+        self.inner[m] = (q, inner)
+        return _nested(dm, w + [tail], inner)
 
     def _reach(self, m: int, r: int):
         """A stored row r of column m-1 enters column m's window at rows
@@ -268,11 +305,31 @@ class _RowStep:
         if gm >= bisect_left(t.caps, m) or (
                 m and bisect_left(t.caps, m - 1) > gm + 1):
             raise ValueError(f"column {m} has g = {gm} below its rows")
-        self.consts.append((cm, gm, tail, self.binoms.setdefault(cm, [1, cm])))
+        binom = (None if cm.bit_length() >= NESTED_MIN_BITS
+                 else self.binoms.setdefault(cm, [1, cm]))
+        self.consts.append((cm, gm, tail, binom))
         self.rows.append(sorted(t.cols[m]))
         self.live = max(self.live, gm + min(cm, t.n_max))  # the tail term
         if m and self.rows[m - 1]:
             self._reach(m, self.rows[m - 1][-1])
+
+
+def _nested(d: int, w: list, inner=None) -> int:
+    """sum_{k=1}^{K} w[k-1] * C(d, k) for K = len(w) >= 1, with no binomial.
+
+    Horner's rule on C(d, k) = d (d-1) ... (d-k+1) / k!: from h = (d-K+1)
+    w_K, h <- (d-k+1) (h + w_k K!/k!) for k = K-1 down to 1 gives K! times
+    the sum, so one exact division ends it.  Each product of two big
+    operands pairs the factor d - k + 1 with a partial sum.  ``inner``,
+    when given, is the first product (d-K+1) w_K, which the caller may
+    already hold.
+    """
+    h = (d - len(w) + 1) * w[-1] if inner is None else inner
+    f = 1  # K!/k!
+    for k in range(len(w) - 1, 0, -1):
+        f *= k + 1
+        h = (d - k + 1) * (h + w[k - 1] * f)
+    return h // f
 
 
 def _extend(row: list, d: int, k: int):

@@ -1,11 +1,14 @@
 """Cache format v4, pinned by a committed file: the cache that
 ``rank-profile --n 5 --cache`` writes, and the same table in format v3."""
 
+import itertools
 import json
+import random
 from pathlib import Path
 
 import pytest
 
+from adjhier import recurrence
 from adjhier.cache import _checksum, load_table, save_table, table_payload
 from adjhier.cli import main
 from adjhier.recurrence import compute_b_table
@@ -83,3 +86,38 @@ def test_noncanonical_n_max_refused(tmp_path, capsys, n_max):
     doc = json.loads(V4.read_text())
     doc["payload"]["n_max"] = n_max
     _refused(tmp_path, capsys, doc)
+
+
+@pytest.mark.parametrize("command, table", [
+    ("table", lambda: compute_b_table(12)),
+    ("rank-profile", lambda: compute_r_table(12).layers[-1]),
+])
+def test_spot_check_catches_a_changed_nested_column(tmp_path, capsys,
+                                                     monkeypatch, command,
+                                                     table):
+    # cell (12, 9) of the last layer: its column adjoins c(9) of 217 bits,
+    # so the row step evaluates it in nested form
+    t = table()
+    assert t.col(t, 9)[0].bit_length() >= recurrence.NESTED_MIN_BITS
+    argv = [command, "--n", "12", "--cache", str(tmp_path / "cache.json")]
+    assert main(argv) == 0
+    capsys.readouterr()
+    doc = json.loads((tmp_path / "cache.json").read_text())
+    cell = next(c for c in doc["payload"]["layers"][-1] if c[:2] == [12, 9])
+    value = int(cell[2], 16)
+    for delta in itertools.count(1):  # until the load checks row 12
+        cell[2] = format(value + delta, "x")
+        doc["checksum"] = _checksum(doc["payload"])
+        if random.Random(doc["checksum"]).randint(1, 12) == 12:
+            break
+    (tmp_path / "cache.json").write_text(json.dumps(doc))
+    nested = []
+
+    def counted(*args, f=recurrence._nested):
+        nested.append(args)
+        return f(*args)
+    monkeypatch.setattr(recurrence, "_nested", counted)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and nested
+    assert captured.err == "error: cached row 12 fails recomputation\n"

@@ -7,6 +7,7 @@ from adjhier import oracle, recurrence
 from adjhier.errors import ResourceCapError
 from adjhier.recurrence import (a_sequence, c_sequence, compute_b_table,
                                 compute_table, table_from_cells)
+from adjhier.refinements import compute_d_table, compute_r_table
 from adjhier.variants import BoundFunction, HierarchySpec
 
 from golden import PLAIN_A
@@ -175,6 +176,88 @@ def test_minbounded_fill_matches_reference(n_max):
     (HierarchySpec.bounded(BoundFunction("sqrt")), 60),
 ])
 def test_fill_matches_reference(spec, n_max):
+    _assert_matches_reference(spec, n_max)
+
+
+# -- wide columns in nested form, narrow ones from binomial rows -------------
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=65, max_value=4000), st.data())
+def test_nested_sum_matches_binomials(bits, data):
+    # a column's terms at row n: window cells w_k = b(n-k, m-1) for
+    # k < q, some of them zero, then C(c, q) * (a(g(m)) - u) when K = q
+    c = data.draw(st.integers(1 << (bits - 1), (1 << bits) - 1))
+    q = data.draw(st.integers(1, 24))
+    cell = st.one_of(st.just(0), st.integers(1, 1 << 3000))
+    w = data.draw(st.lists(cell, min_size=q - 1, max_size=q - 1))
+    want = sum(wk * math.comb(c, k) for k, wk in enumerate(w, start=1))
+    if data.draw(st.booleans()):  # K = q: the tail term, atoms' a(m) - u
+        u = data.draw(st.integers(0, 3))
+        tail = data.draw(st.integers(u, 1 << 5000)) - u
+        want += math.comb(c, q) * tail
+        w.append(tail)
+    if not w:  # K < q = 1: an empty window and no tail
+        return
+    K = len(w)
+    assert recurrence._nested(c, w) == want
+    assert recurrence._nested(c, w, (c - K + 1) * w[-1]) == want
+
+
+def _layers(table):
+    """(a, caps, nonzero cells) of every layer of a count or refined table."""
+    return [(t.a, t.caps, _cells(t)) for t in getattr(table, "layers", [table])]
+
+
+@pytest.mark.parametrize("fill", [
+    # plain takes the nested form from row 9 (c(8) has 109 bits), atoms
+    # u=2 from row 7 (c(6) has 67), bounded half from column 9
+    lambda: compute_b_table(16),
+    lambda: compute_table(HierarchySpec.atoms(2), 14),
+    lambda: compute_table(HierarchySpec.bounded(BoundFunction("half")), 60),
+    lambda: compute_r_table(14),
+    lambda: compute_d_table(14),
+], ids=["plain 16", "atoms u=2 14", "bounded half 60", "rank 14",
+        "cardinality 14"])
+def test_nested_columns_equal_binomial_rows(monkeypatch, fill):
+    ran = dict.fromkeys(["_nested", "_extend"], 0)
+    for name in ran:
+        def counted(*args, name=name, f=getattr(recurrence, name)):
+            ran[name] += 1
+            return f(*args)
+        monkeypatch.setattr(recurrence, name, counted)
+    default = _layers(fill())
+    assert all(ran.values()), ran  # each path runs in the default fill
+    ran.update(_nested=0, _extend=0)
+    monkeypatch.setattr(recurrence, "NESTED_MIN_BITS", 1 << 30)
+    assert _layers(fill()) == default
+    assert ran["_nested"] == 0
+
+
+def test_innermost_product_carries_to_later_rows():
+    # plain columns 8..11 are wide at depth 12; a step reads rows < n only
+    t = compute_b_table(12)
+    step = recurrence._RowStep(t)
+    step(10)
+    assert step(12) == recurrence._RowStep(t)(12)  # a skipped row: q - q' = 2
+    carried = dict(step.inner)
+    assert sorted(carried) == [8, 9, 10, 11]
+    for m, (q, p) in carried.items():
+        dm, gm, tail, _ = step.consts[m]
+        assert (q, p) == (12 - gm, (dm - q + 1) * tail)
+    step(11)
+    step.inner = {m: (q, p + 1) for m, (q, p) in step.inner.items()}
+    assert step(12) != recurrence._RowStep(t)(12)  # row 12 reads the carry
+
+
+@pytest.mark.parametrize("spec, n_max", [
+    (HierarchySpec.atoms(2), 7), (HierarchySpec.min_bounded(), 120),
+    (HierarchySpec.bounded(BoundFunction("log2")), 300),
+    (HierarchySpec.bounded(BoundFunction("sqrt")), 60),
+])
+def test_every_column_nested_matches_reference(monkeypatch, spec, n_max):
+    # narrow columns in nested form: c(m) below q (K < q, no tail term)
+    # and c(m) = 0
+    monkeypatch.setattr(recurrence, "NESTED_MIN_BITS", 0)
     _assert_matches_reference(spec, n_max)
 
 

@@ -181,3 +181,44 @@ def test_full_listing_costs_no_more_memory_than_skipped(tmp_path):
         spawner.wait()
         spawner.stdout.close()
     assert rss[False] <= rss[True] + 8, rss
+
+
+# -- stdout that cannot take the output ---------------------------------------
+
+def _ends_cleanly(proc, limit_s=10):
+    try:
+        code = proc.wait(timeout=limit_s)
+    except subprocess.TimeoutExpired:
+        proc.kill()
+        proc.wait()
+        code = None
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert code in (0, 1, 2, 3), (code, err[-500:])  # None: killed
+    assert "Traceback" not in err and "Exception ignored" not in err, err
+    return code, err
+
+
+def test_reader_closing_the_pipe_ends_cleanly():
+    # like `... | head -1`: about 2.4 MB of CSV, far past a pipe's buffer
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "adjhier", "bounded", "--f", "log2",
+         "--n", "262143", "--format", "csv"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=CHILD_ENV)
+    assert proc.stdout.readline() == b"n,a_f_n\n"
+    proc.stdout.close()
+    code, err = _ends_cleanly(proc)
+    assert code == 2 and err.startswith("error: cannot write the output")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_full_device_ends_cleanly():
+    with open("/dev/full", "wb") as full:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "adjhier", "levels", "--n", "3",
+             "--format", "plain"],
+            stdout=full, stderr=subprocess.PIPE, env=CHILD_ENV)
+        code, err = _ends_cleanly(proc)
+    assert code == 2 and err.startswith("error: cannot write the output")
+    assert err.count("\n") == 1
