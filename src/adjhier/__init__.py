@@ -13,15 +13,14 @@ from importlib import import_module
 __version__ = "0.1.0"
 
 _MODULES = {
-    "asymptotics": ("ConstantEstimate", "HPReal", "constant_C", "ratio_check",
+    "asymptotics": ("ConstantEstimate", "HPReal", "constant_C",
                     "sandwich_check"),
     "bounded": ("BoundFunction", "compute_bounded_table",
                 "compute_minbounded"),
     "errors": ("BoundFunctionError", "CacheError", "ResourceCapError"),
-    "hfs": ("HFSet", "SetEngine"),
-    "oracle": ("LevelSets", "build_cumulative", "build_levels",
-               "partition_counts", "partition_split", "profile_counts",
-               "verify_ark_lemma"),
+    "hfs": ("SetEngine",),
+    "oracle": ("LevelSets", "build_levels", "partition_counts",
+               "partition_split", "profile_counts", "verify_ark_lemma"),
     "recurrence": ("CountTable", "a_sequence", "c_sequence",
                    "compute_b_table", "compute_table"),
     "refinements": ("RefinedTable", "compute_atoms_table", "compute_d_table",

@@ -6,11 +6,12 @@ series sum_{k=2..N} (ln c(k) - 2 ln c(k-1)) / 2**k telescopes to ln C_N).
 The sandwich c(n-1)**2 <= c(n) <= c(n-1)**2 (1 + 4/c(n-2)) and Bernoulli's
 inequality give C_N <= C <= C_N (1 + 4/(2**N c(N-1))): few levels, many digits.
 
-Everything analytic is carried as an :class:`HPReal`: a decimal value at
-a stated working precision together with a rigorous radius around it.
-Each operation propagates its input radii conservatively and adds one
-unit in the last place for its own rounding (decimal arithmetic is
-correctly rounded, so one ulp is a safe overestimate).
+Every root is carried as an :class:`HPReal`: a decimal value at a
+stated working precision together with a rigorous radius around it.
+Its one operation, the square root, propagates the input radius
+conservatively and adds one unit in the last place for its own rounding
+(decimal arithmetic is correctly rounded, so one ulp is a safe
+overestimate).
 Exact integer claims (the sandwich inequalities) are checked in integer
 arithmetic, never through floats.
 """
@@ -44,45 +45,6 @@ class HPReal(namedtuple("HPReal", "value error precision")):
 
     __slots__ = ()
 
-    @classmethod
-    def exact(cls, x, precision: int) -> "HPReal":
-        # Decimal(int) is quadratic in the size of the int
-        value = _int_to_decimal(x) if isinstance(x, int) else Decimal(x)
-        return cls(value, Decimal(0), precision)
-
-    def _pair_ctx(self, other: "HPReal"):
-        prec = min(self.precision, other.precision)
-        return prec, _value_context(prec)
-
-    def __add__(self, other: "HPReal") -> "HPReal":
-        prec, ctx = self._pair_ctx(other)
-        v = ctx.add(self.value, other.value)
-        e = _UP.add(_UP.add(self.error, other.error), _ulp(prec, v))
-        return HPReal(v, e, prec)
-
-    def __sub__(self, other: "HPReal") -> "HPReal":
-        return self + HPReal(other.value.copy_negate(), other.error,
-                             other.precision)
-
-    def __mul__(self, other: "HPReal") -> "HPReal":
-        prec, ctx = self._pair_ctx(other)
-        v = ctx.multiply(self.value, other.value)
-        e = _UP.add(_UP.multiply(abs(self.value), other.error),
-                    _UP.multiply(abs(other.value), self.error))
-        e = _UP.add(e, _UP.multiply(self.error, other.error))
-        e = _UP.add(e, _ulp(prec, v))
-        return HPReal(v, e, prec)
-
-    def __truediv__(self, other: "HPReal") -> "HPReal":
-        prec, ctx = self._pair_ctx(other)
-        if other.error >= abs(other.value):
-            raise ZeroDivisionError("divisor not certified away from zero")
-        v = ctx.divide(self.value, other.value)
-        denom = _DOWN.subtract(abs(other.value), other.error)
-        num = _UP.add(self.error, _UP.multiply(abs(v), other.error))
-        e = _UP.add(_UP.divide(num, denom), _ulp(prec, v))
-        return HPReal(v, e, prec)
-
     def sqrt(self) -> "HPReal":
         if self.value <= self.error:
             raise ValueError("argument not certified positive")
@@ -93,9 +55,6 @@ class HPReal(namedtuple("HPReal", "value error precision")):
         prop = _UP.divide(self.error, _DOWN.multiply(2, low))
         e = _UP.add(prop, _ulp(self.precision, v))
         return HPReal(v, e, self.precision)
-
-    def __abs__(self) -> "HPReal":
-        return HPReal(abs(self.value), self.error, self.precision)
 
     def upper(self) -> Decimal:
         return _UP.add(self.value, self.error)
@@ -165,23 +124,3 @@ def sandwich_check(c: list) -> SandwichReport:
             "upper_margin": sq * (c[n - 2] + 4) - c[n] * c[n - 2],
         })
     return SandwichReport(entries)
-
-
-def ratio_check(a: list, est: ConstantEstimate, n: int) -> HPReal:
-    """|a(n) / C**(2**n) - 1|, the observable form of the growth law.
-
-    The power is built by n squarings with the radius carried along;
-    raises when the requested precision cannot resolve the deviation.
-    """
-    if not 0 <= n < len(a):
-        raise IndexError(f"level {n} outside the provided sizes")
-    power = est.C_value
-    for _ in range(n):
-        power = power * power
-    dev = abs(HPReal.exact(a[n], power.precision) / power
-              - HPReal.exact(1, power.precision))
-    if dev.value == 0 or dev.error >= abs(dev.value):
-        raise ValueError(
-            f"precision {est.C_value.precision} cannot resolve the "
-            f"deviation after {n} squarings")
-    return dev

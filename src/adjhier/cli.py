@@ -476,6 +476,8 @@ def main(argv=None) -> int:
     except ResourceCapError as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return 3
+    except MemoryError:
+        return _out_of_memory()
     except (BoundFunctionError, CacheError, ValueError, IndexError,
             OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -498,7 +500,14 @@ def main(argv=None) -> int:
         os.close(devnull)
         print(f"error: cannot write the output: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:  # a listing's rows are rendered as they are written
+        return _out_of_memory()
     return code
+
+
+def _out_of_memory() -> int:
+    print("resource cap: out of memory", file=sys.stderr)
+    return 3
 
 
 if __name__ == "__main__":

@@ -16,9 +16,8 @@ what the recurrence modules are checked against at small depth.
 Every variant has one limit: a level that may hold more than
 :data:`DEFAULT_LEVEL_SIZE_CAP` sets is refused before it is built, level
 0 (the empty set and the atoms) included.  The bound is |base| +
-|non-atoms of level n| * |source level| for the adjunction levels and
-2**|level n| for the cumulative hierarchy, so the refused level costs
-no pair loop and no interning.
+|non-atoms of level n| * |source level|, so the refused level costs no
+pair loop and no interning.
 """
 
 from __future__ import annotations
@@ -176,15 +175,14 @@ def _count_with(hist: dict, m: int) -> int:
     return sum(c for mask, c in hist.items() if mask >> m & 1)
 
 
-def _check_size(kind: str, level: int, bound: int, shown=None):
+def _check_size(kind: str, level: int, bound: int):
     """Refuse a level that may hold more than :data:`DEFAULT_LEVEL_SIZE_CAP`
-    sets.  ``shown`` is the bound as printed, when its digits would be too
-    many."""
+    sets."""
     cap = DEFAULT_LEVEL_SIZE_CAP
     if bound > cap:
         raise ResourceCapError(
-            f"{kind} oracle level {level} may hold {shown or bound} sets "
-            f"(cap {cap})", level=level, cap=cap)
+            f"{kind} oracle level {level} may hold {bound} sets (cap {cap})",
+            level=level, cap=cap)
 
 
 def build_levels(spec: HierarchySpec, n_max: int) -> LevelSets:
@@ -196,8 +194,6 @@ def build_levels(spec: HierarchySpec, n_max: int) -> LevelSets:
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    if spec.kind not in ("plain", "atoms", "bounded", "minbounded"):
-        raise ValueError(f"build_levels does not handle {spec.kind!r}")
     u = spec.u
     _check_size(spec.kind, 0, u + 1)
     eng = SetEngine(n_atoms=u)
@@ -240,20 +236,6 @@ def _source(ls: LevelSets, n: int) -> int:
         return next((m + 1 for m in range(n, -1, -1)
                      if ls.held(members, m) == 1 << ls.size(m)), 0)
     return n
-
-
-def build_cumulative(n_max: int) -> LevelSets:
-    """Iterated power-set levels; level 0 is empty, level n+1 = P(level n)."""
-    eng = SetEngine()
-    levels = [0]
-    for n in range(n_max):
-        mem = eng.sort_ids(iter_bits(levels[-1]))
-        _check_size("cumulative", n + 1, 1 << len(mem), f"2**{len(mem)}")
-        subsets = [()]  # each ascending, in binary counting order of mem
-        for e in mem:
-            subsets += [s + (e,) for s in subsets]
-        levels.append(_assemble(eng, 0, map(eng.intern_sorted_ids, subsets)))
-    return LevelSets(HierarchySpec.cumulative(), eng, levels)
 
 
 def partition_counts(ls: LevelSets, n: int, m: int) -> int:

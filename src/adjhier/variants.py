@@ -8,7 +8,7 @@ from collections import namedtuple
 
 from .errors import BoundFunctionError
 
-KINDS = ("plain", "atoms", "bounded", "minbounded", "cumulative")
+KINDS = ("plain", "atoms", "bounded", "minbounded")
 BUILTIN_BOUNDS = ("identity", "half", "sqrt", "log2")
 
 
@@ -106,10 +106,6 @@ class HierarchySpec(namedtuple("HierarchySpec", "kind u f")):
     @classmethod
     def min_bounded(cls) -> "HierarchySpec":
         return cls("minbounded")
-
-    @classmethod
-    def cumulative(cls) -> "HierarchySpec":
-        return cls("cumulative")
 
     def descriptor(self) -> dict:
         """JSON-able description; inverse of :meth:`from_descriptor`."""

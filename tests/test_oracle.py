@@ -11,6 +11,7 @@ from adjhier.bounded import BoundFunction
 from adjhier.errors import ResourceCapError
 from adjhier.variants import HierarchySpec
 
+import hfs_reference as ref
 from golden import ATOM_SIZES, CARD_PROFILES, PLAIN_A, RANK_PROFILES
 
 
@@ -19,8 +20,9 @@ def plain5():
     return oracle.build_levels(HierarchySpec.plain(), 5)
 
 
-def codes(ls, n):
-    return {ls.engine.code_of_id(s) for s in ls.members(n)}
+def sets(ls, n):
+    """Level n as reference sets, read off the members' notations."""
+    return {ref.read(ls.engine.format_id(s)) for s in ls.members(n)}
 
 
 def test_plain_level_sizes(plain5):
@@ -29,8 +31,7 @@ def test_plain_level_sizes(plain5):
 
 
 def test_level_two_equals_third_powerset_level(plain5):
-    cum = oracle.build_cumulative(3)
-    assert codes(plain5, 2) == codes(cum, 3)
+    assert sets(plain5, 2) == ref.power_levels(3)[3]
 
 
 def test_atoms_level_sizes():
@@ -41,10 +42,10 @@ def test_atoms_level_sizes():
 
 
 def test_cumulative_levels():
-    ls = oracle.build_cumulative(4)
-    assert ls.sizes() == [0, 1, 2, 4, 16]
-    third = sorted(ls.engine.format_id(s) for s in ls.members(3))
-    assert third == sorted(["{}", "{{}}", "{{{}}}", "{{},{{}}}"])
+    levels = ref.power_levels(4)
+    assert [len(v) for v in levels] == [0, 1, 2, 4, 16]
+    assert levels[3] == {ref.read(t) for t in ("{}", "{{}}", "{{{}}}",
+                                               "{{},{{}}}")}
 
 
 def test_levels_are_nested_and_contain_empty(plain5):
@@ -55,7 +56,7 @@ def test_levels_are_nested_and_contain_empty(plain5):
         oracle.build_levels(HierarchySpec.min_bounded(), 5),
     ]
     for ls in builds:
-        empty = ls.engine.empty().id
+        empty = ls.engine.intern_sorted_ids(())
         for n in range(ls.depth):
             assert ls.levels[n] & ~ls.levels[n + 1] == 0
             assert ls.contains(n, empty)
@@ -90,7 +91,7 @@ def test_ark_lemma_small_and_trivial(plain5):
     shallow = oracle.build_levels(HierarchySpec.plain(), 3)
     report = oracle.verify_ark_lemma(shallow)
     assert report.ok and report.total == 12
-    assert plain5.engine.ark_id(plain5.engine.empty().id) == 0
+    assert plain5.engine.ark_id(plain5.engine.intern_sorted_ids(())) == 0
 
 
 def test_subset_closure_and_membership_bounds():
@@ -126,7 +127,7 @@ def test_atoms_u0_reduces_to_plain(plain5):
     plain = oracle.build_levels(HierarchySpec.plain(), 4)
     assert ls.sizes() == plain.sizes()
     for n in range(5):
-        assert codes(ls, n) == codes(plain, n)
+        assert sets(ls, n) == sets(plain, n)
 
 
 def test_bounded_identity_reduces_to_plain(plain5):
@@ -135,7 +136,7 @@ def test_bounded_identity_reduces_to_plain(plain5):
     assert ls.sizes() == PLAIN_A[:5]
     plain = oracle.build_levels(HierarchySpec.plain(), 4)
     for n in range(5):
-        assert codes(ls, n) == codes(plain, n)
+        assert sets(ls, n) == sets(plain, n)
 
 
 def test_minbounded_powerset_law():
@@ -158,8 +159,6 @@ def test_minbounded_powerset_law():
 def test_depth_caps_and_overrides():
     with pytest.raises(ResourceCapError):
         oracle.build_levels(HierarchySpec.plain(), 6)
-    with pytest.raises(ResourceCapError):
-        oracle.build_cumulative(6)
     # four atoms inflate level 3 so far that the size bound refuses level 4
     with pytest.raises(ResourceCapError):
         oracle.build_levels(HierarchySpec.atoms(4), 4)
@@ -235,9 +234,9 @@ def assert_reads_match_raw_levels(ls):
     for n in range(ls.depth + 1):
         assert [ls.contains(n, sid) for sid in range(eng.size + 2)] == [
             bool(ls.levels[n] >> sid & 1) for sid in range(eng.size + 2)]
-        sets = [sid for sid in ls.members(n) if not eng.is_atom(sid)]
+        held = ls.members(n)[eng.n_atoms:]  # the atoms lead every level
         for m in range(ls.depth + 1):
-            assert ls.held(sets, m) == raw_held(ls, sets, m)
+            assert ls.held(held, m) == raw_held(ls, held, m)
         for m in range(n):
             assert (oracle.partition_counts(ls, n, m)
                     == raw_held(ls, ls.new_members(n), m))
@@ -253,34 +252,23 @@ def test_level_reads_match_raw_bit_tests(spec, n_max):
     assert_reads_match_raw_levels(oracle.build_levels(spec, n_max))
 
 
-@pytest.mark.parametrize("spec, n_max", [
-    (HierarchySpec.plain(), 5),
-    (HierarchySpec.atoms(2), 3),
-    (HierarchySpec.bounded(BoundFunction("sqrt")), 27),
-    (HierarchySpec.min_bounded(), 5)])
-def test_levels_equal_or_of_adjoined_ids(spec, n_max):
+@pytest.mark.parametrize("spec, n_max, source", [
+    (HierarchySpec.plain(), 5, None),
+    (HierarchySpec.atoms(1), 3, None),
+    (HierarchySpec.atoms(2), 3, None),
+    (HierarchySpec.bounded(BoundFunction("sqrt")), 27,
+     ref.bounded(ref.BOUNDS["sqrt"])),
+    (HierarchySpec.bounded(BoundFunction("log2")), 19,
+     ref.bounded(ref.BOUNDS["log2"])),
+    (HierarchySpec.min_bounded(), 5, ref.minbounded)],
+    ids=["plain", "atoms-1", "atoms-2", "sqrt", "log2", "minbounded"])
+def test_levels_equal_reference(spec, n_max, source):
+    # each level as a set of notations, against the frozensets its
+    # defining equation builds
     ls = oracle.build_levels(spec, n_max)
-    eng = ls.engine
-    size = eng.size
-    for n in range(n_max):
-        ref = ls.levels[0]
-        for x in ls.members(n)[spec.u:]:
-            for y in ls.members(oracle._source(ls, n)):
-                ref |= 1 << eng.adjoin_ids(x, y)
-        assert ls.levels[n + 1] == ref, n
-    assert eng.size == size  # the replay interned nothing new
-
-
-def test_cumulative_levels_equal_or_of_subset_ids():
-    ls = oracle.build_cumulative(4)
-    eng = ls.engine
-    for n in range(4):
-        mem = eng.sort_ids(ls.members(n))
-        ref = 0
-        for mask in range(1 << len(mem)):
-            picked = tuple(mem[i] for i in oracle.iter_bits(mask))
-            ref |= 1 << eng.intern_sorted_ids(picked)
-        assert ls.levels[n + 1] == ref, n
+    want = ref.levels(n_max, spec.u, source)
+    assert [sets(ls, n) for n in range(n_max + 1)] == want
+    assert ls.sizes() == [len(v) for v in want]  # no set has two ids
 
 
 def test_level_reads_follow_appended_levels():
@@ -294,17 +282,30 @@ def test_level_reads_follow_appended_levels():
     assert_reads_match_raw_levels(ls)
 
 
+def _imports(path):
+    """(relative modules, top-level packages of absolute imports) a
+    source file imports."""
+    relative, absolute = set(), set()
+    for node in ast.walk(ast.parse(Path(path).read_text())):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            relative.update([node.module] if node.module
+                            else [a.name for a in node.names])
+        elif isinstance(node, ast.ImportFrom):
+            absolute.add(node.module.split(".")[0])
+        elif isinstance(node, ast.Import):
+            absolute.update(a.name.split(".")[0] for a in node.names)
+    return relative, absolute
+
+
 def test_oracle_imports_no_counting_code():
     # the oracle is an independent route: it shares no code with the
     # recurrences it checks
-    tree = ast.parse(Path(oracle.__file__).read_text())
-    internal = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and node.level:
-            internal.update([node.module] if node.module
-                            else [a.name for a in node.names])
-        elif isinstance(node, ast.ImportFrom):
-            assert node.module.split(".")[0] != "adjhier", node.module
-        elif isinstance(node, ast.Import):
-            assert all(a.name.split(".")[0] != "adjhier" for a in node.names)
+    internal, absolute = _imports(oracle.__file__)
     assert internal == {"hfs", "errors", "variants"}
+    assert "adjhier" not in absolute
+
+
+def test_reference_imports_no_adjhier_module():
+    # the frozenset reference shares no code with the engine it checks
+    relative, absolute = _imports(ref.__file__)
+    assert not relative and "adjhier" not in absolute

@@ -159,6 +159,16 @@ def test_long_listing_ends_cleanly_in_bounded_memory(argv):
 
 
 @linux_only
+def test_allocation_failure_ends_cleanly():
+    # the fill runs out of a 400 MB address space long before it ends
+    code, out_bytes, err = _child(
+        ["minbounded", "--n", "100000", "--skip-duplicates"], limit_s=10,
+        address_space=400 << 20)
+    assert code == 3 and out_bytes == 0, (code, err[-500:])
+    assert err == "resource cap: out of memory\n"
+
+
+@linux_only
 def test_full_listing_costs_no_more_memory_than_skipped(tmp_path):
     """Peak RSS of children launched as the benchmark launches them."""
     spawner = subprocess.Popen(

@@ -11,7 +11,6 @@ def test_descriptor_roundtrip():
         HierarchySpec.bounded(BoundFunction("half")),
         HierarchySpec.bounded(BoundFunction("table", (0, 1, 1, 2))),
         HierarchySpec.min_bounded(),
-        HierarchySpec.cumulative(),
     ]
     for spec in specs:
         assert HierarchySpec.from_descriptor(spec.descriptor()) == spec
