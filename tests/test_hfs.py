@@ -71,13 +71,34 @@ def test_ark_against_level_membership():
     assert ls.contains(2, pair) and not ls.contains(1, pair)
 
 
-def test_reference_codes():
+def test_ackermann_code_examples():
     assert [code(read(t)) for t in ("{}", "{{}}", "{{},{{}}}")] == [0, 1, 3]
-    assert decode(4) == read("{{{{}}}}")
+
+
+def test_decode_examples(eng):
+    assert [eng.format_id(intern(eng, decode(n))) for n in (0, 3)] == [
+        "{}", "{{},{{}}}"]
+    # 4 = 2**2, so the single element is the set coded 2
+    four = intern(eng, decode(4))
+    assert eng.cardinality_id(four) == 1
+    assert code(as_set(eng, eng.elements_of(four)[0])) == 2
+    assert eng.format_id(four) == "{{{{}}}}"
+
+
+def test_code_roundtrip_small_exhaustive():
     assert all(code(decode(n)) == n for n in range(4096))
 
 
-def test_printed_members_read_back():
+def test_code_roundtrip_oracle_universe():
+    ls = build_levels(HierarchySpec.plain(), 5)
+    eng = ls.engine
+    size = eng.size
+    for sid in ls.members(5):
+        assert intern(eng, decode(code(as_set(eng, sid)))) == sid
+    assert eng.size == size
+
+
+def test_parser_reads_back_every_printed_member():
     ls = build_levels(HierarchySpec.plain(), 5)
     eng = ls.engine
     size = eng.size
@@ -265,7 +286,10 @@ def assert_bookkeeping_by_definition(eng):
     lambda: build_levels(HierarchySpec.atoms(2), 3),
     lambda: build_levels(HierarchySpec.bounded(BoundFunction("sqrt")), 27),
     lambda: build_levels(HierarchySpec.min_bounded(), 5),
-], ids=["plain-5", "atoms-2-3", "bounded-sqrt-27", "minbounded-5"])
+    lambda: build_levels(HierarchySpec.atoms(1), 3),
+    lambda: build_levels(HierarchySpec.bounded(BoundFunction("log2")), 19),
+], ids=["plain-5", "atoms-2-3", "bounded-sqrt-27", "minbounded-5",
+        "atoms-1-3", "bounded-log2-19"])
 def test_oracle_bookkeeping_matches_definition(build):
     assert_bookkeeping_by_definition(build().engine)
 

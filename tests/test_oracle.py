@@ -252,6 +252,26 @@ def test_level_reads_match_raw_bit_tests(spec, n_max):
     assert_reads_match_raw_levels(oracle.build_levels(spec, n_max))
 
 
+@pytest.mark.parametrize("spec, n_max", [
+    (HierarchySpec.plain(), 5),
+    (HierarchySpec.atoms(2), 3),
+    (HierarchySpec.bounded(BoundFunction("sqrt")), 27),
+    (HierarchySpec.min_bounded(), 5)])
+def test_levels_equal_or_of_adjoined_ids(spec, n_max):
+    # the batched pass against the same adjunctions made one pair at a
+    # time
+    ls = oracle.build_levels(spec, n_max)
+    eng = ls.engine
+    size = eng.size
+    for n in range(n_max):
+        want = ls.levels[0]
+        for x in ls.members(n)[spec.u:]:
+            for y in ls.members(oracle._source(ls, n)):
+                want |= 1 << next(eng.adjoin_level([x], [y]))
+        assert ls.levels[n + 1] == want, n
+    assert eng.size == size  # the replay interned nothing new
+
+
 @pytest.mark.parametrize("spec, n_max, source", [
     (HierarchySpec.plain(), 5, None),
     (HierarchySpec.atoms(1), 3, None),
