@@ -9,11 +9,15 @@ rank or cardinality table n_max + 1 layers named by its kind.  Cells
 are lowercase hex, linear to convert both ways; decimal is only for
 people.  Caches are an optimization only: loads are spot-checked by
 recomputing row 1 and one row seeded from the checksum.
+
+The sha256 is CPython's builtin one (``_sha2`` from 3.12, ``_sha256``
+before), so a cached run does not load :mod:`hashlib` and OpenSSL for
+one digest.  A save writes the document cell by cell, holding neither
+the payload's cells nor its text, and hashes the payload as it writes.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import stat
@@ -22,7 +26,16 @@ from .errors import CacheError
 from .recurrence import CountTable, table_from_cells
 from .variants import HierarchySpec
 
+try:
+    from _sha2 import sha256
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
+
 FORMAT_VERSION = 4
+_SLICE = 1 << 16  # characters of canonical text encoded at a time
 
 
 def _canonical(obj) -> str:
@@ -30,24 +43,46 @@ def _canonical(obj) -> str:
 
 
 def _checksum(payload) -> str:
-    return hashlib.sha256(_canonical(payload).encode()).hexdigest()
+    text, digest = _canonical(payload), sha256()
+    for i in range(0, len(text), _SLICE):
+        digest.update(text[i:i + _SLICE].encode())
+    return digest.hexdigest()
 
 
-def _cells(table) -> list:
-    return sorted([n, m, format(v, "x")]
-                  for m, col in enumerate(table.cols) for n, v in col.items())
+def _payload_text(table):
+    """The payload's canonical text in pieces of one cell each: the
+    table's name, its depth and the nonzero cells [n, m, "<hex>"] of each
+    of its layers in (n, m) order; a count table is its own single
+    layer."""
+    if isinstance(table, CountTable):
+        name, layers = table.spec.descriptor(), [table]
+    else:
+        name, layers = table.kind, table.layers
+    yield '{"layers":['
+    for i, layer in enumerate(layers):
+        cols = layer.cols
+        keys = sorted((n, m) for m, col in enumerate(cols) for n in col)
+        yield "[" if i == 0 else ",["
+        for j, (n, m) in enumerate(keys):
+            yield f'{"," if j else ""}[{n},{m},"{cols[m][n]:x}"]'
+        yield "]"
+    yield (f'],"n_max":{_canonical(str(table.n_max))},'
+           f'"table":{_canonical(name)}}}')
 
 
 def _hex(s) -> int:
-    """int(s, 16) for exactly the strings ``format(v, "x")`` writes."""
+    """int(s, 16) for exactly the strings ``format(v, "x")`` writes: ASCII,
+    lowercase and as long as v's hex digits, which leaves no room for a
+    sign, prefix, separator, space or leading zero."""
     v = int(s, 16)
-    if v < 0 or format(v, "x") != s:
+    if not (v >= 0 and s.isascii() and s.lower() == s
+            and len(s) == ((v.bit_length() + 3) // 4 or 1)):
         raise ValueError(f"cell value {s[:40]!r} is not lowercase hex")
     return v
 
 
 def _index(x) -> int:
-    """A cell's n or m: a JSON int, as ``_cells`` writes it."""
+    """A cell's n or m: a JSON int, as ``_payload_text`` writes it."""
     if type(x) is not int:
         raise ValueError(f"cell index {x!r:.40} is not an int")
     return x
@@ -58,14 +93,9 @@ def _parse_cells(cells) -> list:
 
 
 def table_payload(table) -> dict:
-    """The table's name and the nonzero cells [n, m, b(n, m)] of each of
-    its layers; a count table is its own single layer."""
-    if isinstance(table, CountTable):
-        name, layers = table.spec.descriptor(), [table]
-    else:
-        name, layers = table.kind, table.layers
-    return {"table": name, "n_max": str(table.n_max),
-            "layers": [_cells(layer) for layer in layers]}
+    """The payload as JSON reads it: the table's name, its depth and the
+    nonzero cells [n, m, b(n, m)] of each of its layers."""
+    return json.loads("".join(_payload_text(table)))
 
 
 def table_from_payload(payload, expect=None):
@@ -118,13 +148,14 @@ def save_table(path, table) -> None:
     previous file, or none, never a truncated one.  The file gets the mode
     a plain ``open(path, "w")`` would leave: an existing file's own, else
     0666 less the umask.
+
+    The document is the text ``_canonical`` gives ``{"checksum": ...,
+    "format_version": ..., "payload": ...}``.  Its payload is hashed as
+    it is written, and the checksum, which leads the document at a fixed
+    offset, is written over a placeholder once the payload is complete.
     """
-    payload = table_payload(table)
-    doc = {
-        "format_version": FORMAT_VERSION,
-        "payload": payload,
-        "checksum": _checksum(payload),
-    }
+    head = '{"checksum":"'
+    digest = sha256()
     path = os.fspath(path)
     tmp = f"{path}.{os.getpid()}.{os.urandom(4).hex()}.tmp"
     try:
@@ -133,12 +164,20 @@ def save_table(path, table) -> None:
         # name the path asked for, not the random temporary one
         raise OSError(exc.errno, exc.strerror, path) from None
     try:
-        with os.fdopen(fd, "w") as fh:
+        with os.fdopen(fd, "wb") as fh:
             try:
                 os.chmod(tmp, stat.S_IMODE(os.stat(path).st_mode))
             except FileNotFoundError:
                 pass
-            fh.write(_canonical(doc))
+            fh.write(f'{head}{"0" * digest.digest_size * 2}",'
+                     f'"format_version":{FORMAT_VERSION},"payload":'.encode())
+            for piece in _payload_text(table):
+                piece = piece.encode()
+                digest.update(piece)
+                fh.write(piece)
+            fh.write(b"}")
+            fh.seek(len(head))
+            fh.write(digest.hexdigest().encode())
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)

@@ -26,9 +26,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from bisect import bisect_right
 from collections import namedtuple
-from itertools import accumulate, repeat
+from itertools import repeat
 
 from .errors import BoundFunctionError, CacheError, ResourceCapError
 from .numstr import decimal_str
@@ -126,17 +125,6 @@ def _check_output(cells: int, digits: int):
         raise ResourceCapError(
             f"the listing may take {chars} characters, past the output "
             f"budget of {OUTPUT_CHAR_BUDGET}", cap=OUTPUT_CHAR_BUDGET)
-
-
-def _runs(a: list) -> list:
-    """(value, length) of each run of equal values in ``a``, found by
-    bisection: level sizes never decrease, a(n) = a(n-1) + b(n, cap(n))."""
-    runs, n = [], 0
-    while n < len(a):
-        end = bisect_right(a, a[n], n)
-        runs.append((a[n], end - n))
-        n = end
-    return runs
 
 
 def _triangle(values: list, width: int):
@@ -271,10 +259,9 @@ def _run_sizes(cmd: CommandSpec):
         spec, compute = HierarchySpec.min_bounded(), compute_minbounded
         doc, key, column = {}, "rows", "a_bar_n"
     table = _cached_table(cmd, spec, lambda: compute(cmd.n_max))
-    runs = _runs(table.a)
+    runs = table.a.runs()  # level sizes never decrease
     if cmd.skip_duplicates:
-        indices = list(accumulate((k for _, k in runs[:-1]), initial=0))
-        runs = [(v, 1) for v, _ in runs]
+        indices, runs = table.a.starts, [(v, 1) for v in table.a.values]
     else:
         indices = range(cmd.n_max + 1)
     _check_output(2 * len(indices), sum(k * _digits(v) for v, k in runs))

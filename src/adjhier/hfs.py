@@ -31,7 +31,7 @@ from bisect import bisect_left
 
 # one more than the largest rank the engine interns, so the recursive
 # walks of a set (format_id, compare_ids, ark_id) stay well inside
-# Python's default recursion limit
+# Python's default recursion limit, and every rank fits in one byte
 PARSE_DEPTH_LIMIT = 256
 
 
@@ -42,7 +42,9 @@ class SetEngine:
     def __init__(self, n_atoms: int = 0):
         # id -> sorted tuple of element ids, None for atoms
         self._elems = [None] * n_atoms
-        self._rank = [0] * n_atoms          # id -> classical rank
+        # id -> classical rank, one byte each: a rank that would reach
+        # PARSE_DEPTH_LIMIT is refused before it is appended
+        self._rank = bytearray(n_atoms)
         self._ark = {}          # id -> adjunctive rank, filled on first read
         self._intern = {}       # element tuple -> id
         self._cmp_cache = {}

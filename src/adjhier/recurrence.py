@@ -44,6 +44,7 @@ time there.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from itertools import repeat
 
 from .errors import BoundFunctionError, ResourceCapError
 from .variants import BoundFunction, HierarchySpec
@@ -52,9 +53,9 @@ from .variants import BoundFunction, HierarchySpec
 # Chained from a(0), the bound admits the plain hierarchy through depth
 # 22 (2**23 - 1 bits; a(22) has 1,770,521) and refuses depth 23 at once.
 ROW_BIT_BUDGET = 3 << 22
-# Rows a table may have.  It keeps a(n) and cap(n) for every row, so a
-# deeper request is refused before any row is filled; a sparse bound
-# (log2) fills 2**22 rows in about a second and 100 MB.
+# Rows a table may have; a deeper request is refused before any row is
+# filled.  a(n) and cap(n) are kept per run of equal values, so a sparse
+# bound (log2) fills 2**22 rows in about 0.2 s and 18 MB.
 ROW_COUNT_CAP = 1 << 22
 # Bits of a power-set-law level size that MinBoundedTable.a_bar_at serves.
 A_BAR_BIT_CAP = 1 << 26
@@ -62,6 +63,84 @@ A_BAR_BIT_CAP = 1 << 26
 # trailing terms in nested form; a narrower one reads a binomial row.
 # Chosen once per column, when the column opens.
 NESTED_MIN_BITS = 65
+
+
+class Runs:
+    """A sequence kept as its runs of equal values: ``starts[i]`` is the
+    index where the run of ``values[i]`` begins.  ``append`` adds one
+    item and ``repeat(k)`` k more copies of the last, so a long stretch of
+    equal level sizes or caps costs one run.  Indexing takes a bisection
+    over the run starts, and the last item is read without one.  Read
+    like a list: ``==`` against a list or another ``Runs``, iteration,
+    ``len``, ``repr``.  ``bisect_left``/``bisect_right`` act as the
+    :mod:`bisect` functions on the whole sequence, which they require to
+    be nondecreasing, and so does ``in``.
+    """
+
+    __slots__ = ("starts", "values", "_len")
+
+    def __init__(self, items=()):
+        self.starts, self.values, self._len = [], [], 0
+        for v in items:
+            self.append(v)
+
+    def append(self, v):
+        values = self.values
+        if not values or values[-1] != v:
+            self.starts.append(self._len)
+            values.append(v)
+        self._len += 1
+
+    def repeat(self, k: int):
+        """Append k more copies of the last item."""
+        self._len += k
+
+    def runs(self):
+        """(value, length) of each run, in order."""
+        ends = self.starts[1:] + [self._len]
+        return [(v, e - s) for v, s, e in zip(self.values, self.starts, ends)]
+
+    def __len__(self):
+        return self._len
+
+    def __getitem__(self, i):
+        if i.__class__ is not int:
+            return list(self)[i]
+        if i < 0:
+            i += self._len
+        if not 0 <= i < self._len:
+            raise IndexError("Runs index out of range")
+        starts = self.starts
+        return self.values[-1 if i >= starts[-1]
+                           else bisect_right(starts, i) - 1]
+
+    def __iter__(self):
+        for v, k in self.runs():
+            yield from repeat(v, k)
+
+    def __eq__(self, other):
+        if isinstance(other, Runs):
+            return ((self._len, self.starts, self.values)
+                    == (other._len, other.starts, other.values))
+        if isinstance(other, list):
+            return len(other) == self._len and all(
+                x == y for x, y in zip(self, other))
+        return NotImplemented
+
+    def __repr__(self):
+        return repr(list(self))
+
+    def __contains__(self, x):
+        i = bisect_left(self.values, x)
+        return i < len(self.values) and self.values[i] == x
+
+    def bisect_left(self, x) -> int:
+        i = bisect_left(self.values, x)
+        return self.starts[i] if i < len(self.starts) else self._len
+
+    def bisect_right(self, x) -> int:
+        i = bisect_right(self.values, x)
+        return self.starts[i] if i < len(self.starts) else self._len
 
 
 class GInverse:
@@ -110,7 +189,7 @@ def _params(spec: HierarchySpec):
         g, h = (lambda m, a: ginv(m)), (lambda n, a: f(n - 1))
     elif spec.kind == "minbounded":
         g = lambda m, a: a[m - 1] if m else 0
-        h = lambda n, a: bisect_right(a, n - 1)
+        h = lambda n, a: a.bisect_right(n - 1)
     elif spec.kind not in ("plain", "atoms"):
         raise ValueError(f"no count recurrence for {spec}")
 
@@ -124,8 +203,9 @@ class CountTable:
     """Filled count triangle of one hierarchy.
 
     ``cols[m]`` maps a row n with ``caps[n] >= m`` to b(n, m) when that
-    cell is nonzero; ``a`` holds the level sizes and ``col`` the column
-    function that filled them.  The cells are immutable once filled.
+    cell is nonzero; ``a`` and ``caps`` hold the level sizes and row caps
+    as :class:`Runs`, and ``col`` the column function that filled them.
+    The cells are immutable once filled.
     Tables are equal when their cells and sizes are; ``col`` is not
     compared.
     """
@@ -181,7 +261,7 @@ class MinBoundedTable(CountTable):
         if self.a[-1] <= n:
             raise ValueError(
                 f"depth {self.n_max} insufficient: abar({self.n_max}) <= {n}")
-        return bisect_right(self.a, n)
+        return self.a.bisect_right(n)
 
     def fbar_function(self) -> BoundFunction:
         """fbar packaged as a table bound over 0..n_max-1."""
@@ -200,7 +280,7 @@ class MinBoundedTable(CountTable):
             raise IndexError("negative level")
         if idx <= self.n_max:
             return self.a[idx]
-        if idx in set(self.a):
+        if idx in self.a:
             if idx + 1 > A_BAR_BIT_CAP:
                 raise ResourceCapError(
                     f"abar({idx}) needs {idx + 1} bits", cap=A_BAR_BIT_CAP)
@@ -235,8 +315,10 @@ class _RowStep:
 
     def __call__(self, n: int) -> list:
         """b(n, 0..cap(n)), read only from the cells of rows < n."""
+        return self._row(n, self.table.caps[n])
+
+    def _row(self, n: int, cap: int) -> list:
         cols, consts, rows = self.table.cols, self.consts, self.rows
-        cap = self.table.caps[n]
         while len(consts) <= cap:
             self._open(len(consts))
         out = []
@@ -264,9 +346,10 @@ class _RowStep:
             prev = val
         return out
 
-    def fill(self, n: int):
-        """Compute row n and store its nonzero cells."""
-        for m, val in enumerate(self(n)):
+    def fill(self, n: int, cap: int):
+        """Compute row n, whose cap is ``cap``, and store its nonzero
+        cells."""
+        for m, val in enumerate(self._row(n, cap)):
             if val:
                 self.table.cols[m][n] = val
                 self.rows[m].append(n)
@@ -302,8 +385,8 @@ class _RowStep:
         # every row n of column m has q = n - g(m) >= 1, and its window
         # [g(m)+1, n-1] never reaches below the rows where column m-1 is
         # stored: only the diagonal factor c(m) needs a saturated read
-        if gm >= bisect_left(t.caps, m) or (
-                m and bisect_left(t.caps, m - 1) > gm + 1):
+        if gm >= t.caps.bisect_left(m) or (
+                m and t.caps.bisect_left(m - 1) > gm + 1):
             raise ValueError(f"column {m} has g = {gm} below its rows")
         binom = (None if cm.bit_length() >= NESTED_MIN_BITS
                  else self.binoms.setdefault(cm, [1, cm]))
@@ -339,11 +422,10 @@ def _extend(row: list, d: int, k: int):
         row.append(row[-1] * (d - j + 1) // j)
 
 
-def _bits_check(n: int, bits: int):
-    if bits > ROW_BIT_BUDGET:
-        raise ResourceCapError(
-            f"level {n} may need {bits} bits, past the budget of "
-            f"{ROW_BIT_BUDGET}", level=n, cap=ROW_BIT_BUDGET)
+def _bits_refused(n: int, bits: int) -> ResourceCapError:
+    return ResourceCapError(
+        f"level {n} may need {bits} bits, past the budget of "
+        f"{ROW_BIT_BUDGET}", level=n, cap=ROW_BIT_BUDGET)
 
 
 def _sweep(spec: HierarchySpec, n_max: int, cells=None, layer=None,
@@ -376,10 +458,12 @@ def _sweep(spec: HierarchySpec, n_max: int, cells=None, layer=None,
     for n, m, v in cells or ():
         if not 0 <= m < n <= n_max:
             raise ValueError(f"cell ({n}, {m}) outside the filled triangle")
-        cols.extend({} for _ in range(m + 1 - len(cols)))
+        if m >= len(cols):
+            cols.extend({} for _ in range(m + 1 - len(cols)))
         cols[m][n] = v
     cls = MinBoundedTable if spec.kind == "minbounded" else CountTable
-    t = cls(spec, n_max, cols, [base], [-1], col)
+    a, caps = Runs([base]), Runs([-1])
+    t = cls(spec, n_max, cols, a, caps, col)
     step = _RowStep(t, binoms) if cells is None else None
     stored = sorted({n for n, _, _ in cells or ()})
     # Level n holds x with y adjoined, x in level n-1 and y in level
@@ -388,33 +472,45 @@ def _sweep(spec: HierarchySpec, n_max: int, cells=None, layer=None,
     # that kind, it refuses too deep a request before any row is filled.
     bits = base.bit_length()
     for n in range(1, n_max + 1):
-        if h(n, t.a) != n - 1:
+        if h(n, a) != n - 1:
             break
         bits = 2 * bits + 1
-        _bits_check(n, bits)
-    n = 1
+        if bits > ROW_BIT_BUDGET:
+            raise _bits_refused(n, bits)
+    # the last size and cap, and bits(a(cap)) + 1, are kept here and read
+    # without a bisection; h(1) >= 0 sets them on the first row
+    n, size, cap, cap_bits = 1, base, -1, 0
     while n <= n_max:
-        cap = max(t.caps[-1], h(n, t.a))
-        if cap >= n:
-            raise ValueError(f"column cap {cap} at row {n} is not below it")
-        _bits_check(n, t.a[-1].bit_length() + t.a[cap].bit_length() + 1)
-        t.caps.append(cap)
-        while len(t.cols) <= cap:
-            t.cols.append({})
+        new = max(cap, h(n, a))
+        if new >= n:
+            raise ValueError(f"column cap {new} at row {n} is not below it")
+        if new != cap:
+            cap, cap_bits = new, a[new].bit_length() + 1
+            while len(cols) <= cap:
+                cols.append({})
+        bits = size.bit_length() + cap_bits
+        if bits > ROW_BIT_BUDGET:
+            raise _bits_refused(n, bits)
+        caps.append(cap)
         if step is not None:
-            step.fill(n)
+            step.fill(n, cap)
             live = n + 1 if step.live > n else n_max + 1
         else:
             i = bisect_right(stored, n)
             live = stored[i] if i < len(stored) else n_max + 1
-        t.a.append(t.a[-1] + t.cols[cap].get(n, 0))
+        size += cols[cap].get(n, 0)
+        a.append(size)
         # rows n+1 .. live-1 are zero unless the cap grows among them
         stop = n + 1 + bisect_right(range(n + 1, live), cap,
-                                    key=lambda r: h(r, t.a))
-        t.caps.extend([cap] * (stop - n - 1))
-        t.a.extend([t.a[-1]] * (stop - n - 1))
+                                    key=lambda r: h(r, a))
+        if stop > n + 1:
+            caps.repeat(stop - n - 1)
+            a.repeat(stop - n - 1)
         n = stop
-    if cells is not None and any(m > t.caps[n] for n, m, _ in cells):
+    # caps never decrease: row n reaches column m when n >= the first
+    # row whose cap is m or more
+    if cells is not None and any(col and min(col) < caps.bisect_left(m)
+                                 for m, col in enumerate(cols)):
         raise ValueError("cells outside the filled triangle")
     return t
 

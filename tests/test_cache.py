@@ -1,6 +1,7 @@
 """Cache format v4, pinned by a committed file: the cache that
 ``rank-profile --n 5 --cache`` writes, and the same table in format v3."""
 
+import hashlib
 import itertools
 import json
 import random
@@ -10,6 +11,7 @@ import pytest
 
 from adjhier import recurrence
 from adjhier.cache import _checksum, load_table, save_table, table_payload
+from adjhier.bounded import compute_minbounded
 from adjhier.cli import main
 from adjhier.recurrence import compute_b_table
 from adjhier.refinements import compute_r_table
@@ -32,6 +34,25 @@ def test_fixture_is_what_save_writes(tmp_path, capsys):
     first = capsys.readouterr().out
     assert main(ARGV + [str(V4)]) == 0
     assert capsys.readouterr().out == first
+
+
+@pytest.mark.parametrize("table", [
+    lambda: compute_b_table(12),
+    lambda: compute_minbounded(1000),  # 190k characters: three slices
+    lambda: compute_r_table(7),
+], ids=["plain 12", "minbounded 1000", "rank 7"])
+def test_save_writes_the_canonical_document(tmp_path, table):
+    path = tmp_path / "cache.json"
+    save_table(path, table())
+    text = path.read_text()
+    doc = json.loads(text)
+    canonical = lambda obj: json.dumps(obj, sort_keys=True,
+                                       separators=(",", ":"))
+    assert text == canonical(doc)
+    assert doc["checksum"] == hashlib.sha256(
+        canonical(doc["payload"]).encode()).hexdigest()
+    assert doc["checksum"] == _checksum(doc["payload"])
+    assert doc["payload"] == table_payload(table())
 
 
 def test_count_table_is_one_layer():

@@ -81,9 +81,11 @@ def test_package_names_resolve_on_first_use():
 
 
 def test_count_table_cache_loads_no_refinements(tmp_path):
+    # nor hashlib, which loads OpenSSL: the sha256 is the builtin one
     argv = ["levels", "--n", "5", "--cache", str(tmp_path / "levels.json")]
     for phase in ("cold", "warm"):
         added = _added(argv)
         assert "adjhier.cache" in added, phase
-        assert "adjhier.refinements" not in added, phase
+        assert not added & {"adjhier.refinements", "hashlib", "_hashlib"}, (
+            phase)
     assert (tmp_path / "levels.json").exists()

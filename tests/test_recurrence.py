@@ -1,3 +1,5 @@
+import bisect
+import itertools
 import math
 
 import pytest
@@ -85,6 +87,66 @@ def test_cells_match_oracle_partitions():
 def test_variant_tag():
     t = compute_b_table(2)
     assert t.spec == HierarchySpec.plain()
+
+
+# -- level sizes and caps kept per run ----------------------------------------
+
+@st.composite
+def run_ops(draw):
+    """Appends of nondecreasing values, some equal to the last, and
+    repeats of the last value."""
+    ops, v = [], draw(st.integers(-3, 3))
+    for _ in range(draw(st.integers(0, 30))):
+        if ops and draw(st.booleans()):
+            ops.append(("repeat", draw(st.integers(0, 5))))
+        else:
+            v += draw(st.integers(0, 2))
+            ops.append(("append", v))
+    return ops
+
+
+@given(run_ops(), st.lists(st.integers(-6, 70), max_size=8))
+def test_runs_read_like_the_list(ops, probes):
+    runs, items = recurrence.Runs(), []
+    for op, x in ops:
+        if op == "append":
+            runs.append(x)
+            items.append(x)
+        else:
+            runs.repeat(x)
+            items.extend([items[-1]] * x)
+    assert len(runs) == len(items)
+    assert list(runs) == items and runs == items and items == runs
+    assert repr(runs) == repr(items)
+    assert runs[1:-1] == items[1:-1]
+    for i in range(-len(items) - 2, len(items) + 2):
+        if -len(items) <= i < len(items):
+            assert runs[i] == items[i]
+        else:
+            with pytest.raises(IndexError):
+                runs[i]
+    for x in probes:
+        assert runs.bisect_left(x) == bisect.bisect_left(items, x)
+        assert runs.bisect_right(x) == bisect.bisect_right(items, x)
+        assert (x in runs) == (x in items)
+    # one run per stretch of equal items, however it was appended
+    assert runs.runs() == [(v, len(list(g)))
+                           for v, g in itertools.groupby(items)]
+    assert runs == recurrence.Runs(items)
+    if items:
+        assert runs != items[:-1] and runs != items[:-1] + [items[-1] + 1]
+        assert runs != recurrence.Runs(items[:-1])
+
+
+def test_fills_of_one_spec_are_equal():
+    spec = HierarchySpec.bounded(BoundFunction("log2"))
+    t = compute_table(spec, 5000)
+    cells = [(n, m, v) for m, col in enumerate(t.cols) for n, v in col.items()]
+    assert t == compute_table(spec, 5000) == table_from_cells(spec, 5000,
+                                                              cells)
+    assert t != compute_table(spec, 4999)
+    assert len(t.a.values) == len(set(t.a)) < 100  # runs, not rows
+    assert t.caps.values == list(range(-1, 13))  # cap(n) = floor(log2(n-1))
 
 
 # -- the kernel against a dense row-by-row reference --------------------------

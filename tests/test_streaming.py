@@ -2,6 +2,7 @@
 the output budget, and the memory a long listing takes in a fresh
 process."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -168,29 +169,50 @@ def test_allocation_failure_ends_cleanly():
     assert err == "resource cap: out of memory\n"
 
 
-@linux_only
-def test_full_listing_costs_no_more_memory_than_skipped(tmp_path):
-    """Peak RSS of children launched as the benchmark launches them."""
+def _spawned(argv, stdout):
+    """Run ``python -m adjhier argv`` with stdout to the file ``stdout``
+    as the benchmark runs its commands: from ``perfbench/spawner.py``, so
+    the child's peak RSS is its own.  Returns (exit code, peak RSS in
+    MB)."""
     spawner = subprocess.Popen(
         [sys.executable, str(ROOT / "perfbench" / "spawner.py")],
         stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
         env=CHILD_ENV)
-    stdout, rss = tmp_path / "stdout", {}
     try:
-        for skip in ([], ["--skip-duplicates"]):
-            argv = [sys.executable, "-m", "adjhier", "bounded", "--f", "log2",
-                    "--n", "65551", "--format", "json"] + skip
-            spawner.stdin.write(json.dumps(
-                {"argv": argv, "stdout": str(stdout), "limit": 30}) + "\n")
-            spawner.stdin.flush()
-            reply = json.loads(spawner.stdout.readline())
-            assert reply["code"] == 0
-            rss[bool(skip)] = reply["rss_kb"] / 1024
+        spawner.stdin.write(json.dumps(
+            {"argv": [sys.executable, "-m", "adjhier"] + argv,
+             "stdout": str(stdout), "limit": 30}) + "\n")
+        spawner.stdin.flush()
+        reply = json.loads(spawner.stdout.readline())
     finally:
         spawner.stdin.close()
         spawner.wait()
         spawner.stdout.close()
+    return reply["code"], reply["rss_kb"] / 1024
+
+
+@linux_only
+def test_full_listing_costs_no_more_memory_than_skipped(tmp_path):
+    rss = {}
+    for skip in ([], ["--skip-duplicates"]):
+        code, rss[bool(skip)] = _spawned(
+            ["bounded", "--f", "log2", "--n", "65551", "--format", "json"]
+            + skip, tmp_path / "stdout")
+        assert code == 0
     assert rss[False] <= rss[True] + 8, rss
+
+
+@linux_only
+def test_row_cap_fill_keeps_sizes_per_run(tmp_path):
+    # 4,194,305 rows and 3,954 distinct sizes: a list slot per row for
+    # a(n) and cap(n) took the peak to about 97 MB
+    stdout = tmp_path / "stdout"
+    code, rss = _spawned(["bounded", "--f", "log2", "--n", "4194304",
+                          "--skip-duplicates", "--format", "csv"], stdout)
+    assert code == 0
+    assert rss < 30, rss
+    assert hashlib.sha256(stdout.read_bytes()).hexdigest() == (
+        "9e3504a049b085052ac592f8904f0e35bf4640434a9e360a236bfebc195d2871")
 
 
 # -- stdout that cannot take the output ---------------------------------------
