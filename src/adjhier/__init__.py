@@ -13,8 +13,7 @@ from importlib import import_module
 __version__ = "0.1.0"
 
 _MODULES = {
-    "asymptotics": ("ConstantEstimate", "HPReal", "constant_C",
-                    "sandwich_check"),
+    "asymptotics": ("ConstantEstimate", "constant_C", "sandwich_check"),
     "bounded": ("BoundFunction", "compute_bounded_table",
                 "compute_minbounded"),
     "errors": ("BoundFunctionError", "CacheError", "ResourceCapError"),

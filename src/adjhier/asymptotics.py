@@ -6,12 +6,11 @@ series sum_{k=2..N} (ln c(k) - 2 ln c(k-1)) / 2**k telescopes to ln C_N).
 The sandwich c(n-1)**2 <= c(n) <= c(n-1)**2 (1 + 4/c(n-2)) and Bernoulli's
 inequality give C_N <= C <= C_N (1 + 4/(2**N c(N-1))): few levels, many digits.
 
-Every root is carried as an :class:`HPReal`: a decimal value at a
-stated working precision together with a rigorous radius around it.
-Its one operation, the square root, propagates the input radius
-conservatively and adds one unit in the last place for its own rounding
-(decimal arithmetic is correctly rounded, so one ulp is a safe
-overestimate).
+The roots are taken twice in binary fixed point with :func:`math.isqrt`:
+a floor pass from c(N) rounded down and a ceiling pass from c(N) rounded
+up.  Square root is monotone, so the two passes enclose C_N with no error
+propagation to derive.  The value is the lower end truncated to decimal;
+the radius and the tail bound are rounded up to a dozen digits.
 Exact integer claims (the sandwich inequalities) are checked in integer
 arithmetic, never through floats.
 """
@@ -19,56 +18,24 @@ arithmetic, never through floats.
 from __future__ import annotations
 
 from collections import namedtuple
-from decimal import Context, Decimal, ROUND_CEILING, ROUND_FLOOR, ROUND_HALF_EVEN
+from decimal import Context, Decimal, MAX_PREC, MIN_EMIN, ROUND_CEILING
+from math import isqrt
 
 from .numstr import _int_to_decimal
 
-# Error-bound arithmetic rounds outward; a dozen digits is plenty for bounds.
+# Bounds round outward (up); a dozen digits is plenty for bounds.
 _UP = Context(prec=12, rounding=ROUND_CEILING, Emax=999999999, Emin=-999999999)
-_DOWN = Context(prec=12, rounding=ROUND_FLOOR, Emax=999999999, Emin=-999999999)
 
-
-def _value_context(prec: int) -> Context:
-    return Context(prec=prec, rounding=ROUND_HALF_EVEN,
-                   Emax=999999999, Emin=-999999999)
-
-
-def _ulp(prec: int, result: Decimal) -> Decimal:
-    # correctly rounded results are within one ulp; exact zeros need none
-    if result == 0:
-        return Decimal(0)
-    return Decimal(1).scaleb(result.adjusted() - prec + 1)
-
-
-class HPReal(namedtuple("HPReal", "value error precision")):
-    """A decimal approximation plus a rigorous radius |stored - true|."""
-
-    __slots__ = ()
-
-    def sqrt(self) -> "HPReal":
-        if self.value <= self.error:
-            raise ValueError("argument not certified positive")
-        v = _value_context(self.precision).sqrt(self.value)
-        # |sqrt(x) - sqrt(a)| <= e / (2 sqrt(a - e)); decimal sqrt rounds
-        # half-even in any context, so next_minus makes it a floor
-        low = _DOWN.next_minus(_DOWN.sqrt(_DOWN.subtract(self.value, self.error)))
-        prop = _UP.divide(self.error, _DOWN.multiply(2, low))
-        e = _UP.add(prop, _ulp(self.precision, v))
-        return HPReal(v, e, self.precision)
-
-    def upper(self) -> Decimal:
-        return _UP.add(self.value, self.error)
-
-    def __str__(self):
-        return f"{self.value} ± {self.error}"
+Ball = namedtuple("Ball", "value error")  # value and a rigorous radius
 
 
 class ConstantEstimate(namedtuple("ConstantEstimate",
                                   "C_value terms_used truncation_bound")):
     """Certified estimate of the growth constant.
 
-    ``C_value`` is C_N = c(N)**(2**-N), N = ``terms_used``; its radius
-    adds C_N times the relative tail ``truncation_bound``, so it covers C.
+    ``C_value`` is a :class:`Ball` around C_N = c(N)**(2**-N),
+    N = ``terms_used``; its radius adds C_N times the relative tail
+    ``truncation_bound``, so it covers C.
     """
 
     __slots__ = ()
@@ -81,18 +48,46 @@ def relative_tail(c: list) -> Decimal:
     return _UP.divide(Decimal(4), _int_to_decimal(c[-2] << (len(c) - 1)))
 
 
+def _root_bounds(x: int, N: int, p: int) -> tuple:
+    """Integers lo, hi, e with lo 2**e <= x**(2**-N) <= hi 2**e, x >= 1.
+
+    Each step rescales to 2p or 2p + 1 bits, rounding lo down and hi up,
+    with the exponent kept even, then takes a floor root of lo and a
+    ceiling root of hi; both end within a few units of p-bit precision.
+    """
+    lo = hi = x
+    e = 0
+    for _ in range(N):
+        s = lo.bit_length() - 2 * p
+        s -= (e + s) & 1
+        if s > 0:
+            lo >>= s
+            hi = -(-hi >> s)
+        else:
+            lo <<= -s
+            hi <<= -s
+        e = (e + s) >> 1
+        lo = isqrt(lo)
+        hi = isqrt(hi - 1) + 1
+    return lo, hi, e
+
+
 def constant_C(c: list, digits: int) -> ConstantEstimate:
-    """C_N = c(N)**(2**-N) by N square roots, N = len(c) - 1."""
+    """C_N = c(N)**(2**-N) to digits + 10 digits, N = len(c) - 1."""
     tail = relative_tail(c)
     N = len(c) - 1
-    wp = digits + 10  # guard digits for the rounding of N + 1 steps
-    start = _value_context(wp).plus(_int_to_decimal(c[N]))
-    root = HPReal(start, _ulp(wp, start), wp)
-    for _ in range(N):
-        root = root.sqrt()
-    radius = _UP.add(root.error, _UP.multiply(root.upper(), tail))
-    return ConstantEstimate(HPReal(root.value, radius, wp), N,
-                            HPReal(tail, Decimal(0), _UP.prec))
+    u = digits + 9  # decimal places: 10 guard digits, as 1 <= C_N < 2
+    # 10/3 bits a digit, 3 digits past 10**-u: the width is a few 10**-(u+3)
+    lo, hi, e = _root_bounds(c[N], N, 10 * (u + 3) // 3)
+    scale = 10 ** u
+    exact = Context(prec=MAX_PREC, Emin=MIN_EMIN)
+    value = exact.scaleb(_int_to_decimal(lo * scale >> -e), -u)
+    # width (hi - lo) 2**e rounded up, plus the truncation 10**-u, in
+    # units of 10**-(u + 12); then value + near >= hi 2**e >= C_N
+    units = -(-(hi - lo) * scale * 10 ** 12 >> -e) + 10 ** 12
+    near = exact.scaleb(Decimal(units), -u - 12)
+    radius = _UP.add(near, _UP.multiply(_UP.add(value, near), tail))
+    return ConstantEstimate(Ball(value, radius), N, tail)
 
 
 class SandwichReport:

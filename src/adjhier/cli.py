@@ -333,7 +333,7 @@ def _run_constant(cmd: CommandSpec):
         "C": str(shown),
         "digits": str(cmd.digits),
         "terms_used": str(est.terms_used),
-        "truncation_bound": str(est.truncation_bound.upper()),
+        "truncation_bound": str(est.truncation_bound),
         "error_radius": str(est.C_value.error),
     }
     return 0, doc, ["key", "value"], [[k, v] for k, v in doc.items()]

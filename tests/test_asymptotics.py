@@ -1,11 +1,11 @@
 import time
-from decimal import Decimal
+from decimal import Context, Decimal, MAX_PREC
 
 import mpmath
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
-from adjhier.asymptotics import (HPReal, constant_C, relative_tail,
+from adjhier.asymptotics import (_root_bounds, constant_C, relative_tail,
                                  sandwich_check)
 from adjhier.recurrence import a_sequence, c_sequence, compute_b_table
 
@@ -26,43 +26,73 @@ def test_constant_matches_published_digits(c12):
 
 
 @pytest.fixture(scope="module")
-def c19():
-    return c_sequence(compute_b_table(19))
+def c22():
+    return c_sequence(compute_b_table(22))
 
 
-@given(st.integers(1, 10 ** 30), st.integers(-40, 40), st.integers(0, 999),
-       st.integers(-1000, 1000), st.integers(5, 40))
-def test_hpreal_sqrt_radius_contract(mant, exp, err_milli, pos_milli, prec):
-    # the stored value a with radius e < a, and a true value x within it
-    a = Decimal(mant).scaleb(exp)
-    e = a * err_milli / 1000
-    root = HPReal(a, e, prec).sqrt()
-    with mpmath.workdps(120):
-        x = mpmath.mpf(str(a)) + mpmath.mpf(str(e)) * pos_milli / 1000
-        miss = abs(mpmath.mpf(str(root.value)) - mpmath.sqrt(x))
-        assert miss <= mpmath.mpf(str(root.error)) * (1 + mpmath.mpf("1e-60"))
+def _sides(m: int, e: int, k: int, x: int) -> tuple:
+    """(m 2**e)**k and x, both scaled by 2**(-e k) when e < 0: exact ints."""
+    return (m ** k, x << (-e * k)) if e < 0 else (m ** k << (e * k), x)
 
 
-def test_hpreal_sqrt_needs_positive_argument():
-    with pytest.raises(ValueError, match="positive"):
-        HPReal(Decimal(1), Decimal(1), 30).sqrt()
+@given(st.integers(1, 10 ** 60), st.integers(1, 6), st.integers(1, 64))
+@example(2 ** 20 + 1, 1, 1)  # hi must round up when it drops 18 bits
+def test_root_bounds_enclose_in_exact_integers(x, N, p):
+    # lo 2**e <= x**(2**-N) <= hi 2**e, raised to the 2**N-th power
+    lo, hi, e = _root_bounds(x, N, p)
+    low, high = _sides(lo, e, 2 ** N, x), _sides(hi, e, 2 ** N, x)
+    assert low[0] <= low[1] and high[0] >= high[1]
+
+
+def _mpf(x: Decimal):
+    # exact digits, without str(), whose int conversion is length-guarded
+    exp = x.as_tuple().exponent
+    return mpmath.mpf(int(x.scaleb(-exp, Context(prec=MAX_PREC)))) * \
+        mpmath.mpf(10) ** exp
+
+
+# N from the paper's range, digits from 1 to 5,000: a fixed sample
+@pytest.mark.parametrize("N, digits", [
+    (4, 1), (4, 33), (9, 2), (9, 250), (12, 1), (12, 30), (12, 1234),
+    (16, 7), (16, 3000), (19, 1), (19, 1000), (19, 5000)])
+def test_enclosure_contains_root_at_triple_precision(c22, N, digits):
+    est = constant_C(c22[:N + 1], digits)
+    p = 10 * (digits + 12) // 3
+    lo, hi, e = _root_bounds(c22[N], N, p)
+    assert 0 < hi - lo <= 16
+    with mpmath.workdps(3 * (digits + 10)):
+        ref = mpmath.root(mpmath.mpf(c22[N]), 2 ** N)
+        assert mpmath.ldexp(lo, e) <= ref <= mpmath.ldexp(hi, e)
+        value = _mpf(est.C_value.value)
+        radius = _mpf(est.C_value.error)
+        assert value <= ref <= value + radius
+    # digits + 10 digits, the last at 10**-(digits + 9)
+    assert est.C_value.value.as_tuple().exponent == -(digits + 9)
+    assert len(est.C_value.value.as_tuple().digits) == digits + 10
 
 
 @pytest.mark.parametrize("N, digits, certified", [
     (4, 30, False), (9, 40, False), (12, 30, True), (16, 3000, True),
     (19, 1000, True)])
-def test_constant_is_root_of_last_count(c19, N, digits, certified):
-    c = c19[:N + 1]
+def test_constant_is_root_of_last_count(c22, N, digits, certified):
+    c = c22[:N + 1]
     est = constant_C(c, digits)
     assert est.terms_used == N
-    assert est.truncation_bound.upper() == relative_tail(c)
+    assert est.truncation_bound == relative_tail(c)
     with mpmath.workdps(digits + 20):
         value = mpmath.mpf(str(est.C_value.value))
         radius = mpmath.mpf(str(est.C_value.error))
         assert abs(value - mpmath.root(mpmath.mpf(c[N]), 2 ** N)) <= radius
         # C_19 <= C, so the radius must reach it: the tail term is needed
-        assert mpmath.root(mpmath.mpf(c19[19]), 2 ** 19) <= value + radius
+        assert mpmath.root(mpmath.mpf(c22[19]), 2 ** 19) <= value + radius
     assert (est.C_value.error <= Decimal(f"1e-{digits}")) == certified
+
+
+def test_constant_at_ten_thousand_digits_is_fast(c22):
+    start = time.perf_counter()
+    est = constant_C(c22, 10000)
+    assert time.perf_counter() - start < 0.6
+    assert est.C_value.error <= Decimal("1e-10000")
 
 
 def test_constant_needs_c1_equal_one(c12):
@@ -77,7 +107,7 @@ def test_constant_partial_sums_monotone(c12):
         if prev is not None:
             diff = est.C_value.value - prev.C_value.value
             assert diff >= 0
-            assert diff < prev.truncation_bound.upper() + prev.C_value.error
+            assert diff < prev.truncation_bound + prev.C_value.error
         prev = est
 
 
@@ -94,10 +124,10 @@ def test_constant_three_terms_is_two_to_three_eighths(c12):
 def test_truncation_bound_scale(c12):
     # tail after ten terms: ln(1 + 4/c(8)) / 2**9, around 2.3e-35
     est9 = constant_C(c12[:10], 40)
-    up = est9.truncation_bound.upper()
+    up = est9.truncation_bound
     assert Decimal("1e-36") < up < Decimal("1e-34")
     est12 = constant_C(c12, 30)
-    assert est12.truncation_bound.upper() < Decimal("1e-30")
+    assert est12.truncation_bound < Decimal("1e-30")
 
 
 def test_constant_determinism(c12):
@@ -136,26 +166,28 @@ def test_tail_dominance_inequality(c12):
         assert c12[n - 1] >= c12[n - 2] * sum(c12[: n - 1])
 
 
-def test_growth_law(c12):
-    # on constant_C's interval for C, |a(n)/C**(2**n) - 1| falls for
-    # n = 5..9, and at n = 9 sits below ten times C**(-2**8)
-    a = a_sequence(compute_b_table(12))
-    est = constant_C(c12, 40)
+def test_growth_law(c22):
+    # a(n) = C**(2**n) + O(C**(2**(n-1))): on constant_C's interval for C,
+    # |a(n) - C**(2**n)| <= C**(2**(n-1)) / 2 and |a(n)/C**(2**n) - 1|
+    # falls for n = 5..14; C**(2**14) has 2,081 digits
+    a = a_sequence(compute_b_table(14))
+    est = constant_C(c22[:17], 2200)
     iv, dps = mpmath.iv, mpmath.iv.dps
-    iv.dps = 60
+    iv.dps = 2300
     try:
         C = (iv.mpf(str(est.C_value.value))
              + iv.mpf(str(est.C_value.error)) * iv.mpf([-1, 1]))
-        dev = [abs(a[n] / C ** 2 ** n - 1) for n in range(5, 10)]
+        for n in range(5, 15):
+            assert (abs(a[n] - C ** 2 ** n) / C ** 2 ** (n - 1)).b <= 0.5
+        dev = [abs(a[n] / C ** 2 ** n - 1) for n in range(5, 15)]
         assert all(x.a > y.b for x, y in zip(dev, dev[1:]))
-        assert dev[-1].b < (10 / C ** 2 ** 8).a
     finally:
         iv.dps = dps
 
 
-def test_constant_converts_big_counts_subquadratically():
+def test_constant_converts_big_counts_subquadratically(c22):
     # c(21) has about 885k bits: Decimal(int) is quadratic in that size
-    c = c_sequence(compute_b_table(21))
+    c = c22[:22]
     start = time.perf_counter()
     est = constant_C(c, 50)
     fast = time.perf_counter() - start
