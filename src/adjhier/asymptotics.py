@@ -72,9 +72,13 @@ def _root_bounds(x: int, N: int, p: int) -> tuple:
     return lo, hi, e
 
 
-def constant_C(c: list, digits: int) -> ConstantEstimate:
-    """C_N = c(N)**(2**-N) to digits + 10 digits, N = len(c) - 1."""
-    tail = relative_tail(c)
+def constant_C(c: list, digits: int, tail=None) -> ConstantEstimate:
+    """C_N = c(N)**(2**-N) to digits + 10 digits, N = len(c) - 1.
+
+    ``tail`` is ``relative_tail(c)`` when the caller has it already: it
+    renders c(N-1) 2**N exactly, about 0.09 s at N = 22."""
+    if tail is None:
+        tail = relative_tail(c)
     N = len(c) - 1
     u = digits + 9  # decimal places: 10 guard digits, as 1 <= C_N < 2
     # 10/3 bits a digit, 3 digits past 10**-u: the width is a few 10**-(u+3)

@@ -5,11 +5,14 @@ header and rows; one emitter, ``_emit``, yields the text of every format
 in chunks, and ``main`` writes them to stdout in batches of about 64k
 characters.  The long listings are views whose rows are rendered only
 as they are written, so a listing is never held whole; every refusal,
-the output budget included, comes before the first byte.  Every output
-format renders counts as decimal strings; nothing is ever routed
-through floating point.  Identical invocations produce byte identical
-output.  Exit codes: 0 success, 1 verification failure, 2 usage error
-or output that cannot be written, 3 resource cap.
+the output budget included, comes before the first byte.  A value's text
+is held once: a row whose digits may fill a batch is itself a view,
+written value by value, and a value that long goes to stdout as it was
+rendered, neither quoted into a copy, joined into its row nor gathered
+into a batch.  Every output format renders counts as decimal strings;
+nothing is ever routed through floating point.  Identical invocations
+produce byte identical output.  Exit codes: 0 success, 1 verification
+failure, 2 usage error or output that cannot be written, 3 resource cap.
 
 Most commands finish in well under a second, so start-up counts: a
 command imports only the layers it runs.  This module loads argparse,
@@ -27,7 +30,8 @@ import argparse
 import os
 import sys
 from collections import namedtuple
-from itertools import repeat
+from functools import partial
+from itertools import chain, islice, repeat
 
 from .errors import BoundFunctionError, CacheError, ResourceCapError
 from .numstr import decimal_str
@@ -93,10 +97,12 @@ _BATCH_CHARS = 1 << 16  # characters gathered into one write to stdout
 
 
 class _Rows(list):
-    """``count`` rows made by ``make()`` each time the view is iterated.
+    """``count`` items made by ``make()`` each time the view is iterated:
+    the rows of a listing, or the values of one long row.
 
-    ``_json`` walks it as a list of ``count`` items, so a listing is
-    rendered while it is written and never held whole.  It is never
+    ``_json`` walks it as a list of ``count`` items and ``_emit`` writes
+    a row that is a view value by value, so a listing is rendered while
+    it is written and never held whole, nor is a long row.  It is never
     handed to json itself, whose C encoder would read it as an empty
     list.
     """
@@ -130,28 +136,44 @@ def _check_output(cells: int, digits: int):
 def _triangle(values: list, width: int):
     """Views of the int rows ``values`` as JSON rows and as CSV rows, each
     led by its index n and padded to ``width`` cells, rendered on demand;
-    refused first when past the output budget."""
-    _check_output(len(values) * (width + 1),
-                  sum(_digits(v) for row in values for v in row))
+    refused first when past the output budget.  A row whose digits may
+    reach ``_BATCH_CHARS`` is itself a view, rendered value by value."""
+    digits = [sum(map(_digits, row)) for row in values]
+    _check_output(len(values) * (width + 1), sum(digits))
 
     def rendered():
-        return ([decimal_str(v) for v in row] for row in values)
+        for row, d in zip(values, digits):
+            yield ([decimal_str(v) for v in row] if d < _BATCH_CHARS
+                   else _Rows(len(row), partial(map, decimal_str, row)))
 
-    return _Rows(len(values), rendered), _Rows(len(values), lambda: (
-        [str(n)] + row + [""] * (width - len(row))
-        for n, row in enumerate(rendered())))
+    def led():
+        for n, row in enumerate(rendered()):
+            pad = [""] * (width - len(row))
+            yield ([str(n)] + row + pad if row.__class__ is list
+                   else _Rows(width + 1, partial(chain, (str(n),), row, pad)))
+
+    return _Rows(len(values), rendered), _Rows(len(values), led)
 
 
 def _json(value, nl: str, quote):
     """Chunks of ``value`` as ``json.dumps(value, indent=2,
     sort_keys=True)`` writes it, where ``nl`` is a newline and the
     indentation of ``value``.  Nonempty dicts, lists and tuples, views
-    included, are walked here, and an item that is a string or a list of
-    strings is one chunk; strings are quoted as json quotes them, and
-    any other value is json's text, re-indented."""
+    included, are walked here.  An item that is a short string, or a list
+    or tuple of strings, is one chunk; a long string and a view are
+    walked on their own.  Strings are quoted as json quotes them, except
+    that a long string of ASCII digits, which json quotes as itself, goes
+    out uncopied between two quote chunks; any other value is json's
+    text, re-indented."""
     inner = nl + "  "
     if isinstance(value, str):
-        yield quote(value)
+        if len(value) < _BATCH_CHARS or not (value.isascii()
+                                             and value.isdigit()):
+            yield quote(value)
+        else:
+            yield '"'
+            yield value
+            yield '"'
     elif isinstance(value, dict) and value:
         sep = "{" + inner
         for key in sorted(value):
@@ -165,8 +187,9 @@ def _json(value, nl: str, quote):
         for item in value:
             text = None
             if isinstance(item, str):
-                text = quote(item)
-            elif isinstance(item, (list, tuple)) and item:
+                if len(item) < _BATCH_CHARS:
+                    text = quote(item)
+            elif item.__class__ in (list, tuple) and item:  # not a view
                 try:
                     text = f"[{item_nl}{join(map(quote, item))}{inner}]"
                 except TypeError:  # an item that is not a string
@@ -186,24 +209,31 @@ def _json(value, nl: str, quote):
 def _emit(fmt: str, doc, header, rows):
     """The one renderer: yields ``doc`` as sorted, indented JSON, or
     ``rows`` as CSV under ``header`` or as tab-separated plain lines, in
-    chunks."""
+    chunks; a row that is a view is yielded value by value."""
     if fmt == "json":
         import json
         from functools import lru_cache
         # a listing repeats a value over a run of rows, and looking a
-        # long value up costs less than quoting it again
+        # short value up costs less than quoting it again
         quote = lru_cache(16)(json.encoder.encode_basestring_ascii)
         yield from _json(doc, "\n", quote)
         yield "\n"
-    elif fmt == "csv":
+        return
+    sep = "," if fmt == "csv" else "\t"
+    if fmt == "csv":
         yield ",".join(header) + "\n"
-        for r in rows:
-            yield ",".join(r) + "\n"
-    else:
-        if not rows:
-            yield "\n"
-        for r in rows:
-            yield "\t".join(r) + "\n"
+    elif not rows:
+        yield "\n"
+    for r in rows:
+        if r.__class__ is not _Rows:
+            yield sep.join(r) + "\n"
+            continue
+        cells = iter(r)
+        yield next(cells, "")
+        for text in cells:
+            yield sep
+            yield text
+        yield "\n"
 
 
 def _cached_table(cmd: CommandSpec, want, compute):
@@ -265,12 +295,19 @@ def _run_sizes(cmd: CommandSpec):
     else:
         indices = range(cmd.n_max + 1)
     _check_output(2 * len(indices), sum(k * _digits(v) for v, k in runs))
+    # sizes never decrease, so the rows of long values come last
+    short = sum(k for v, k in runs if _digits(v) < _BATCH_CHARS)
 
     def texts():  # each value of a run is rendered once
         for v, k in runs:
             yield from repeat(decimal_str(v), k)
 
-    rows = _Rows(len(indices), lambda: zip(map(str, indices), texts()))
+    def pairs():  # the row of a long value is a view, written value by value
+        zipped = zip(map(str, indices), texts())
+        return chain(islice(zipped, short),
+                     (_Rows(2, pair.__iter__) for pair in zipped))
+
+    rows = _Rows(len(indices), pairs)
     if key == "rows":  # the bounded pair also report --skip-duplicates
         doc.update(skip_duplicates=cmd.skip_duplicates, rows=rows)
     else:
@@ -323,7 +360,7 @@ def _run_constant(cmd: CommandSpec):
     limit = Decimal((0, (1,), -cmd.digits))
     radius = relative_tail(c)
     if radius <= limit:
-        est = constant_C(c, cmd.digits)
+        est = constant_C(c, cmd.digits, radius)
         radius = est.C_value.error
     if radius > limit:
         raise ValueError(f"--n {cmd.n_max} leaves an error radius of at "
@@ -473,8 +510,14 @@ def main(argv=None) -> int:
     batch, size = [], 0
     try:
         for chunk in _emit(cmd.fmt, doc, header, rows):
+            n = len(chunk)
+            if n >= _BATCH_CHARS:  # a long value, written as it is
+                out.write("".join(batch))
+                out.write(chunk)
+                batch, size = [], 0
+                continue
             batch.append(chunk)
-            size += len(chunk)
+            size += n
             if size >= _BATCH_CHARS:
                 out.write("".join(batch))
                 batch, size = [], 0

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
-from adjhier import oracle, recurrence
+from adjhier import asymptotics, oracle, recurrence
 from adjhier.bounded import BoundFunction, compute_bounded_table, compute_minbounded
 from adjhier.cache import load_table, save_table
 from adjhier.cli import (CommandSpec, build_parser, main,
@@ -145,6 +145,25 @@ def test_constant_prints_certified_digits_fast(argv, capsys):
     assert doc["C"].startswith("1.339899757746035")
     assert len(doc["C"].replace(".", "")) == int(doc["digits"])
     assert Decimal(doc["error_radius"]) <= Decimal(f"1e-{doc['digits']}")
+
+
+@pytest.mark.parametrize("argv", [
+    ["--n", "14", "--digits", "12"],  # printed
+    ["--n", "3"],                     # refused by the tail alone
+    ["--n", "8", "--digits", "18"],   # refused by the whole radius
+])
+def test_constant_renders_the_tail_once(monkeypatch, capsys, argv):
+    # the tail renders c(N-1) 2**N exactly, about 0.09 s at N = 22
+    calls = []
+    tail = asymptotics.relative_tail
+
+    def counted(c):
+        calls.append(len(c))
+        return tail(c)
+
+    monkeypatch.setattr(asymptotics, "relative_tail", counted)
+    main(["constant"] + argv)
+    assert len(calls) == 1
 
 
 def test_oracle_verify_plain_output(capsys):

@@ -1,6 +1,6 @@
-"""Streamed output: the emitter's chunks, rendering each level size once,
-the output budget, and the memory a long listing takes in a fresh
-process."""
+"""Streamed output: the emitter's chunks, long values and rows written as
+they are, rendering each level size once, the output budget, and the
+memory a listing takes, in process and in a fresh process."""
 
 import hashlib
 import json
@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -15,7 +16,9 @@ from hypothesis import given, strategies as st
 
 from adjhier import cli
 from adjhier.bounded import BoundFunction, compute_bounded_table
-from adjhier.cli import _emit, _Rows, main
+from adjhier.cli import _BATCH_CHARS, CommandSpec, _emit, _Rows, main
+from adjhier.numstr import decimal_str
+from adjhier.recurrence import compute_b_table
 
 ROOT = Path(__file__).resolve().parents[1]
 CHILD_ENV = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
@@ -24,8 +27,17 @@ linux_only = pytest.mark.skipif(not sys.platform.startswith("linux"),
 
 TEXT = st.one_of(st.text(), st.sampled_from(
     ['"', "\\", '\\"', "é", " ", "\x00", "a,b\tc\n"]))
+# texts of _BATCH_CHARS - 1 to + 2 characters: ASCII digits, which json
+# quotes as themselves, and texts that it must still escape, Unicode
+# digits ("٣", "²") among them
+LONG_TEXT = st.builds(
+    lambda piece, extra: (piece * _BATCH_CHARS)[:_BATCH_CHARS + extra],
+    st.one_of(st.text("0123456789", min_size=1, max_size=3),
+              st.text(min_size=1, max_size=3),
+              st.sampled_from(['"', "\\", "\x1f", "é", "٣", "²", "9\n"])),
+    st.integers(-1, 2))
 DOCS = st.recursive(
-    st.one_of(TEXT, st.booleans(), st.none()),
+    st.one_of(TEXT, LONG_TEXT, st.booleans(), st.none()),
     lambda inner: st.one_of(st.lists(inner, max_size=4),
                             st.dictionaries(TEXT, inner, max_size=4)),
     max_leaves=30)
@@ -46,6 +58,123 @@ def test_json_chunks_join_to_json_dumps(doc):
     expect = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     assert "".join(_emit("json", doc, None, None)) == expect
     assert "".join(_emit("json", _as_views(doc), None, None)) == expect
+
+
+@given(rows=st.lists(st.lists(st.one_of(TEXT, LONG_TEXT), max_size=4),
+                     max_size=4),
+       views=st.lists(st.booleans(), min_size=4, max_size=4))
+def test_rows_and_long_rows_join_as_before(rows, views):
+    # a row that is a view is yielded value by value
+    given_rows = [_Rows(len(r), r.__iter__) if view else r
+                  for r, view in zip(rows, views)]
+    assert "".join(_emit("csv", None, ["n", "v"], given_rows)) == (
+        "n,v\n" + "".join(",".join(r) + "\n" for r in rows))
+    assert "".join(_emit("plain", None, None, given_rows)) == (
+        "".join("\t".join(r) + "\n" for r in rows) or "\n")
+    assert "".join(_emit("json", {"rows": given_rows}, None, None)) == (
+        json.dumps({"rows": rows}, indent=2, sort_keys=True) + "\n")
+
+
+def _as_lists(value):
+    """``value`` with every view, list and tuple made a list."""
+    if isinstance(value, dict):
+        return {k: _as_lists(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_as_lists(v) for v in value]
+    return value
+
+
+@pytest.mark.parametrize("argv", [
+    ["levels", "--n", "20"],  # a(19) and a(20): 66,623 and 133,245 digits
+    ["bounded", "--f", "identity", "--n", "20", "--skip-duplicates"],
+    ["table", "--n", "19"],  # long rows holding long values
+    ["card-profile", "--n", "16"],  # a long row of 17 short values
+])
+@pytest.mark.parametrize("fmt", ["json", "csv", "plain"])
+def test_long_listing_written_as_json_and_join_write_it(capsys, argv, fmt):
+    assert main(argv + ["--format", fmt]) == 0
+    out = capsys.readouterr().out
+    _, doc, header, rows = cli._RUNNERS[argv[0]](
+        CommandSpec.from_args(cli.build_parser().parse_args(argv)))
+    if fmt == "json":
+        expect = json.dumps(_as_lists(doc), indent=2, sort_keys=True) + "\n"
+    else:
+        sep = "," if fmt == "csv" else "\t"
+        lines = ([header] if fmt == "csv" else []) + _as_lists(rows)
+        expect = "".join(sep.join(r) + "\n" for r in lines)
+    assert out == expect
+    # the listing takes both paths: rows joined whole and long rows
+    assert 0 < sum(r.__class__ is _Rows for r in rows) < len(rows)
+
+
+@pytest.mark.parametrize("argv", [["levels", "--n", "20"],
+                                  ["table", "--n", "19"]])
+@pytest.mark.parametrize("fmt", ["json", "csv", "plain"])
+def test_long_value_written_as_rendered(monkeypatch, argv, fmt):
+    rendered, written = [], []
+    render = cli.decimal_str
+
+    def kept(v):
+        rendered.append(render(v))
+        return rendered[-1]
+
+    class Sink:
+        def write(self, text):
+            written.append(text)
+            return len(text)
+
+        def flush(self):
+            pass
+
+    monkeypatch.setattr(cli, "decimal_str", kept)
+    monkeypatch.setattr(sys, "stdout", Sink())
+    assert main(argv + ["--format", fmt]) == 0
+    long_values = [t for t in rendered if len(t) >= _BATCH_CHARS]
+    assert long_values
+    for text in long_values:  # the very object, not a copy
+        assert any(w is text for w in written)
+
+
+def _traced_peak(call, *args):
+    tracemalloc.start()
+    try:
+        call(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# What a listing may hold besides rendering its largest value, in units
+# of that value's digits D: the previous value's text (D/2 here), and in
+# JSON the quote cache, which keeps up to 16 short values with their
+# quoted copies.  Each copy of the long value costs another D.  Python
+# 3.10-3.13 measured 1.23-1.27 D in JSON and 0.69-0.80 D in CSV and
+# plain, where copying each long value into its quoted text, its row and
+# its batch took 2.73-2.80 D and 1.19-1.25 D.
+HELD_BEYOND_RENDERING = {"json": 2, "csv": 1, "plain": 1}
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "plain"])
+def test_long_value_text_held_once(monkeypatch, fmt):
+    table = compute_b_table(21)
+    a21 = table.a[21]
+    digits = len(decimal_str(a21))  # 266,264; also imports decimal
+    assert digits >= 250_000
+    rendering = _traced_peak(decimal_str, a21)
+    monkeypatch.setattr(cli, "compute_b_table", lambda n: table)
+
+    class Sink:  # keeps nothing that it is given
+        def write(self, text):
+            return len(text)
+
+        def flush(self):
+            pass
+
+    monkeypatch.setattr(sys, "stdout", Sink())
+    main(["levels", "--n", "3", "--format", fmt])  # the first call's imports
+    peak = _traced_peak(main, ["levels", "--n", "21", "--format", fmt])
+    held = (peak - rendering) / digits
+    assert held < HELD_BEYOND_RENDERING[fmt], held
 
 
 @pytest.mark.parametrize("skip", [[], ["--skip-duplicates"]])
