@@ -7,8 +7,8 @@ variance, so load-then-save is byte identical.  Every payload is
 ...]}``: a count table is one layer named by its spec's descriptor, a
 rank or cardinality table n_max + 1 layers named by its kind.  Cells
 are lowercase hex, linear to convert both ways; decimal is only for
-people.  Caches are an optimization only: loads are spot-checked by
-recomputing row 1 and one row seeded from the checksum.
+people.  Caches are an optimization only: a load checks every row against
+the row step mod a prime that the checksum picks (:func:`spot_check`).
 
 The sha256 is CPython's builtin one (``_sha2`` from 3.12, ``_sha256``
 before), so a cached run does not load :mod:`hashlib` and OpenSSL for
@@ -98,9 +98,25 @@ def table_payload(table) -> dict:
     return json.loads("".join(_payload_text(table)))
 
 
-def table_from_payload(payload, expect=None):
-    """The table a payload holds; None, without building it, when its
-    (spec or refinement kind, n_max) is not ``expect``."""
+def _prime(checksum: str) -> int:
+    """The first prime at or above the number whose 61 bits are the first
+    61 of the checksum, the top one set; Miller-Rabin with the bases 2 to
+    37 is exact below 3.3e24."""
+    p = int(checksum[:16], 16) >> 3 | 1 << 60 | 1
+    while True:
+        s = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = d * 2**s, d odd
+        d = (p - 1) >> s
+        if all(pow(b, d, p) == 1 or any(pow(b, d << r, p) == p - 1
+                                        for r in range(s))
+               for b in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)):
+            return p
+        p += 2
+
+
+def table_from_payload(payload, expect, p: int):
+    """The table a payload holds, rebuilt by :func:`spot_check` mod the
+    prime p; None, without building it, when its (spec or refinement
+    kind, n_max) is not ``expect``."""
     if not isinstance(payload, dict):
         raise CacheError("cache payload is not a JSON object")
     try:
@@ -115,27 +131,21 @@ def table_from_payload(payload, expect=None):
         layers = payload["layers"]
         if len(layers) != (n_max + 1 if refined else 1):
             raise ValueError(f"{len(layers)} layers for depth {n_max}")
-        cells = [_parse_cells(layer) for layer in layers]
-        if refined:
-            from .refinements import refined_table
-            return refined_table(name, n_max, cells)
-        return table_from_cells(key, n_max, cells[0])
+        return spot_check(key, n_max,
+                          [_parse_cells(layer) for layer in layers], p)
     except (KeyError, ValueError, IndexError, TypeError,
             AttributeError) as exc:
         raise CacheError(f"malformed cache payload: {exc}") from exc
 
 
-def spot_check(table, n: int):
-    """Recompute row n of the cached table from its other cached cells."""
-    if n < 1:
-        return
-    try:
-        ok = table.check_row(n)
-    except (ValueError, IndexError) as exc:
-        raise CacheError(
-            f"cached row {n} cannot be recomputed: {exc}") from exc
-    if not ok:
-        raise CacheError(f"cached row {n} fails recomputation")
+def spot_check(key, n_max: int, cells: list, p: int):
+    """Rebuild the table of ``key`` (a spec or refinement kind) from the
+    cells of its layers, every row checked against the row step mod the
+    prime p; the first row that fails raises :class:`CacheError`."""
+    if isinstance(key, str):  # a refinement kind
+        from .refinements import refined_table
+        return refined_table(key, n_max, cells, p)
+    return table_from_cells(key, n_max, cells[0], p)
 
 
 # -- file interface ----------------------------------------------------------
@@ -201,13 +211,7 @@ def load_table(path, expect=None):
             f"cache format_version {doc['format_version']} != "
             f"{FORMAT_VERSION}; refusing to load")
     payload = doc.get("payload")
-    if _checksum(payload) != doc.get("checksum"):
+    checksum = _checksum(payload)
+    if checksum != doc.get("checksum"):
         raise CacheError("cache checksum mismatch")
-    table = table_from_payload(payload, expect)
-    if table is not None and table.n_max >= 1:
-        import random
-        # row 1 too: an all-zero table recomputes to zeros in every other row
-        rng = random.Random(doc["checksum"])
-        for n in sorted({1, rng.randint(1, table.n_max)}):
-            spot_check(table, n)
-    return table
+    return table_from_payload(payload, expect, _prime(checksum))

@@ -26,11 +26,10 @@ bisection instead of recursive comparisons.
 
 from __future__ import annotations
 
-import functools
 from bisect import bisect_left
 
 # one more than the largest rank the engine interns, so the recursive
-# walks of a set (format_id, compare_ids, ark_id) stay well inside
+# walks of a set (format_id, _key, ark_id) stay well inside
 # Python's default recursion limit, and every rank fits in one byte
 PARSE_DEPTH_LIMIT = 256
 
@@ -47,7 +46,7 @@ class SetEngine:
         self._rank = bytearray(n_atoms)
         self._ark = {}          # id -> adjunctive rank, filled on first read
         self._intern = {}       # element tuple -> id
-        self._cmp_cache = {}
+        self._keys = {}         # id -> sort key, filled on first read
         self.n_atoms = n_atoms
         self.intern_sorted_ids(())  # the empty set
 
@@ -117,42 +116,27 @@ class SetEngine:
 
     # -- canonical order ---------------------------------------------------
 
-    def compare_ids(self, a: int, b: int) -> int:
-        """Canonical order: -1, 0 or 1.
+    def _key(self, sid: int) -> tuple:
+        """Canonical sort key, kept once read: (0, id) for an atom, else (1,
+        the element keys in descending order).  Tuple order is the canonical
+        order: atoms first, by id, then sets as descending element sequences
+        with a prefix first; on pure sets, the order of Ackermann codes."""
+        key = self._keys.get(sid)
+        if key is None:
+            elems = self._elems[sid]
+            key = (0, sid) if elems is None else (
+                1, tuple(self._key(e) for e in reversed(elems)))
+            self._keys[sid] = key
+        return key
 
-        Atoms sort below every set and among themselves by id.  Sets are
-        compared as descending element sequences, lexicographically, with
-        element comparisons recursing.  On pure sets this agrees with the
-        numeric order of Ackermann codes.
-        """
-        if a == b:
-            return 0
-        key = (a, b)
-        cached = self._cmp_cache.get(key)
-        if cached is not None:
-            return cached
-        ea, eb = self._elems[a], self._elems[b]
-        if ea is None or eb is None:
-            if ea is None and eb is None:
-                c = -1 if a < b else 1
-            else:
-                c = -1 if ea is None else 1
-        else:
-            c = 0
-            for x, y in zip(reversed(ea), reversed(eb)):
-                if x != y:
-                    c = self.compare_ids(x, y)
-                    break
-            if c == 0:
-                # one descending sequence is a prefix of the other
-                c = -1 if len(ea) < len(eb) else 1
-        self._cmp_cache[key] = c
-        self._cmp_cache[(b, a)] = -c
-        return c
+    def compare_ids(self, a: int, b: int) -> int:
+        """Canonical order: -1, 0 or 1."""
+        ka, kb = self._key(a), self._key(b)
+        return (ka > kb) - (ka < kb)
 
     def sort_ids(self, ids) -> list:
         """Sort ids into canonical order."""
-        return sorted(ids, key=functools.cmp_to_key(self.compare_ids))
+        return sorted(ids, key=self._key)
 
     # -- queries -----------------------------------------------------------
 

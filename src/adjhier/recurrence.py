@@ -27,7 +27,9 @@ the cells of earlier rows, into sparse columns that keep only nonzero
 cells.  Runs of rows that cannot hold a nonzero cell are skipped in
 bulk, so runs to n in the hundreds of thousands stay cheap when most
 rows are zero.  The rank and cardinality refinements fill their layers
-through the same row step with column functions of their own.
+through the same row step with column functions of their own.  A table
+rebuilt from stored cells takes the same sweep, each row's cells checked
+against the row step run mod a prime.
 
 A column's window and trailing terms are one sum sum_{k=1}^{K} w_k C(c, k)
 with c = c(m), K = min(q, c), q = n - g(m), w_k = b(n-k, m-1) for k < q
@@ -46,7 +48,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from itertools import repeat
 
-from .errors import BoundFunctionError, ResourceCapError
+from .errors import BoundFunctionError, CacheError, ResourceCapError
 from .variants import BoundFunction, HierarchySpec
 
 # Bits a level size may need before its row is filled (see _sweep).
@@ -246,11 +248,6 @@ class CountTable:
     def _m_caps(self) -> list:
         return self.caps
 
-    def check_row(self, n: int) -> bool:
-        """Whether the stored row n equals the row step over rows < n."""
-        return _RowStep(self)(n) == [
-            self.cols[m].get(n, 0) for m in range(self.caps[n] + 1)]
-
 
 class MinBoundedTable(CountTable):
     """Count table of the minimally bounded hierarchy, with the bound
@@ -303,22 +300,24 @@ class _RowStep:
     is linear in q.  ``live`` is the last row that the open columns can
     reach: past it every window and tail term is empty until another
     column opens.
+
+    With a prime ``p`` the step runs over residues mod p: every column
+    reads a binomial row mod p, keyed by c(m) mod p, and each cell, a sum
+    of exact earlier cells times those residues, is reduced once.  c(m)
+    and g(m) stay exact, so ``live`` is the exact step's.
     """
 
-    def __init__(self, table: CountTable, binoms=None):
-        self.table = table
+    def __init__(self, table: CountTable, binoms=None, p=None):
+        self.table, self.p = table, p
         self.binoms = {} if binoms is None else binoms
         self.consts = []
         self.rows = []
         self.inner = {}
         self.live = 0
 
-    def __call__(self, n: int) -> list:
-        """b(n, 0..cap(n)), read only from the cells of rows < n."""
-        return self._row(n, self.table.caps[n])
-
     def _row(self, n: int, cap: int) -> list:
-        cols, consts, rows = self.table.cols, self.consts, self.rows
+        """b(n, 0..cap), or its residues mod p, from the cells of rows < n."""
+        cols, consts, rows, p = self.table.cols, self.consts, self.rows, self.p
         while len(consts) <= cap:
             self._open(len(consts))
         out = []
@@ -336,20 +335,28 @@ class _RowStep:
                     lo = bisect_left(rows_c, n - kmax)
                     hi = bisect_right(rows_c, n - 1)
                     if lo < hi:
-                        _extend(binom, dm, n - rows_c[lo])
+                        _extend(binom, binom[1], n - rows_c[lo], p)
                         for r in rows_c[lo:hi]:
                             val += vals_c[r] * binom[n - r]
                 if q <= dm:
-                    _extend(binom, dm, q)
+                    _extend(binom, binom[1], q, p)  # binom[1] = C(d, 1) = d
                     val += binom[q] * tail
+                if p is not None:
+                    val %= p
             out.append(val)
             prev = val
         return out
 
-    def fill(self, n: int, cap: int):
+    def fill(self, n: int, cap: int, stored=None):
         """Compute row n, whose cap is ``cap``, and store its nonzero
-        cells."""
-        for m, val in enumerate(self._row(n, cap)):
+        cells.  ``stored``, the row's cells b(n, 0..cap) as a cache holds
+        them, is checked against the row mod p and stored in its place."""
+        row = self._row(n, cap)
+        if stored is not None:
+            if [v % self.p for v in stored] != row:
+                raise CacheError(f"cached row {n} fails recomputation")
+            row = stored
+        for m, val in enumerate(row):
             if val:
                 self.table.cols[m][n] = val
                 self.rows[m].append(n)
@@ -388,9 +395,11 @@ class _RowStep:
         if gm >= t.caps.bisect_left(m) or (
                 m and t.caps.bisect_left(m - 1) > gm + 1):
             raise ValueError(f"column {m} has g = {gm} below its rows")
-        binom = (None if cm.bit_length() >= NESTED_MIN_BITS
-                 else self.binoms.setdefault(cm, [1, cm]))
-        self.consts.append((cm, gm, tail, binom))
+        p = self.p
+        d = cm if p is None else cm % p
+        binom = (None if p is None and cm.bit_length() >= NESTED_MIN_BITS
+                 else self.binoms.setdefault(d, [1, d]))
+        self.consts.append((cm, gm, tail if p is None else tail % p, binom))
         self.rows.append(sorted(t.cols[m]))
         self.live = max(self.live, gm + min(cm, t.n_max))  # the tail term
         if m and self.rows[m - 1]:
@@ -415,11 +424,13 @@ def _nested(d: int, w: list, inner=None) -> int:
     return h // f
 
 
-def _extend(row: list, d: int, k: int):
+def _extend(row: list, d: int, k: int, p=None):
     """Extend the binomial row C(d, 0), C(d, 1), ... through C(d, k) by
-    C(d, j) = C(d, j-1) * (d-j+1) // j, exact at every step."""
+    C(d, j) = C(d, j-1) * (d-j+1) // j, exact at every step; or, with a
+    prime p > k, the row mod p by C(d, j) = C(d, j-1) * (d-j+1) * j^-1."""
     for j in range(len(row), k + 1):
-        row.append(row[-1] * (d - j + 1) // j)
+        row.append(row[-1] * (d - j + 1) // j if p is None
+                   else row[-1] * (d - j + 1) * pow(j, -1, p) % p)
 
 
 def _bits_refused(n: int, bits: int) -> ResourceCapError:
@@ -429,16 +440,18 @@ def _bits_refused(n: int, bits: int) -> ResourceCapError:
 
 
 def _sweep(spec: HierarchySpec, n_max: int, cells=None, layer=None,
-           binoms=None) -> CountTable:
-    """Derive cap(n) and a(n) row by row; each row is filled by the row
-    step, or read from ``cells``, a list of (n, m, b(n, m)), when given.
-    ``layer`` = (c(0), col) replaces the spec's own, as for refinements,
-    and ``binoms`` is a binomial-row store shared with other layers.
+           binoms=None, p=None) -> CountTable:
+    """Derive cap(n) and a(n) row by row and fill each row by the row
+    step.  With ``cells``, a list of (n, m, b(n, m)) that is sorted in
+    place, each row's cells are read from it instead, checked against the
+    step mod the prime ``p``; a cell past cap(n) is refused.  ``layer`` =
+    (c(0), col) replaces the spec's own, as for refinements, and
+    ``binoms`` is a binomial-row store shared with other layers.
 
     Rows that cannot hold a nonzero cell are not visited: those past the
-    row step's ``live`` row (or between stored rows, for ``cells``) are
-    zero until cap(n) grows, so the sweep jumps to the next row that is
-    live or grows the cap, found by bisection on the monotone cap source.
+    row step's ``live`` row and before the next stored row are zero until
+    cap(n) grows, so the sweep jumps to the next row that is live, stored
+    or grows the cap, found by bisection on the monotone cap source.
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
@@ -454,18 +467,15 @@ def _sweep(spec: HierarchySpec, n_max: int, cells=None, layer=None,
     base, col, h = _params(spec)
     if layer is not None:
         base, col = layer
-    cols = []
-    for n, m, v in cells or ():
+    for n, m, _ in cells or ():
         if not 0 <= m < n <= n_max:
             raise ValueError(f"cell ({n}, {m}) outside the filled triangle")
-        if m >= len(cols):
-            cols.extend({} for _ in range(m + 1 - len(cols)))
-        cols[m][n] = v
+    if cells is not None:
+        cells.sort()
     cls = MinBoundedTable if spec.kind == "minbounded" else CountTable
-    a, caps = Runs([base]), Runs([-1])
+    cols, a, caps = [], Runs([base]), Runs([-1])
     t = cls(spec, n_max, cols, a, caps, col)
-    step = _RowStep(t, binoms) if cells is None else None
-    stored = sorted({n for n, _, _ in cells or ()})
+    step = _RowStep(t, binoms, None if cells is None else p)
     # Level n holds x with y adjoined, x in level n-1 and y in level
     # cap(n), so bits(a(n)) <= bits(a(n-1)) + bits(a(cap(n))) + 1.  Where
     # cap(n) = n-1 that bound doubles; chained through the leading rows of
@@ -479,7 +489,7 @@ def _sweep(spec: HierarchySpec, n_max: int, cells=None, layer=None,
             raise _bits_refused(n, bits)
     # the last size and cap, and bits(a(cap)) + 1, are kept here and read
     # without a bisection; h(1) >= 0 sets them on the first row
-    n, size, cap, cap_bits = 1, base, -1, 0
+    n, size, cap, cap_bits, i = 1, base, -1, 0, 0
     while n <= n_max:
         new = max(cap, h(n, a))
         if new >= n:
@@ -492,26 +502,28 @@ def _sweep(spec: HierarchySpec, n_max: int, cells=None, layer=None,
         if bits > ROW_BIT_BUDGET:
             raise _bits_refused(n, bits)
         caps.append(cap)
-        if step is not None:
-            step.fill(n, cap)
-            live = n + 1 if step.live > n else n_max + 1
-        else:
-            i = bisect_right(stored, n)
-            live = stored[i] if i < len(stored) else n_max + 1
+        stored, nxt = None, n_max + 1
+        if cells is not None:
+            stored = [0] * (cap + 1)
+            while i < len(cells) and cells[i][0] == n:
+                _, m, v = cells[i]
+                if m > cap:
+                    raise ValueError(f"cell ({n}, {m}) outside the "
+                                     f"filled triangle")
+                stored[m], i = v, i + 1
+            if i < len(cells):
+                nxt = cells[i][0]
+        step.fill(n, cap, stored)
         size += cols[cap].get(n, 0)
         a.append(size)
         # rows n+1 .. live-1 are zero unless the cap grows among them
+        live = n + 1 if step.live > n else nxt
         stop = n + 1 + bisect_right(range(n + 1, live), cap,
                                     key=lambda r: h(r, a))
         if stop > n + 1:
             caps.repeat(stop - n - 1)
             a.repeat(stop - n - 1)
         n = stop
-    # caps never decrease: row n reaches column m when n >= the first
-    # row whose cap is m or more
-    if cells is not None and any(col and min(col) < caps.bisect_left(m)
-                                 for m, col in enumerate(cols)):
-        raise ValueError("cells outside the filled triangle")
     return t
 
 
@@ -520,10 +532,12 @@ def compute_table(spec: HierarchySpec, n_max: int) -> CountTable:
     return _sweep(spec, n_max)
 
 
-def table_from_cells(spec: HierarchySpec, n_max: int, cells) -> CountTable:
-    """Rebuild a table from its stored cells, a list of (n, m, b(n, m));
-    the level sizes and caps are derived as the fill derives them."""
-    return _sweep(spec, n_max, cells)
+def table_from_cells(spec: HierarchySpec, n_max: int, cells,
+                     p: int = (1 << 61) - 1) -> CountTable:
+    """Rebuild a table from its stored cells, a list of (n, m, b(n, m)),
+    each row checked against the row step mod the prime p; the level
+    sizes and caps are derived as the fill derives them."""
+    return _sweep(spec, n_max, cells, p=p)
 
 
 def compute_b_table(n_max: int) -> CountTable:

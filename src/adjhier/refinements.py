@@ -50,10 +50,6 @@ class RefinedTable:
                          range((m + 1 if self.kind == "rank" else n) + 1)]
                 for n in range(1, self.n_max + 1) for m in range(n)}
 
-    def check_row(self, n: int) -> bool:
-        """Whether row n of every layer equals the row step over rows < n."""
-        return all(layer.check_row(n) for layer in self.layers)
-
     def _layer(self, s: int) -> tuple:
         """(c(0), col) of layer s.  Rank layer t holds r(n, m, t); its
         column m adjoins the c(m) of layer t-1 (none when t = 0) and its
@@ -74,16 +70,17 @@ class RefinedTable:
         return int(s == 0), col
 
 
-def refined_table(kind: str, n_max: int, layer_cells=()) -> RefinedTable:
+def refined_table(kind: str, n_max: int, layer_cells=(),
+                  p: int = (1 << 61) - 1) -> RefinedTable:
     """Build layers 0..n_max in order.  Layer s is rebuilt from
-    ``layer_cells[s]``, a list of (n, m, value), when that is given, and
-    filled by the row step otherwise."""
+    ``layer_cells[s]``, a list of (n, m, value), when that is given, each
+    row checked mod the prime p, and filled by the row step otherwise."""
     table = RefinedTable(kind, n_max, [])
-    binoms = {}  # one binomial row per c(m) value, shared by the layers
+    binoms = {}, {}  # binomial rows mod p, and exact ones, shared by layers
     for s in range(n_max + 1):
         cells = layer_cells[s] if s < len(layer_cells) else None
         table.layers.append(_sweep(HierarchySpec.plain(), n_max, cells,
-                                   table._layer(s), binoms))
+                                   table._layer(s), binoms[cells is None], p))
     return table
 
 

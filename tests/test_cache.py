@@ -2,9 +2,7 @@
 ``rank-profile --n 5 --cache`` writes, and the same table in format v3."""
 
 import hashlib
-import itertools
 import json
-import random
 from pathlib import Path
 
 import pytest
@@ -117,28 +115,133 @@ def test_spot_check_catches_a_changed_nested_column(tmp_path, capsys,
                                                      monkeypatch, command,
                                                      table):
     # cell (12, 9) of the last layer: its column adjoins c(9) of 217 bits,
-    # so the row step evaluates it in nested form
+    # so the fill evaluates it in nested form, and the load's check reads
+    # the binomial row of c(9) mod p
     t = table()
-    assert t.col(t, 9)[0].bit_length() >= recurrence.NESTED_MIN_BITS
+    c9 = t.col(t, 9)[0]
+    assert c9.bit_length() >= recurrence.NESTED_MIN_BITS
     argv = [command, "--n", "12", "--cache", str(tmp_path / "cache.json")]
     assert main(argv) == 0
     capsys.readouterr()
     doc = json.loads((tmp_path / "cache.json").read_text())
     cell = next(c for c in doc["payload"]["layers"][-1] if c[:2] == [12, 9])
-    value = int(cell[2], 16)
-    for delta in itertools.count(1):  # until the load checks row 12
-        cell[2] = format(value + delta, "x")
-        doc["checksum"] = _checksum(doc["payload"])
-        if random.Random(doc["checksum"]).randint(1, 12) == 12:
-            break
+    cell[2] = format(int(cell[2], 16) + 1, "x")
+    doc["checksum"] = _checksum(doc["payload"])
     (tmp_path / "cache.json").write_text(json.dumps(doc))
-    nested = []
+    rows = []
 
-    def counted(*args, f=recurrence._nested):
-        nested.append(args)
-        return f(*args)
-    monkeypatch.setattr(recurrence, "_nested", counted)
+    def recorded(row, d, k, p, f=recurrence._extend):
+        rows.append((d, p))
+        return f(row, d, k, p)
+    monkeypatch.setattr(recurrence, "_extend", recorded)
     assert main(argv) == 2
     captured = capsys.readouterr()
-    assert captured.out == "" and nested
+    assert captured.out == "" and any(d == c9 % p for d, p in rows if p)
     assert captured.err == "error: cached row 12 fails recomputation\n"
+
+
+# -- a load checks every stored row -------------------------------------------
+
+CACHED = [["table", "--n", "12"], ["rank-profile", "--n", "7"],
+          ["minbounded", "--n", "300"],
+          ["bounded", "--f", "log2", "--n", "2000"]]
+
+
+def _cache_of(tmp_path, capsys, argv):
+    """(argv with --cache, its cache file, the file's text) after a cold
+    run."""
+    path = tmp_path / "cache.json"
+    argv = argv + ["--cache", str(path)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    return argv, path, path.read_text()
+
+
+def _row_refused(capsys, argv, path, doc, n):
+    doc["checksum"] = _checksum(doc["payload"])
+    path.write_text(json.dumps(doc))
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: cached row {n} fails recomputation\n"
+
+
+@pytest.mark.parametrize("argv", CACHED, ids=" ".join)
+def test_every_stored_row_is_checked(tmp_path, capsys, argv):
+    # one cell of each stored row in turn, in the last layer that stores
+    # the row
+    argv, path, text = _cache_of(tmp_path, capsys, argv)
+    layers = json.loads(text)["payload"]["layers"]
+    rows = sorted({n for cells in layers for n, _, _ in cells})
+    assert len(rows) >= 7
+    for n in rows:
+        doc = json.loads(text)
+        cell = next(c for cells in reversed(doc["payload"]["layers"])
+                    for c in cells if c[0] == n)
+        cell[2] = format(int(cell[2], 16) + 1, "x")
+        _row_refused(capsys, argv, path, doc, n)
+
+
+@pytest.mark.parametrize("argv", CACHED, ids=" ".join)
+def test_dropped_cell_is_refused(tmp_path, capsys, argv):
+    argv, path, text = _cache_of(tmp_path, capsys, argv)
+    cells = json.loads(text)["payload"]["layers"][-1]
+    for i in sorted({0, len(cells) // 2, len(cells) - 1}):
+        doc = json.loads(text)
+        n = doc["payload"]["layers"][-1].pop(i)[0]
+        _row_refused(capsys, argv, path, doc, n)
+
+
+@pytest.mark.parametrize("argv", CACHED[1::2], ids=" ".join)
+def test_cell_on_a_zero_row_is_refused(tmp_path, capsys, argv):
+    # the row holds no stored cell, and the fill skips it (log2) or finds
+    # it zero (the low rank layers); the load visits it as a stored row
+    argv, path, text = _cache_of(tmp_path, capsys, argv)
+    n_max = int(argv[argv.index("--n") + 1])
+    layers = json.loads(text)["payload"]["layers"]
+    tried = 0
+    for s, cells in enumerate(layers):
+        zero = sorted(set(range(1, n_max + 1)) - {n for n, _, _ in cells})
+        for n in sorted({*zero[:2], *zero[len(zero) // 2:][:1], *zero[-1:]}):
+            doc = json.loads(text)
+            doc["payload"]["layers"][s].append([n, 0, "1"])
+            _row_refused(capsys, argv, path, doc, n)
+            tried += 1
+    assert tried >= 4
+
+
+def test_cell_past_the_row_cap_is_refused(tmp_path, capsys):
+    # cap(1000) = floor(log2(999)) = 9 for the log2 bound
+    argv, path, text = _cache_of(tmp_path, capsys, CACHED[3])
+    doc = json.loads(text)
+    doc["payload"]["layers"][0].append([1000, 10, "1"])
+    doc["checksum"] = _checksum(doc["payload"])
+    path.write_text(json.dumps(doc))
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: malformed cache payload: cell (1000, 10) "
+                            "outside the filled triangle\n")
+
+
+def test_raised_cell_of_the_last_level_is_refused(tmp_path, capsys):
+    # cell (12, 11) of a levels --n 12 cache raised by 2: a check of row 1
+    # and one seeded row let this file print a wrong a(12)
+    argv, path, text = _cache_of(tmp_path, capsys, ["levels", "--n", "12"])
+    doc = json.loads(text)
+    cell = next(c for c in doc["payload"]["layers"][0] if c[:2] == [12, 11])
+    cell[2] = format(int(cell[2], 16) + 2, "x")
+    _row_refused(capsys, argv, path, doc, 12)
+
+
+def test_prime_is_the_first_at_or_above_the_checksum_number():
+    from adjhier.cache import _prime
+    small = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+    for checksum in ("0" * 64, "f" * 64, _checksum([])):
+        x = int(checksum[:16], 16) >> 3 | 1 << 60
+        p = _prime(checksum)
+        assert p.bit_length() == 61 and p >= x
+        assert all(pow(b, p - 1, p) == 1 for b in small)
+        # each number below it is even or fails a Fermat test
+        assert all(pow(2, y - 1, y) != 1 for y in range(x | 1, p, 2))
+    assert _prime("f" * 64) == (1 << 61) - 1

@@ -2,8 +2,9 @@
 
 Each check runs in a fresh interpreter and looks at the modules that
 ``import adjhier.cli`` and one ``main`` call add to its ``sys.modules``,
-measured against the interpreter's own start, as ``site`` may already
-have loaded some of them.
+measured against the interpreter's own start.  The interpreter runs
+with ``-S``: a ``.pth`` file that ``site`` runs may import a module
+(``random``, say) that a command must not need.
 """
 
 import ast
@@ -36,9 +37,10 @@ LAYERS = {f"adjhier.{m}" for m in ("oracle", "hfs", "verify", "asymptotics",
 
 
 def _added(argv):
-    out = subprocess.run([sys.executable, "-c", CHILD.format(argv=argv)],
-                         env=CHILD_ENV, capture_output=True, text=True,
-                         timeout=60, check=True).stdout
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", CHILD.format(argv=argv)],
+        env=CHILD_ENV, capture_output=True, text=True, timeout=60,
+        check=True).stdout
     return set(ast.literal_eval(out))
 
 
@@ -81,11 +83,12 @@ def test_package_names_resolve_on_first_use():
 
 
 def test_count_table_cache_loads_no_refinements(tmp_path):
-    # nor hashlib, which loads OpenSSL: the sha256 is the builtin one
+    # nor hashlib, which loads OpenSSL: the sha256 is the builtin one; nor
+    # random: the load checks every row, not a sample
     argv = ["levels", "--n", "5", "--cache", str(tmp_path / "levels.json")]
     for phase in ("cold", "warm"):
         added = _added(argv)
         assert "adjhier.cache" in added, phase
-        assert not added & {"adjhier.refinements", "hashlib", "_hashlib"}, (
-            phase)
+        assert not added & {"adjhier.refinements", "hashlib", "_hashlib",
+                            "random"}, phase
     assert (tmp_path / "levels.json").exists()

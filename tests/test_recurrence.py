@@ -299,16 +299,18 @@ def test_innermost_product_carries_to_later_rows():
     # plain columns 8..11 are wide at depth 12; a step reads rows < n only
     t = compute_b_table(12)
     step = recurrence._RowStep(t)
-    step(10)
-    assert step(12) == recurrence._RowStep(t)(12)  # a skipped row: q - q' = 2
+    row = lambda step, n: step._row(n, t.caps[n])
+    row(step, 10)
+    fresh = row(recurrence._RowStep(t), 12)
+    assert row(step, 12) == fresh  # a skipped row: q - q' = 2
     carried = dict(step.inner)
     assert sorted(carried) == [8, 9, 10, 11]
     for m, (q, p) in carried.items():
         dm, gm, tail, _ = step.consts[m]
         assert (q, p) == (12 - gm, (dm - q + 1) * tail)
-    step(11)
+    row(step, 11)
     step.inner = {m: (q, p + 1) for m, (q, p) in step.inner.items()}
-    assert step(12) != recurrence._RowStep(t)(12)  # row 12 reads the carry
+    assert row(step, 12) != fresh  # row 12 reads the carry
 
 
 @pytest.mark.parametrize("spec, n_max", [

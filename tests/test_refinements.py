@@ -138,9 +138,9 @@ def test_layers_share_binomial_rows(monkeypatch):
     computed = []
     extend = recurrence._extend
 
-    def recorded(row, d, k):
-        computed.extend((d, j) for j in range(len(row), k + 1))
-        extend(row, d, k)
+    def recorded(row, d, k, p):
+        computed.extend((d, j, p) for j in range(len(row), k + 1))
+        extend(row, d, k, p)
 
     monkeypatch.setattr(recurrence, "_extend", recorded)
     for build in (compute_r_table, compute_d_table):
