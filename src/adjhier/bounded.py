@@ -13,8 +13,9 @@ same recurrence with g(m) = abar(m-1) (abar = its level sizes, abar(-1)
 equal to 2**abar(m-1).
 
 :class:`BoundFunction` is defined beside the hierarchy specs and
-imported here, where the bounded variants are described; g is computed
-by :class:`adjhier.recurrence.GInverse`, beside the recurrence.
+imported here, where the bounded variants are described.  Neither g is
+given to the recurrence: it reads g off the row caps F(n) and fbar(n-1),
+as the row before the first whose cap reaches m.
 """
 
 from __future__ import annotations

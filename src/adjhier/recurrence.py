@@ -10,26 +10,29 @@ For n > m >= 0,
 
 where c(m) = b(m, m-1) counts the sets new at level m, a(n) = c(0) + ...
 + c(n) is the level size, C(x, k) = 0 when x < k, and the base column is
-b(0, -1) = c(0) and b(n, -1) = 0 for n >= 1.  The variants differ only
-in c(0), the bound inverse g and the number u of atoms, which the
-trailing prefix leaves out because an atom cannot absorb adjunctions:
+b(0, -1) = c(0) and b(n, -1) = 0 for n >= 1.  Every member of level n
+has its elements inside level cap(n), the running maximum of a cap
+source, and the variants differ only in c(0), the number u of atoms,
+which the trailing prefix leaves out because an atom cannot absorb
+adjunctions, and the cap source:
 
-    plain       c(0) = 1       g(m) = m
-    atoms       c(0) = u + 1   g(m) = m
-    bounded     c(0) = 1       g(m) = min{t : f(t) >= m}
-    minbounded  c(0) = 1       g(m) = a(m-1), g(0) = 0
+    plain       c(0) = 1       n-1
+    atoms       c(0) = u + 1   n-1
+    bounded     c(0) = 1       f(n-1)
+    minbounded  c(0) = 1       the least m with a(m) > n-1
 
-Every member of level n has its elements inside level cap(n), the
-running maximum of n-1 (plain, atoms), f(n-1) (bounded) or the least m
-with a(m) > n-1 (minbounded), so the cells with cap(n) < m < n all equal
-b(n, cap(n)) and are not stored.  Rows are filled in order, each from
-the cells of earlier rows, into sparse columns that keep only nonzero
-cells.  Runs of rows that cannot hold a nonzero cell are skipped in
-bulk, so runs to n in the hundreds of thousands stay cheap when most
-rows are zero.  The rank and cardinality refinements fill their layers
-through the same row step with column functions of their own.  A table
-rebuilt from stored cells takes the same sweep, each row's cells checked
-against the row step run mod a prime.
+g is read off the caps: g(m) is the row before the first whose cap
+reaches m.  That is m for plain and atoms, min{t : f(t) >= m} for
+bounded, and a(m-1) for minbounded, with g(0) = 0.  The cells with
+cap(n) < m < n all equal b(n, cap(n)) and are not stored.  Rows are
+filled in order, each from the cells of earlier rows, into sparse
+columns that keep only nonzero cells.  Runs of rows that cannot hold a
+nonzero cell are skipped in bulk, so runs to n in the hundreds of
+thousands stay cheap when most rows are zero.  The rank and cardinality
+refinements fill their layers through the same row step with column
+functions of their own.  A table rebuilt from stored cells takes the
+same sweep, each row's cells checked against the row step run mod a
+prime.
 
 A column's window and trailing terms are one sum sum_{k=1}^{K} w_k C(c, k)
 with c = c(m), K = min(q, c), q = n - g(m), w_k = b(n-k, m-1) for k < q
@@ -145,60 +148,19 @@ class Runs:
         return self.starts[i] if i < len(self.starts) else self._len
 
 
-class GInverse:
-    """Memoized g(m) = min{t : f(t) >= m}.  Bound functions are monotone,
-    so g(m) is found past g(m-1) by doubling steps, then bisection: a
-    number of calls of f logarithmic in g(m) rather than linear."""
-
-    def __init__(self, f: BoundFunction):
-        self.f = f
-        self._g = [0]  # g(0) = 0 because f(0) >= 0
-
-    def __call__(self, m: int) -> int:
-        if m < 0:
-            raise ValueError("g takes natural arguments")
-        g = self._g
-        while len(g) <= m:
-            k = len(g)
-
-            def reaches(t):  # past a table's end counts as reaching
-                try:
-                    return self.f(t) >= k
-                except BoundFunctionError:
-                    return True
-            lo, step = g[-1], 1  # f(g[-1]) = k - 1
-            while not reaches(lo + step):
-                lo, step = lo + step, 2 * step
-            t = lo + 1 + bisect_left(range(lo + 1, lo + step + 1), True,
-                                     key=reaches)
-            try:
-                v = self.f(t)
-            except BoundFunctionError:
-                raise BoundFunctionError(
-                    f"bound function never reaches {k} on its range; "
-                    f"cannot invert at {m}") from None
-            g.extend([t] * (v + 1 - k))
-        return g[m]
-
-
 def _params(spec: HierarchySpec):
-    """(c(0), col, h) of one spec: ``col(table, m)`` is column m's (c(m),
-    g(m), tail(m) = a(g(m)) - u) and cap(n) is the running maximum of
-    h(n, a); both read the rows filled so far."""
-    u, g, h = spec.u, (lambda m, a: m), (lambda n, a: n - 1)
+    """(c(0), col, h) of one spec: ``col(table, m, g)`` is column m's
+    (c(m), tail(m) = a(g) - u) for g = g(m), and cap(n) is the running
+    maximum of h(n, a); both read the rows filled so far."""
+    u, h = spec.u, (lambda n, a: n - 1)
     if spec.kind == "bounded":
-        f, ginv = spec.f, GInverse(spec.f)
-        g, h = (lambda m, a: ginv(m)), (lambda n, a: f(n - 1))
+        f = spec.f
+        h = lambda n, a: f(n - 1)
     elif spec.kind == "minbounded":
-        g = lambda m, a: a[m - 1] if m else 0
         h = lambda n, a: a.bisect_right(n - 1)
     elif spec.kind not in ("plain", "atoms"):
         raise ValueError(f"no count recurrence for {spec}")
-
-    def col(t, m):
-        gm = g(m, t.a)
-        return t.c(m), gm, t.a[gm] - u
-    return u + 1, col, h
+    return u + 1, (lambda t, m, g: (t.c(m), t.a[g] - u)), h
 
 
 class CountTable:
@@ -290,16 +252,15 @@ class MinBoundedTable(CountTable):
 class _RowStep:
     """The recurrence's row step over the sparse columns of one table.
 
-    Once a row first reaches column m it takes the column's constants
-    c(m), g(m), tail(m) from the table's column function and the sorted
-    rows of its stored cells.  A column narrower than
-    :data:`NESTED_MIN_BITS` also takes the binomial row C(c(m), 0),
-    C(c(m), 1), ... from ``binoms``, rows keyed by c(m) that the layers of
-    one build share; a wider one is summed in nested form, and ``inner``
-    keeps its last innermost product (q, (c(m) - q + 1) * tail(m)), which
-    is linear in q.  ``live`` is the last row that the open columns can
-    reach: past it every window and tail term is empty until another
-    column opens.
+    Once a row first reaches column m it reads g(m) off the caps and
+    takes c(m) and tail(m) from the table's column function.  A column
+    narrower than :data:`NESTED_MIN_BITS` also takes the binomial row
+    C(c(m), 0), C(c(m), 1), ... from ``binoms``, rows keyed by c(m) that
+    the layers of one build share; a wider one is summed in nested form,
+    and ``inner`` keeps its last innermost product (q, (c(m) - q + 1) *
+    tail(m)), which is linear in q.  ``live`` is the last row that the
+    open columns can reach: past it every window and tail term is empty
+    until another column opens.
 
     With a prime ``p`` the step runs over residues mod p: every column
     reads a binomial row mod p, keyed by c(m) mod p, and each cell, a sum
@@ -388,19 +349,18 @@ class _RowStep:
 
     def _open(self, m: int):
         t = self.table
-        cm, gm, tail = t.col(t, m)
-        # every row n of column m has q = n - g(m) >= 1, and its window
-        # [g(m)+1, n-1] never reaches below the rows where column m-1 is
-        # stored: only the diagonal factor c(m) needs a saturated read
-        if gm >= t.caps.bisect_left(m) or (
-                m and t.caps.bisect_left(m - 1) > gm + 1):
-            raise ValueError(f"column {m} has g = {gm} below its rows")
+        # g(m) + 1 is the first row whose cap reaches m, so every row n of
+        # column m has q = n - g(m) >= 1, and its window [g(m)+1, n-1]
+        # never reaches below the rows where column m-1 is stored: only
+        # the diagonal factor c(m) needs a saturated read
+        gm = t.caps.bisect_left(m) - 1
+        cm, tail = t.col(t, m, gm)
         p = self.p
         d = cm if p is None else cm % p
         binom = (None if p is None and cm.bit_length() >= NESTED_MIN_BITS
                  else self.binoms.setdefault(d, [1, d]))
         self.consts.append((cm, gm, tail if p is None else tail % p, binom))
-        self.rows.append(sorted(t.cols[m]))
+        self.rows.append([])
         self.live = max(self.live, gm + min(cm, t.n_max))  # the tail term
         if m and self.rows[m - 1]:
             self._reach(m, self.rows[m - 1][-1])
@@ -444,9 +404,10 @@ def _sweep(spec: HierarchySpec, n_max: int, cells=None, layer=None,
     """Derive cap(n) and a(n) row by row and fill each row by the row
     step.  With ``cells``, a list of (n, m, b(n, m)) that is sorted in
     place, each row's cells are read from it instead, checked against the
-    step mod the prime ``p``; a cell past cap(n) is refused.  ``layer`` =
-    (c(0), col) replaces the spec's own, as for refinements, and
-    ``binoms`` is a binomial-row store shared with other layers.
+    step mod the prime ``p``; a cell that is zero, listed twice or past
+    cap(n) is refused.  ``layer`` = (c(0), col) replaces the spec's own,
+    as for refinements, and ``binoms`` is a binomial-row store shared
+    with other layers.
 
     Rows that cannot hold a nonzero cell are not visited: those past the
     row step's ``live`` row and before the next stored row are zero until
@@ -467,9 +428,11 @@ def _sweep(spec: HierarchySpec, n_max: int, cells=None, layer=None,
     base, col, h = _params(spec)
     if layer is not None:
         base, col = layer
-    for n, m, _ in cells or ():
+    for n, m, v in cells or ():
         if not 0 <= m < n <= n_max:
             raise ValueError(f"cell ({n}, {m}) outside the filled triangle")
+        if not v:  # only nonzero cells are stored
+            raise ValueError(f"cell ({n}, {m}) is zero")
     if cells is not None:
         cells.sort()
     cls = MinBoundedTable if spec.kind == "minbounded" else CountTable
@@ -510,6 +473,8 @@ def _sweep(spec: HierarchySpec, n_max: int, cells=None, layer=None,
                 if m > cap:
                     raise ValueError(f"cell ({n}, {m}) outside the "
                                      f"filled triangle")
+                if stored[m]:
+                    raise ValueError(f"cell ({n}, {m}) listed twice")
                 stored[m], i = v, i + 1
             if i < len(cells):
                 nxt = cells[i][0]

@@ -51,22 +51,22 @@ class RefinedTable:
                 for n in range(1, self.n_max + 1) for m in range(n)}
 
     def _layer(self, s: int) -> tuple:
-        """(c(0), col) of layer s.  Rank layer t holds r(n, m, t); its
-        column m adjoins the c(m) of layer t-1 (none when t = 0) and its
-        trailing factor is its own a(m).  Cardinality layer s holds
-        d(n, m, n - s): adjoining k elements lowers n and t alike, so the
-        window stays in the layer.  Column m adjoins the plain c(m) of
-        layer 0, the plain table, and its trailing factor, the level-m
-        sets of cardinality <= m - s, sums c(j) of layer max(s - m + j,
-        0) over j <= m."""
+        """(c(0), col) of layer s; its caps are the plain ones, so g(m) =
+        m.  Rank layer t holds r(n, m, t); its column m adjoins the c(m)
+        of layer t-1 (none when t = 0) and its trailing factor is its own
+        a(m).  Cardinality layer s holds d(n, m, n - s): adjoining k
+        elements lowers n and t alike, so the window stays in the layer.
+        Column m adjoins the plain c(m) of layer 0, the plain table, and
+        its trailing factor, the level-m sets of cardinality <= m - s,
+        sums c(j) of layer max(s - m + j, 0) over j <= m."""
         layers = self.layers
         if self.kind == "rank":
-            return 1, lambda t, m: (layers[s - 1].c(m) if s else 0, m, t.a[m])
+            return 1, lambda t, m, g: (layers[s - 1].c(m) if s else 0, t.a[g])
 
-        def col(t, m):
+        def col(t, m, g):
             at = lambda i: layers[i] if i < s else t
-            return at(0).c(m), m, sum(at(max(s - m + j, 0)).c(j)
-                                      for j in range(m + 1))
+            return at(0).c(m), sum(at(max(s - m + j, 0)).c(j)
+                                   for j in range(m + 1))
         return int(s == 0), col
 
 
@@ -89,15 +89,9 @@ def compute_r_table(n_max: int) -> RefinedTable:
     return refined_table("rank", n_max)
 
 
-def compute_d_table(n_max: int,
-                    b_table: CountTable | None = None) -> RefinedTable:
-    """Cardinality refinement; layer 0 is the plain table, whose cells
-    are taken from ``b_table`` when it is given."""
-    if b_table is not None and b_table.n_max < n_max:
-        raise ValueError("plain table too shallow for requested depth")
-    return refined_table("cardinality", n_max, [] if b_table is None else [
-        [(n, m, v) for m, col in enumerate(b_table.cols)
-         for n, v in col.items() if n <= n_max]])
+def compute_d_table(n_max: int) -> RefinedTable:
+    """Cardinality refinement; layer 0 is the plain table."""
+    return refined_table("cardinality", n_max)
 
 
 def _profile(table: RefinedTable, n: int) -> dict:

@@ -72,7 +72,7 @@ def verify_plain(n_max: int = 5):
     checks.append(Check("k-split matches the three summands", not bad,
                         f"mismatches {bad}" if bad else "term by term"))
 
-    rt, dt = compute_r_table(n_max), compute_d_table(n_max, table)
+    rt, dt = compute_r_table(n_max), compute_d_table(n_max)
     bad = [n for n in range(n_max + 1)
            if oracle.profile_counts(ls, n, "rank") != r_profile(rt, n)]
     checks.append(Check("rank profiles match", not bad,

@@ -1,11 +1,15 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from adjhier import oracle
+from adjhier import oracle, recurrence
 from adjhier.bounded import (BoundFunction, compute_bounded_table,
                              compute_minbounded)
 from adjhier.errors import BoundFunctionError
-from adjhier.recurrence import GInverse, a_sequence, compute_b_table
+from adjhier.recurrence import a_sequence, compute_b_table
+from adjhier.refinements import (compute_atoms_table, compute_d_table,
+                                 compute_r_table)
 from adjhier.variants import HierarchySpec
 
 from golden import HALF_ROWS, LOG2_ROWS, MINBOUNDED_A, SQRT_ROWS
@@ -48,18 +52,62 @@ def test_dipping_bound_would_break_nesting():
     assert sizes[5] < sizes[4]
 
 
-def test_inverse_examples():
-    assert GInverse(BoundFunction("identity"))(7) == 7
-    assert GInverse(BoundFunction("half"))(2) == 3
-    assert GInverse(BoundFunction("sqrt"))(2) == 4
-    assert GInverse(BoundFunction("log2"))(16) == 65535
-    assert GInverse(BoundFunction("identity"))(0) == 0
+def _least_inverse(f, n):
+    """[min{t < n : f(t) >= m} for m = 0 .. f(n-1)], by scanning t."""
+    g = []
+    for t in range(n):
+        g.extend([t] * (f(t) + 1 - len(g)))
+    return g
 
 
-def test_inverse_exhaustion_error():
-    f = BoundFunction("table", (0, 0, 1, 1, 1))
-    with pytest.raises(BoundFunctionError, match="never reaches"):
-        GInverse(f)(2)
+def test_g_is_read_off_the_caps(monkeypatch):
+    # every column a fill opens takes g(m) = the least inverse of its bound
+    # for bounded, a(m-1) for minbounded, and m for atoms and both
+    # refinements; a column opens only once some f(n-1) >= m
+    seen = []
+
+    def recorded(self, m, f=recurrence._RowStep._open):
+        f(self, m)
+        seen.append((self.table, m, self.consts[m][1]))
+    monkeypatch.setattr(recurrence._RowStep, "_open", recorded)
+
+    def opened(build):
+        """g(m) of the columns m = 0, 1, ... that build() opens."""
+        seen.clear()
+        build()
+        assert [m for _, m, _ in seen] == list(range(len(seen)))
+        return [g for _, _, g in seen]
+
+    rng = random.Random(24)
+    bounds = [(BoundFunction(kind), n) for kind, n in (
+        ("identity", 12), ("half", 40), ("sqrt", 60), ("log2", 65536))]
+    bounds.append((BoundFunction("table", (0, 0, 1, 1, 1)), 5))
+    for _ in range(60):
+        v = [0]
+        for i in range(1, 20):
+            v.append(min(i, v[-1] + rng.choice((0, 0, 0, 1, 1, 2))))
+        bounds.append((BoundFunction("table", v), rng.randint(1, 20)))
+    got = {}
+    for f, n in bounds:
+        got[f] = opened(lambda: compute_bounded_table(f, n))
+        assert got[f] == _least_inverse(f, n), (f, n)
+    assert got[BoundFunction("identity")][:8] == list(range(8))
+    assert got[BoundFunction("half")][2] == 3
+    assert got[BoundFunction("sqrt")][2] == 4
+    assert got[BoundFunction("log2")][16] == 65535
+    assert got[BoundFunction("table", (0, 0, 1, 1, 1))] == [0, 2]
+
+    g = opened(lambda: compute_minbounded(1000))
+    a = seen[-1][0].a
+    assert g == [0] + [a[m - 1] for m in range(1, 8)]
+    assert g == [0, 1, 2, 4, 12, 16, 144, 592]
+    for build, tables in ((lambda: compute_atoms_table(2, 8), 1),
+                          (lambda: compute_r_table(7), 8),
+                          (lambda: compute_d_table(7), 8)):
+        seen.clear()
+        build()
+        assert len({id(t) for t, _, _ in seen}) == tables
+        assert all(g == m for _, m, g in seen)
 
 
 def test_identity_reduction_cell_for_cell():

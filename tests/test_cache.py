@@ -118,7 +118,7 @@ def test_spot_check_catches_a_changed_nested_column(tmp_path, capsys,
     # so the fill evaluates it in nested form, and the load's check reads
     # the binomial row of c(9) mod p
     t = table()
-    c9 = t.col(t, 9)[0]
+    c9 = t.col(t, 9, 9)[0]  # g(9) = 9 on the plain caps
     assert c9.bit_length() >= recurrence.NESTED_MIN_BITS
     argv = [command, "--n", "12", "--cache", str(tmp_path / "cache.json")]
     assert main(argv) == 0
@@ -215,13 +215,34 @@ def test_cell_past_the_row_cap_is_refused(tmp_path, capsys):
     argv, path, text = _cache_of(tmp_path, capsys, CACHED[3])
     doc = json.loads(text)
     doc["payload"]["layers"][0].append([1000, 10, "1"])
+    _malformed(capsys, argv, path, doc,
+               "cell (1000, 10) outside the filled triangle")
+
+
+def _malformed(capsys, argv, path, doc, detail):
     doc["checksum"] = _checksum(doc["payload"])
     path.write_text(json.dumps(doc))
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == ("error: malformed cache payload: cell (1000, 10) "
-                            "outside the filled triangle\n")
+    assert captured.err == f"error: malformed cache payload: {detail}\n"
+
+
+@pytest.mark.parametrize("change, err", [
+    (lambda cells: cells.insert(3, [cells[3][0], cells[3][1], "0"]),
+     "cell (4, 2) is zero"),
+    (lambda cells: cells.insert(3, list(cells[3])),
+     "cell (4, 2) listed twice"),
+    (lambda cells: cells.append([6, 0, "0"]), "cell (6, 0) is zero"),
+], ids=["duplicate zero", "repeated cell", "new zero cell"])
+def test_repeated_or_zero_cell_is_refused(tmp_path, capsys, change, err):
+    # a save writes each nonzero cell once, so a layer that lists (n, m)
+    # twice or holds a zero is not one it wrote, even where the kept value
+    # would pass the row check
+    argv, path, text = _cache_of(tmp_path, capsys, ["levels", "--n", "6"])
+    doc = json.loads(text)
+    change(doc["payload"]["layers"][0])
+    _malformed(capsys, argv, path, doc, err)
 
 
 def test_raised_cell_of_the_last_level_is_refused(tmp_path, capsys):

@@ -93,13 +93,6 @@ def test_profiles_match_oracle():
         assert oracle.profile_counts(ls, n, "cardinality") == d_profile(dt, n)
 
 
-def test_d_table_uses_supplied_plain_table():
-    b = compute_b_table(6)
-    assert compute_d_table(6, b).cells == compute_d_table(6).cells
-    with pytest.raises(ValueError):
-        compute_d_table(6, compute_b_table(3))
-
-
 def test_atoms_sequences_golden():
     for u, sizes in ATOM_SIZES.items():
         assert compute_atoms_table(u, 5).sizes == sizes
