@@ -199,6 +199,7 @@ def _json(value, nl: str, quote):
                 yield from _json(item, inner, quote)
             else:
                 yield sep + text
+            del item, text  # not kept while the next item renders
             sep = "," + inner
         yield nl + "]"
     else:
@@ -229,10 +230,12 @@ def _emit(fmt: str, doc, header, rows):
             yield sep.join(r) + "\n"
             continue
         cells = iter(r)
+        del r  # the view and its values are not kept once written
         yield next(cells, "")
         for text in cells:
             yield sep
             yield text
+            del text
         yield "\n"
 
 
@@ -303,9 +306,10 @@ def _run_sizes(cmd: CommandSpec):
             yield from repeat(decimal_str(v), k)
 
     def pairs():  # the row of a long value is a view, written value by value
-        zipped = zip(map(str, indices), texts())
-        return chain(islice(zipped, short),
-                     (_Rows(2, pair.__iter__) for pair in zipped))
+        values = texts()
+        yield from zip(map(str, islice(indices, short)), values)
+        for n in islice(indices, short, None):  # no name keeps the pair
+            yield _Rows(2, (str(n), next(values)).__iter__)
 
     rows = _Rows(len(indices), pairs)
     if key == "rows":  # the bounded pair also report --skip-duplicates
@@ -354,7 +358,10 @@ def _run_constant(cmd: CommandSpec):
     # the radius (C_N >= 1), so it refuses before any work at --digits
     if cmd.digits < 1:
         raise ValueError(f"--digits must be at least 1, got {cmd.digits}")
-    from decimal import Context, Decimal
+    from decimal import MAX_PREC, Context, Decimal
+    if cmd.digits > MAX_PREC:  # no Decimal holds 10**-digits
+        raise ValueError(f"--digits must be at most {MAX_PREC}, got "
+                         f"{cmd.digits}")
     from .asymptotics import constant_C, relative_tail
     c = c_sequence(compute_b_table(cmd.n_max))
     limit = Decimal((0, (1,), -cmd.digits))

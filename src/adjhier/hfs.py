@@ -22,6 +22,8 @@ A whole level of adjunctions goes through :meth:`SetEngine.adjoin_level`
 in one batched pass: one canonical sort per level gives every set it
 touches an integer position, so each pair finds its slot with a C
 bisection instead of recursive comparisons.
+:meth:`SetEngine.probe_level` makes the same pass and only looks the
+sets up, interning none.
 """
 
 from __future__ import annotations
@@ -73,35 +75,18 @@ class SetEngine:
         ``xs`` and y in the sequence ``ys``, x-major; x itself when y is
         already a member.
 
-        One canonical sort of the ys and of every element of the xs gives
-        each of them an integer position, so y's slot in x is one C
-        bisection over x's element positions, and a pair costs one tuple
-        build and one dict lookup.  A set new to the table takes its rank
-        from x and y; one whose rank would reach :data:`PARSE_DEPTH_LIMIT`
-        is refused and left out of the table."""
+        A pair costs one tuple build and one dict lookup (see
+        :meth:`_adjoined`).  A set new to the table takes its rank from x
+        and y; one whose rank would reach :data:`PARSE_DEPTH_LIMIT` is
+        refused and left out of the table."""
         elems, rank, intern = self._elems, self._rank, self._intern
-        touched = set(ys)
-        for x in xs:
-            if elems[x] is None:
-                raise ValueError("cannot adjoin an element to an atom")
-            touched.update(elems[x])
-        order = self.sort_ids(touched)
-        pos = {sid: i for i, sid in enumerate(order)}
-        yinfo = [(y, pos[y], rank[y] + 1) for y in ys]
-        end = len(order)  # sentinel past every position
-        for x in xs:
-            ex = elems[x]
-            at = [pos[e] for e in ex]
-            at.append(end)
-            cuts = [(ex[:i], ex[i:]) for i in range(len(ex) + 1)]
+        yranks = [rank[y] + 1 for y in ys]
+        for x, row in zip(xs, self._adjoined(xs, ys)):
             rx = rank[x]
-            for y, p, ry in yinfo:
-                i = bisect_left(at, p)
-                if at[i] == p:
+            for t, ry in zip(row, yranks):
+                if t is None:
                     yield x
                     continue
-                pre, suf = cuts[i]
-                t = pre + (y,) + suf
                 fresh = len(elems)
                 sid = intern.setdefault(t, fresh)
                 if sid == fresh:
@@ -113,6 +98,47 @@ class SetEngine:
                     elems.append(t)
                     rank.append(r)
                 yield sid
+
+    def probe_level(self, xs, ys):
+        """For every x in the sequence ``xs``, in order, the list over
+        ``ys`` of the id of ``x with y added``: x itself when y is already
+        a member, None when that set is not interned.  Interns nothing."""
+        get = self._intern.get
+        for x, row in zip(xs, self._adjoined(xs, ys)):
+            yield [x if t is None else get(t) for t in row]
+
+    def _adjoined(self, xs, ys):
+        """For every x of ``xs``, in order, the list over ``ys`` of x's
+        element tuple with y inserted in canonical order, None where y is
+        already a member.
+
+        One canonical sort of the ys and of every element of the xs gives
+        each of them an integer position, so y's slot in x is one C
+        bisection over x's element positions."""
+        elems = self._elems
+        touched = set(ys)
+        for x in xs:
+            if elems[x] is None:
+                raise ValueError("cannot adjoin an element to an atom")
+            touched.update(elems[x])
+        order = self.sort_ids(touched)
+        pos = {sid: i for i, sid in enumerate(order)}
+        yinfo = [(y, pos[y]) for y in ys]
+        end = len(order)  # sentinel past every position
+        for x in xs:
+            ex = elems[x]
+            at = [pos[e] for e in ex]
+            at.append(end)
+            cuts = [(ex[:i], ex[i:]) for i in range(len(ex) + 1)]
+            row = []
+            for y, p in yinfo:
+                i = bisect_left(at, p)
+                if at[i] == p:
+                    row.append(None)
+                else:
+                    pre, suf = cuts[i]
+                    row.append(pre + (y,) + suf)
+            yield row
 
     # -- canonical order ---------------------------------------------------
 

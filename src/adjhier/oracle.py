@@ -13,6 +13,15 @@ membership tests take constant time; subset counts read a table of the
 levels that hold each element.  The resulting ground-truth counts are
 what the recurrence modules are checked against at small depth.
 
+Level sizes grow doubly exponentially, so the deepest level dwarfs the
+others, and no level is built from it.  It is not interned: one walk
+over its pairs (x, y) counts each of its sets once, from the pair with
+the largest y that makes it (canonical augmentation; see
+:func:`_fold`), and tallies what the verifiers read: its size, its new
+members' element masks for the partition counts, and all its members'
+for :meth:`LevelSets.level_held`.  A read that needs its ids interns it
+then, as the levels below were.
+
 Every variant has one limit: a level that may hold more than
 :data:`DEFAULT_LEVEL_SIZE_CAP` sets is refused before it is built, level
 0 (the empty set and the atoms) included.  The bound is |base| +
@@ -21,6 +30,8 @@ pair loop and no interning.
 """
 
 from __future__ import annotations
+
+from collections import Counter, namedtuple
 
 from .errors import ResourceCapError
 from .hfs import SetEngine
@@ -48,32 +59,49 @@ def _ones(view: str):
 
 
 class LevelSets:
-    """Materialized levels of one hierarchy.
+    """Levels of one hierarchy, each a bitset over engine ids.
 
     Levels are append-only: a level, once stored, never changes, so its
     decoded view is computed once.  The per-element level masks that
     :meth:`held` and the partition counts read depend on how many levels
     exist, and are rebuilt when that number changes.
+
+    The deepest level that :func:`build_levels` makes is left folded: its
+    size and its two tallies are read off one walk over its pairs as it
+    is built (see :func:`_fold`), and its sets are interned only when a
+    read needs their ids (:attr:`levels`, :meth:`members`,
+    :meth:`contains`, :meth:`new_members`, the k-splits).
     """
 
     def __init__(self, spec: HierarchySpec, engine: SetEngine, levels: list,
                  atom_ids: tuple = ()):
         self.spec, self.engine, self.atom_ids = spec, engine, atom_ids
-        self.levels = levels  # bitsets over engine ids
+        self._levels = levels  # bitsets over engine ids
+        # (xs, ys) of a folded deepest level, and its fold
+        self._pairs = self._fold = None
         self._views = []
         # (len(levels), element masks, new-member tallies and k-splits by
         # level)
         self._index = (-1, None, None, None)
 
     @property
+    def levels(self) -> list:
+        """The levels as bitsets; a folded deepest level is interned
+        first."""
+        self._intern_top()
+        return self._levels
+
+    @property
     def depth(self) -> int:
-        return len(self.levels) - 1
+        return len(self._levels) - (self._pairs is None)
 
     def size(self, n: int) -> int:
-        return self.levels[n].bit_count()
+        if self._folded(n):
+            return self._fold.size
+        return self._levels[n].bit_count()
 
     def sizes(self) -> list:
-        return [lv.bit_count() for lv in self.levels]
+        return [self.size(n) for n in range(self.depth + 1)]
 
     def members(self, n: int) -> list:
         return list(_ones(self._view(n)))
@@ -92,39 +120,69 @@ class LevelSets:
         The ids are members of the computed levels (their elements lie
         below the top level); atoms have no elements and are refused.
         """
+        if m >= len(self._levels):
+            self._intern_top()  # bit m of the masks needs level m
         return _count_with(self._tally(ids), m)
 
+    def level_held(self, n: int, m: int) -> int:
+        """How many sets of level n, atoms aside, have all their elements
+        in level m."""
+        if self._folded(n) and m < n:
+            return _count_with(self._fold.held, m)
+        return self.held(self.members(n)[len(self.atom_ids):], m)
+
+    def _fold_top(self, xs: list, ys: list):
+        """Leave the next level, every x of ``xs`` with each y of ``ys``
+        adjoined, folded (see :func:`_fold`)."""
+        self._pairs = (xs, ys)
+        self._fold = _fold(self, xs, ys)
+
+    def _intern_top(self):
+        """Intern a folded deepest level and store it like the others."""
+        if self._pairs is not None:
+            xs, ys = self._pairs
+            self._pairs = self._fold = None
+            eng = self.engine
+            self._levels.append(
+                _assemble(eng, self._levels[0], eng.adjoin_level(xs, ys)))
+
+    def _folded(self, n: int) -> bool:
+        return self._pairs is not None and n == len(self._levels)
+
+    def _level(self, n: int) -> int:
+        return (self._levels if n < len(self._levels) else self.levels)[n]
+
     def _new_ids(self, n: int):
-        prev = self.levels[n - 1] if n >= 1 else 0
-        return iter_bits(self.levels[n] & ~prev)
+        prev = self._level(n - 1) if n >= 1 else 0
+        return iter_bits(self._level(n) & ~prev)
 
     def _view(self, n: int) -> str:
         views = self._views
         while len(views) <= n:
-            views.append(_bit_string(self.levels[len(views)]))
+            views.append(_bit_string(self._level(len(views))))
         return views[n]
 
     def _element_masks(self) -> list:
         """For each id of the levels below the top, the bitmask of the
-        levels that hold it.  Every element of a member lies below the
-        top: a member is built from lower levels' members only."""
+        stored levels that hold it.  Every element of a member lies below
+        the top: a member is built from lower levels' members only."""
         key, masks = self._index[:2]
-        if key != len(self.levels):
+        if key != len(self._levels):
             bound = max((len(self._view(m)) for m in range(self.depth)),
                         default=0)
             masks = [0] * bound
-            for m in range(len(self.levels)):
+            for m in range(len(self._levels)):
                 bit = 1 << m
                 for e in _ones(self._view(m)[:bound]):
                     masks[e] |= bit
-            self._index = (len(self.levels), masks, {}, {})
+            self._index = (len(self._levels), masks, {}, {})
         return masks
 
     def _tally(self, ids) -> dict:
-        """Histogram over ``ids`` of the mask of levels that hold all of a
-        set's elements (the AND of its elements' masks)."""
+        """Histogram over ``ids`` of the mask of stored levels that hold
+        all of a set's elements (the AND of its elements' masks)."""
         masks = self._element_masks()
-        every = (1 << len(self.levels)) - 1
+        every = (1 << len(self._levels)) - 1
         elements_of = self.engine.elements_of
         hist = {}
         for sid in ids:
@@ -136,6 +194,8 @@ class LevelSets:
 
     def _new_tally(self, n: int) -> dict:
         """:meth:`_tally` of level n's new members, computed once."""
+        if self._folded(n):
+            return self._fold.new
         self._element_masks()  # drops the tallies made over fewer levels
         tallies = self._index[2]
         if n not in tallies:
@@ -149,6 +209,8 @@ class LevelSets:
         Each member maps to its elements' level masks, sorted; the
         elements new at level m are those with bit m set and bit m-1
         clear (``s & ~(s << 1)``)."""
+        if self._folded(n):
+            self._intern_top()
         masks = self._element_masks()
         splits = self._index[3]
         if n not in splits:
@@ -186,11 +248,12 @@ def _check_size(kind: str, level: int, bound: int):
 
 
 def build_levels(spec: HierarchySpec, n_max: int) -> LevelSets:
-    """Materialize levels 0..n_max of the given adjunctive variant.
+    """Levels 0..n_max of the given adjunctive variant.
 
     Level n+1 is the base level (the empty set and the atoms) plus every
     x with y adjoined, for x a non-atom of level n and y a member of the
-    variant's source level (see :func:`_source`).
+    variant's source level (see :func:`_source`).  Levels below n_max are
+    interned; level n_max is left folded (see :class:`LevelSets`).
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
@@ -203,8 +266,71 @@ def build_levels(spec: HierarchySpec, n_max: int) -> LevelSets:
         xs = ls.members(n)[u:]  # the atoms lead every level
         ys = ls.members(_source(ls, n))
         _check_size(spec.kind, n + 1, u + 1 + len(xs) * len(ys))
-        ls.levels.append(_assemble(eng, base, eng.adjoin_level(xs, ys)))
+        if n + 1 < n_max:
+            ls.levels.append(_assemble(eng, base, eng.adjoin_level(xs, ys)))
+        else:
+            ls._fold_top(xs, ys)
     return ls
+
+
+# a level read off its pairs: its size, and LevelSets._tally of its new
+# members and of all its members but the atoms, over the levels below it
+_Fold = namedtuple("_Fold", "size new held")
+
+
+def _fold(ls: LevelSets, xs: list, ys: list) -> _Fold:
+    """The level after the stored ones: level 0 plus every x of ``xs``
+    with each y of ``ys`` adjoined, counted in one walk over its pairs
+    without interning it.
+
+    A set S = x with y adjoined, y not in x, comes from the pair
+    (S - {w}, w) for every w in S that is a y and leaves an x; only the
+    pair with the largest such w, by id, counts it (canonical
+    augmentation; McKay, J. Algorithms 26, 1998).  So (x, y) is skipped when some z > y in x, z a y, has
+    (x - {z}) with y added among the xs.  Those y form a small set per x,
+    read off G[R] = {w a y : R with w added is an x} over the one-element
+    deletions R of the xs.  A pair that is not skipped and names an old
+    id, a set already interned or x itself when y is in x, marks it as
+    :func:`_assemble` does; x is marked through its largest element that
+    is a y, which no z exceeds.  No nesting of levels is assumed.
+    """
+    eng = ls.engine
+    masks = ls._element_masks()
+    every = (1 << len(ls._levels)) - 1
+    elements_of = eng.elements_of
+    is_y = set(ys)
+    grows = {}  # G[R], R a deletion of an x
+    for x in xs:
+        ex = elements_of(x)
+        for i, w in enumerate(ex):
+            if w in is_y:
+                grows.setdefault(ex[:i] + ex[i + 1:], []).append(w)
+    found = bytearray((eng.size + 7) >> 3)
+    fresh = {}  # tally of the sets no id names yet
+    for x, row in zip(xs, eng.probe_level(xs, ys)):
+        ex = elements_of(x)
+        bad = set()
+        acc = every
+        for i, z in enumerate(ex):
+            acc &= masks[z]
+            if z in is_y:
+                bad.update(w for w in grows.get(ex[:i] + ex[i + 1:], ())
+                           if w < z)
+        for y, sid in zip(ys, row):
+            if y in bad:
+                continue
+            if sid is None:
+                key = acc & masks[y]
+                fresh[key] = fresh.get(key, 0) + 1
+            else:
+                found[sid >> 3] |= 1 << (sid & 7)
+    old = ls._levels[0] | int.from_bytes(found, "little")
+    atoms = (1 << len(ls.atom_ids)) - 1
+    new = Counter(fresh)
+    new.update(ls._tally(iter_bits(old & ~ls._levels[-1])))
+    held = Counter(fresh)
+    held.update(ls._tally(iter_bits(old & ~atoms)))
+    return _Fold(old.bit_count() + sum(fresh.values()), new, held)
 
 
 def _assemble(eng: SetEngine, base: int, ids) -> int:
@@ -232,9 +358,8 @@ def _source(ls: LevelSets, n: int) -> int:
     if ls.spec.kind == "bounded":
         return ls.spec.f(n)
     if ls.spec.kind == "minbounded":
-        members = ls.members(n)
         return next((m + 1 for m in range(n, -1, -1)
-                     if ls.held(members, m) == 1 << ls.size(m)), 0)
+                     if ls.level_held(n, m) == 1 << ls.size(m)), 0)
     return n
 
 
@@ -299,10 +424,11 @@ def verify_ark_lemma(ls: LevelSets) -> ArkReport:
         raise ValueError("ark verification is defined on the plain hierarchy")
     eng = ls.engine
     deepest = ls.depth
+    members = ls.members(deepest)
     masks = ls._element_masks()  # ids beyond it are new at the deepest level
     mismatches = []
     total = 0
-    for sid in ls.members(deepest):
+    for sid in members:
         total += 1
         first = masks[sid] if sid < len(masks) else 1 << deepest
         by_levels = (first & -first).bit_length() - 1

@@ -120,7 +120,7 @@ def verify_minbounded(n_max: int = 5):
         if idx > n_max:
             continue
         examined.append(idx)
-        law_ok &= (ls.held(ls.members(idx), n) == ls.size(idx)
+        law_ok &= (ls.level_held(idx, n) == ls.size(idx)
                    == 2 ** sizes[n])
     checks.append(Check(
         "power-set law: level(size(n)) == P(level n)", law_ok,

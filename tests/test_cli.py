@@ -6,7 +6,7 @@ import os
 import re
 import stat
 import time
-from decimal import Decimal
+from decimal import MAX_PREC, Decimal
 from pathlib import Path
 
 import pytest
@@ -21,6 +21,7 @@ from adjhier.errors import BoundFunctionError, CacheError
 from adjhier.recurrence import compute_b_table
 from adjhier.refinements import compute_atoms_table, compute_d_table, compute_r_table
 
+import hfs_reference as ref
 from golden import CARD_PROFILES, PLAIN_A, RANK_PROFILES, SQRT_ROWS
 
 
@@ -136,6 +137,15 @@ def test_constant_digits_must_be_positive(digits, capsys):
     assert f"--digits must be at least 1, got {digits}" in captured.err
 
 
+def test_constant_digits_past_decimal_precision_refused(capsys):
+    # 10**-digits would overflow the Decimal exponent
+    digits = str(10 ** 30)
+    assert main(["constant", "--digits", digits, "--n", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert f"--digits must be at most {MAX_PREC}, got {digits}" in captured.err
+
+
 @pytest.mark.parametrize("argv", [["--n", "8", "--digits", "17"],
                                   ["--n", "16", "--digits", "3000"]])
 def test_constant_prints_certified_digits_fast(argv, capsys):
@@ -198,6 +208,36 @@ def test_oracle_verify_dump(tmp_path, capsys):
     assert lines == ["{}", "{{}}", "{{{}}}", "{{},{{}}}"]
     summary = json.loads((dump / "summary.json").read_text())
     assert summary["sizes"] == ["1", "2", "4", "12", "16"]
+
+
+def _canonical(x):
+    """Canonical sort key of a reference set or atom: atoms first, by
+    number, then sets by their elements' keys in descending order."""
+    if ref.is_set(x):
+        return 1, tuple(sorted(map(_canonical, x), reverse=True))
+    return 0, int(x[1:])
+
+
+def _notation(x):
+    if not ref.is_set(x):
+        return x
+    return "{" + ",".join(map(_notation, sorted(x, key=_canonical))) + "}"
+
+
+def test_oracle_verify_dump_writes_the_deepest_level_whole(tmp_path, capsys):
+    # the deepest level is counted without interning it; --dump interns it
+    dump = tmp_path / "atoms"
+    out_of(["oracle-verify", "--variant", "atoms", "--u", "1", "--n", "3",
+            "--dump", str(dump)], capsys)
+    top = ref.levels(3, 1)[3]
+    assert len(top) == 86
+    assert (dump / "level_03.txt").read_text().splitlines() == [
+        _notation(x) for x in sorted(top, key=_canonical)]
+    dump = tmp_path / "plain"
+    out_of(["oracle-verify", "--variant", "plain", "--n", "5",
+            "--dump", str(dump)], capsys)
+    lines = (dump / "level_05.txt").read_text().splitlines()
+    assert len(lines) == len(set(lines)) == PLAIN_A[5] == 11_680
 
 
 # sha256 of every level file --dump writes, recorded before the oracle

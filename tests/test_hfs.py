@@ -92,8 +92,9 @@ def test_code_roundtrip_small_exhaustive():
 def test_code_roundtrip_oracle_universe():
     ls = build_levels(HierarchySpec.plain(), 5)
     eng = ls.engine
+    members = ls.members(5)  # interns the folded deepest level
     size = eng.size
-    for sid in ls.members(5):
+    for sid in members:
         assert intern(eng, decode(code(as_set(eng, sid)))) == sid
     assert eng.size == size
 
@@ -101,8 +102,9 @@ def test_code_roundtrip_oracle_universe():
 def test_parser_reads_back_every_printed_member():
     ls = build_levels(HierarchySpec.plain(), 5)
     eng = ls.engine
+    members = ls.members(5)  # interns the folded deepest level
     size = eng.size
-    for sid in ls.members(5):
+    for sid in members:
         assert intern(eng, as_set(eng, sid)) == sid
     assert eng.size == size
 
@@ -353,9 +355,14 @@ def test_adjoin_level_equals_frozenset_adjunction(pairs, n_atoms, xi, yi,
         # a y that some x already holds
         ys.append(next(eng.elements_of(x)[-1] for x in xs
                        if eng.elements_of(x)))
+    size = eng.size
+    probed = [sid for row in eng.probe_level(xs, ys) for sid in row]
+    assert eng.size == size  # a probe interns nothing
     got = list(eng.adjoin_level(xs, ys))
     assert len(got) == len(xs) * len(ys)
     _assert_adjunctions(eng, xs, ys, got)
+    # a probe names the set the adjunction finds, None where it is new
+    assert probed == [sid if sid < size else None for sid in got]
 
 
 def test_adjoin_level_members_and_outside_elements():

@@ -1,6 +1,7 @@
 import ast
 import itertools
 import json
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import example, given, strategies as st
 from adjhier import oracle, verify
 from adjhier.bounded import BoundFunction
 from adjhier.errors import ResourceCapError
+from adjhier.hfs import SetEngine
 from adjhier.variants import HierarchySpec
 
 import hfs_reference as ref
@@ -262,6 +264,7 @@ def test_levels_equal_or_of_adjoined_ids(spec, n_max):
     # time
     ls = oracle.build_levels(spec, n_max)
     eng = ls.engine
+    ls.levels  # interns the folded deepest level
     size = eng.size
     for n in range(n_max):
         want = ls.levels[0]
@@ -270,6 +273,113 @@ def test_levels_equal_or_of_adjoined_ids(spec, n_max):
                 want |= 1 << next(eng.adjoin_level([x], [y]))
         assert ls.levels[n + 1] == want, n
     assert eng.size == size  # the replay interned nothing new
+
+
+def top_reads(ls):
+    """What the verifiers read of the deepest level: every level size, and
+    for every m below it its new members and its members with all their
+    elements in level m."""
+    n = ls.depth
+    return (ls.sizes(),
+            [oracle.partition_counts(ls, n, m) for m in range(n)],
+            [ls.level_held(n, m) for m in range(n)])
+
+
+def reference_top_reads(want):
+    """:func:`top_reads` of the reference levels ``want``."""
+    n = len(want) - 1
+    top = [s for s in want[n] if ref.is_set(s)]
+    new = [s for s in top if s not in want[n - 1]] if n else top
+    return ([len(v) for v in want],
+            [sum(s <= want[m] for s in new) for m in range(n)],
+            [sum(s <= want[m] for s in top) for m in range(n)])
+
+
+FOLD_CASES = [  # the oracle-verify bench argvs, atoms u=3 and minbounded 12
+    (HierarchySpec.plain(), 5),
+    (HierarchySpec.atoms(2), 4),
+    (HierarchySpec.atoms(1), 4),
+    (HierarchySpec.bounded(BoundFunction("half")), 9),
+    (HierarchySpec.bounded(BoundFunction("sqrt")), 27),
+    (HierarchySpec.bounded(BoundFunction("log2")), 17),
+    (HierarchySpec.min_bounded(), 5),
+    (HierarchySpec.atoms(3), 3),
+    (HierarchySpec.min_bounded(), 12)]
+
+
+@pytest.mark.parametrize("spec, n_max", FOLD_CASES, ids=str)
+def test_folded_level_reads_equal_interned_level(spec, n_max):
+    folded = oracle.build_levels(spec, n_max)
+    size = folded.engine.size
+    got = top_reads(folded)
+    assert folded.engine.size == size  # the fold interned nothing
+    interned = oracle.build_levels(spec, n_max)
+    interned.levels  # interns the deepest level
+    assert interned.engine.size > size or spec.kind == "bounded"
+    members = interned.members(n_max)[spec.u:]
+    assert got == (interned.sizes(),
+                   [oracle.partition_counts(interned, n_max, m)
+                    for m in range(n_max)],
+                   [interned.held(members, m) for m in range(n_max)])
+
+
+def _universe(n_atoms, subsets):
+    """An engine holding the sets each list of indices picks, in turn,
+    from the ids interned before it."""
+    eng = SetEngine(n_atoms=n_atoms)
+    for picks in subsets:
+        elems = {i % eng.size for i in picks}
+        eng.intern_sorted_ids(tuple(eng.sort_ids(elems)))
+    return eng
+
+
+@given(st.integers(0, 2),
+       st.lists(st.lists(st.integers(0, 40), max_size=4), max_size=25),
+       st.sets(st.integers(0, 40), max_size=8),
+       st.sets(st.integers(0, 40), max_size=8))
+# {{}} holds its only y, {}, and comes from no other pair
+@example(0, [[0]], {1}, {0})
+# {u1,u2} comes from ({u1}, u2) and from ({u2}, u1)
+@example(2, [[0], [1]], {1, 2}, {0, 1})
+# ({}, {}) names {{}}, interned and held by level 1
+@example(0, [[0]], {0, 1}, {0})
+def test_fold_of_any_pairs_equals_their_interned_level(n_atoms, subsets,
+                                                       xi, yi):
+    # the xs and ys need not come from nested levels: x need not arise
+    # from any other pair, and a set may already be interned
+    eng = _universe(n_atoms, subsets)
+    sets = range(n_atoms, eng.size)
+    xs = sorted({sets[i % len(sets)] for i in xi})
+    ys = sorted({i % eng.size for i in yi})
+    base = (1 << n_atoms + 1) - 1
+    below = [base, base | sum(1 << i for i in {*xs, *ys})]
+    spec, atoms = HierarchySpec.atoms(n_atoms), tuple(range(n_atoms))
+    folded = oracle.LevelSets(spec, eng, below[:], atoms)
+    folded._fold_top(xs, ys)
+    size = eng.size
+    got = top_reads(folded)
+    assert eng.size == size
+    interned = oracle.LevelSets(spec, eng, below[:], atoms)
+    interned._fold_top(xs, ys)
+    interned.levels
+    assert got == top_reads(interned)
+
+
+def test_atoms_oracle_keeps_only_levels_below_the_top():
+    # level 4 of atoms u=2 holds 102,751 sets; none of them is interned,
+    # so verifying it traces well under 4 MB (about 17 MB interned)
+    ls = oracle.build_levels(HierarchySpec.atoms(2), 4)
+    assert ls.engine.size == len(set().union(*ref.levels(3, 2))) == 328
+    assert ls.size(4) == 102_751
+    verify.verify_atoms(2, 2)  # the imports of the first call
+    tracemalloc.start()
+    try:
+        _, checks = verify.verify_atoms(2, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(c.ok for c in checks)
+    assert peak < 4 << 20, peak
 
 
 @pytest.mark.parametrize("spec, n_max, source", [
@@ -287,6 +397,7 @@ def test_levels_equal_reference(spec, n_max, source):
     # defining equation builds
     ls = oracle.build_levels(spec, n_max)
     want = ref.levels(n_max, spec.u, source)
+    assert top_reads(ls) == reference_top_reads(want)  # before it is interned
     assert [sets(ls, n) for n in range(n_max + 1)] == want
     assert ls.sizes() == [len(v) for v in want]  # no set has two ids
 

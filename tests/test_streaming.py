@@ -177,6 +177,40 @@ def test_long_value_text_held_once(monkeypatch, fmt):
     assert held < HELD_BEYOND_RENDERING[fmt], held
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv", "plain"])
+def test_previous_value_dropped_before_next_render(monkeypatch, fmt):
+    # when a(21) starts rendering, no block as large as a(20)'s text, the
+    # previous value written, is alive
+    table = compute_b_table(21)
+    a21 = table.a[21]
+    previous = len(decimal_str(table.a[20]))  # 133,245
+    monkeypatch.setattr(cli, "compute_b_table", lambda n: table)
+    render = cli.decimal_str
+    largest = []
+
+    def watched(v):
+        if v is a21:
+            largest.append(max(t.size for t in
+                               tracemalloc.take_snapshot().traces))
+        return render(v)
+
+    class Sink:  # keeps nothing that it is given
+        def write(self, text):
+            return len(text)
+
+        def flush(self):
+            pass
+
+    monkeypatch.setattr(cli, "decimal_str", watched)
+    monkeypatch.setattr(sys, "stdout", Sink())
+    tracemalloc.start()
+    try:
+        assert main(["levels", "--n", "21", "--format", fmt]) == 0
+    finally:
+        tracemalloc.stop()
+    assert len(largest) == 1 and largest[0] < previous, (largest, previous)
+
+
 @pytest.mark.parametrize("skip", [[], ["--skip-duplicates"]])
 def test_each_distinct_level_size_rendered_once(monkeypatch, capsys, skip):
     a = compute_bounded_table(BoundFunction("log2"), 4095).a
