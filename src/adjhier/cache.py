@@ -92,12 +92,6 @@ def _parse_cells(cells) -> list:
     return [(_index(n), _index(m), _hex(v)) for n, m, v in cells]
 
 
-def table_payload(table) -> dict:
-    """The payload as JSON reads it: the table's name, its depth and the
-    nonzero cells [n, m, b(n, m)] of each of its layers."""
-    return json.loads("".join(_payload_text(table)))
-
-
 def _prime(checksum: str) -> int:
     """The first prime at or above the number whose 61 bits are the first
     61 of the checksum, the top one set; Miller-Rabin with the bases 2 to

@@ -385,18 +385,13 @@ def _run_constant(cmd: CommandSpec):
 
 def _run_oracle_verify(cmd: CommandSpec):
     from . import oracle, verify
-    n = cmd.n_max  # None when --n is not given; 0 is a depth
-    if cmd.variant == "plain":
-        ls, checks = verify.verify_plain(5 if n is None else n)
-    elif cmd.variant == "atoms":
-        ls, checks = verify.verify_atoms(cmd.u, 4 if n is None else n)
-    elif cmd.variant == "bounded":
-        f = parse_bound_function(cmd.f_spec)
-        ls, checks = verify.verify_bounded(f, 9 if n is None else n)
-    elif cmd.variant == "minbounded":
-        ls, checks = verify.verify_minbounded(5 if n is None else n)
-    else:
-        raise ValueError(f"unknown variant {cmd.variant!r}")
+    kind, n = cmd.variant, cmd.n_max
+    spec = HierarchySpec(
+        kind, u=cmd.u if kind == "atoms" else 0,
+        f=parse_bound_function(cmd.f_spec) if kind == "bounded" else None)
+    if n is None:  # --n not given; 0 is a depth
+        n = {"plain": 5, "atoms": 4, "bounded": 9, "minbounded": 5}[kind]
+    ls, checks = verify.verify(spec, n)
     doc = oracle.summary(ls, [c.as_dict() for c in checks])
     if cmd.dump:
         _dump_levels(cmd.dump, ls, doc)

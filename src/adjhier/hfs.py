@@ -155,11 +155,6 @@ class SetEngine:
             self._keys[sid] = key
         return key
 
-    def compare_ids(self, a: int, b: int) -> int:
-        """Canonical order: -1, 0 or 1."""
-        ka, kb = self._key(a), self._key(b)
-        return (ka > kb) - (ka < kb)
-
     def sort_ids(self, ids) -> list:
         """Sort ids into canonical order."""
         return sorted(ids, key=self._key)

@@ -10,17 +10,22 @@ ids found again below that range are marked, in a byte array, so no big
 int is built per pair.  Each level is read through one
 decoded view, a bit string, so walks are linear in its size and
 membership tests take constant time; subset counts read a table of the
-levels that hold each element.  The resulting ground-truth counts are
-what the recurrence modules are checked against at small depth.
+levels that hold each element.  Every count of a level is read off one
+tally of its sets, keyed by the sorted tuple of their elements' level
+masks (:meth:`LevelSets._tally`): the subset counts b(n, m), their
+splits by the number k of elements new at level m, and the sets of a
+level held by a lower one.  The resulting ground-truth counts are what
+the recurrence modules are checked against at small depth.
 
 Level sizes grow doubly exponentially, so the deepest level dwarfs the
 others, and no level is built from it.  It is not interned: one walk
 over its pairs (x, y) counts each of its sets once, from the pair with
 the largest y that makes it (canonical augmentation; see
-:func:`_fold`), and tallies what the verifiers read: its size, its new
-members' element masks for the partition counts, and all its members'
-for :meth:`LevelSets.level_held`.  A read that needs its ids interns it
-then, as the levels below were.
+:func:`_fold`), and tallies what the verifiers read: its size and the
+tallies of its new members and of all its members, so its partition
+counts, its k-splits and :meth:`LevelSets.level_held` need no ids.  A
+read that needs its ids (its members, the profiles, the ark lemma)
+interns it then, as the levels below were.
 
 Every variant has one limit: a level that may hold more than
 :data:`DEFAULT_LEVEL_SIZE_CAP` sets is refused before it is built, level
@@ -62,27 +67,29 @@ class LevelSets:
     """Levels of one hierarchy, each a bitset over engine ids.
 
     Levels are append-only: a level, once stored, never changes, so its
-    decoded view is computed once.  The per-element level masks that
-    :meth:`held` and the partition counts read depend on how many levels
-    exist, and are rebuilt when that number changes.
+    decoded view is computed once.  The per-element level masks, and the
+    tallies read off them, depend on how many levels are stored, and are
+    rebuilt when that number changes.
 
     The deepest level that :func:`build_levels` makes is left folded: its
     size and its two tallies are read off one walk over its pairs as it
     is built (see :func:`_fold`), and its sets are interned only when a
-    read needs their ids (:attr:`levels`, :meth:`members`,
-    :meth:`contains`, :meth:`new_members`, the k-splits).
+    read needs their ids (:attr:`levels`, :meth:`members`, and
+    :meth:`level_held` at a level not yet stored).
     """
 
     def __init__(self, spec: HierarchySpec, engine: SetEngine, levels: list,
                  atom_ids: tuple = ()):
         self.spec, self.engine, self.atom_ids = spec, engine, atom_ids
         self._levels = levels  # bitsets over engine ids
+        # sources[n]: the level whose members build_levels adjoined to
+        # level n's to make level n + 1 (see _source)
+        self.sources = []
         # (xs, ys) of a folded deepest level, and its fold
         self._pairs = self._fold = None
         self._views = []
-        # (len(levels), element masks, new-member tallies and k-splits by
-        # level)
-        self._index = (-1, None, None, None)
+        # (len(levels), element masks, what _read keeps over them)
+        self._index = (-1, None, None)
 
     @property
     def levels(self) -> list:
@@ -106,30 +113,15 @@ class LevelSets:
     def members(self, n: int) -> list:
         return list(_ones(self._view(n)))
 
-    def contains(self, n: int, sid: int) -> bool:
-        view = self._view(n)
-        return 0 <= sid < len(view) and view[sid] == "1"
-
-    def new_members(self, n: int) -> list:
-        """Members of level n absent from level n-1."""
-        return list(self._new_ids(n))
-
-    def held(self, ids, m: int) -> int:
-        """How many of ``ids`` have all their elements in level m.
-
-        The ids are members of the computed levels (their elements lie
-        below the top level); atoms have no elements and are refused.
-        """
-        if m >= len(self._levels):
-            self._intern_top()  # bit m of the masks needs level m
-        return _count_with(self._tally(ids), m)
-
     def level_held(self, n: int, m: int) -> int:
         """How many sets of level n, atoms aside, have all their elements
         in level m."""
         if self._folded(n) and m < n:
             return _count_with(self._fold.held, m)
-        return self.held(self.members(n)[len(self.atom_ids):], m)
+        if m >= len(self._levels):
+            self._intern_top()  # bit m of the masks needs level m
+        return _count_with(self._read(("held", n), lambda: self._tally(
+            self.members(n)[len(self.atom_ids):])), m)
 
     def _fold_top(self, xs: list, ys: list):
         """Leave the next level, every x of ``xs`` with each y of ``ys``
@@ -163,78 +155,71 @@ class LevelSets:
         return views[n]
 
     def _element_masks(self) -> list:
-        """For each id of the levels below the top, the bitmask of the
-        stored levels that hold it.  Every element of a member lies below
-        the top: a member is built from lower levels' members only."""
+        """For each id of the stored levels, the bitmask of the stored
+        levels that hold it: every element of a member, and every y that
+        :func:`_fold` adjoins, is one of them."""
         key, masks = self._index[:2]
         if key != len(self._levels):
-            bound = max((len(self._view(m)) for m in range(self.depth)),
-                        default=0)
-            masks = [0] * bound
+            masks = [0] * max(len(self._view(m))
+                              for m in range(len(self._levels)))
             for m in range(len(self._levels)):
                 bit = 1 << m
-                for e in _ones(self._view(m)[:bound]):
+                for e in _ones(self._view(m)):
                     masks[e] |= bit
-            self._index = (len(self._levels), masks, {}, {})
+            self._index = (len(self._levels), masks, {})
         return masks
 
+    def _read(self, key, make):
+        """``make()``, computed once and kept until a level is stored."""
+        self._element_masks()  # drops what was read over fewer levels
+        kept = self._index[2]
+        if key not in kept:
+            kept[key] = make()
+        return kept[key]
+
     def _tally(self, ids) -> dict:
-        """Histogram over ``ids`` of the mask of stored levels that hold
-        all of a set's elements (the AND of its elements' masks)."""
+        """Histogram over ``ids`` of the sorted tuple of a set's elements'
+        masks (see :meth:`_element_masks`)."""
         masks = self._element_masks()
-        every = (1 << len(self._levels)) - 1
         elements_of = self.engine.elements_of
         hist = {}
         for sid in ids:
-            acc = every
-            for e in elements_of(sid):
-                acc &= masks[e]
-            hist[acc] = hist.get(acc, 0) + 1
+            key = tuple(sorted([masks[e] for e in elements_of(sid)]))
+            hist[key] = hist.get(key, 0) + 1
         return hist
 
     def _new_tally(self, n: int) -> dict:
-        """:meth:`_tally` of level n's new members, computed once."""
+        """:meth:`_tally` of level n's new members."""
         if self._folded(n):
             return self._fold.new
-        self._element_masks()  # drops the tallies made over fewer levels
-        tallies = self._index[2]
-        if n not in tallies:
-            tallies[n] = self._tally(self._new_ids(n))
-        return tallies[n]
+        return self._read(("new", n), lambda: self._tally(self._new_ids(n)))
 
     def _new_splits(self, n: int) -> list:
-        """:func:`partition_split` of level n for every m < n, from one
-        walk over its new members, computed once.
-
-        Each member maps to its elements' level masks, sorted; the
-        elements new at level m are those with bit m set and bit m-1
-        clear (``s & ~(s << 1)``)."""
-        if self._folded(n):
-            self._intern_top()
-        masks = self._element_masks()
-        splits = self._index[3]
-        if n not in splits:
-            elements_of = self.engine.elements_of
-            hist = {}
-            for sid in self._new_ids(n):
-                key = tuple(sorted([masks[e] for e in elements_of(sid)]))
-                hist[key] = hist.get(key, 0) + 1
-            by_m = [{} for _ in range(n)]
-            for key, c in hist.items():
-                held = (1 << n) - 1
-                for s in key:
-                    held &= s
-                new_at = [s & ~(s << 1) for s in key]
-                for m in _ones(_bit_string(held)):
-                    k = sum(b >> m & 1 for b in new_at)
-                    by_m[m][k] = by_m[m].get(k, 0) + c
-            splits[n] = by_m
-        return splits[n]
+        """:func:`partition_split` of level n for every m < n, read off
+        :meth:`_new_tally` once: the elements new at level m are those
+        with bit m set and bit m-1 clear (``s & ~(s << 1)``)."""
+        return self._read(("splits", n),
+                          lambda: _splits(self._new_tally(n), n))
 
 
 def _count_with(hist: dict, m: int) -> int:
     """Sets in a tally whose elements all lie in level m."""
-    return sum(c for mask, c in hist.items() if mask >> m & 1)
+    return sum(c for key, c in hist.items() if all(s >> m & 1 for s in key))
+
+
+def _splits(hist: dict, n: int) -> list:
+    """For every m < n, the sets in a tally whose elements all lie in
+    level m, counted by how many of their elements are new at level m."""
+    by_m = [{} for _ in range(n)]
+    for key, c in hist.items():
+        held = (1 << n) - 1
+        for s in key:
+            held &= s
+        new_at = [s & ~(s << 1) for s in key]
+        for m in _ones(_bit_string(held)):
+            k = sum(b >> m & 1 for b in new_at)
+            by_m[m][k] = by_m[m].get(k, 0) + c
+    return by_m
 
 
 def _check_size(kind: str, level: int, bound: int):
@@ -264,7 +249,8 @@ def build_levels(spec: HierarchySpec, n_max: int) -> LevelSets:
     ls = LevelSets(spec, eng, [base], tuple(range(u)))
     for n in range(n_max):
         xs = ls.members(n)[u:]  # the atoms lead every level
-        ys = ls.members(_source(ls, n))
+        ls.sources.append(_source(ls, n))
+        ys = ls.members(ls.sources[n])
         _check_size(spec.kind, n + 1, u + 1 + len(xs) * len(ys))
         if n + 1 < n_max:
             ls.levels.append(_assemble(eng, base, eng.adjoin_level(xs, ys)))
@@ -296,7 +282,6 @@ def _fold(ls: LevelSets, xs: list, ys: list) -> _Fold:
     """
     eng = ls.engine
     masks = ls._element_masks()
-    every = (1 << len(ls._levels)) - 1
     elements_of = eng.elements_of
     is_y = set(ys)
     grows = {}  # G[R], R a deletion of an x
@@ -306,31 +291,34 @@ def _fold(ls: LevelSets, xs: list, ys: list) -> _Fold:
             if w in is_y:
                 grows.setdefault(ex[:i] + ex[i + 1:], []).append(w)
     found = bytearray((eng.size + 7) >> 3)
-    fresh = {}  # tally of the sets no id names yet
+    ymasks = [masks[y] for y in ys]
+    pairs = {}  # (x's key, y's mask): the sets no id names yet
     for x, row in zip(xs, eng.probe_level(xs, ys)):
         ex = elements_of(x)
         bad = set()
-        acc = every
         for i, z in enumerate(ex):
-            acc &= masks[z]
             if z in is_y:
                 bad.update(w for w in grows.get(ex[:i] + ex[i + 1:], ())
                            if w < z)
-        for y, sid in zip(ys, row):
+        by_y = {}  # y's mask: the pairs of this x
+        for y, s, sid in zip(ys, ymasks, row):
             if y in bad:
                 continue
             if sid is None:
-                key = acc & masks[y]
-                fresh[key] = fresh.get(key, 0) + 1
+                by_y[s] = by_y.get(s, 0) + 1
             else:
                 found[sid >> 3] |= 1 << (sid & 7)
+        key = tuple(sorted([masks[z] for z in ex]))
+        for s, c in by_y.items():
+            pairs[key, s] = pairs.get((key, s), 0) + c
+    fresh = Counter()  # their tally, as LevelSets._tally keys it
+    for (key, s), c in pairs.items():
+        fresh[tuple(sorted(key + (s,)))] += c
     old = ls._levels[0] | int.from_bytes(found, "little")
     atoms = (1 << len(ls.atom_ids)) - 1
-    new = Counter(fresh)
-    new.update(ls._tally(iter_bits(old & ~ls._levels[-1])))
-    held = Counter(fresh)
-    held.update(ls._tally(iter_bits(old & ~atoms)))
-    return _Fold(old.bit_count() + sum(fresh.values()), new, held)
+    new = fresh + Counter(ls._tally(iter_bits(old & ~ls._levels[-1])))
+    held = fresh + Counter(ls._tally(iter_bits(old & ~atoms)))
+    return _Fold(old.bit_count() + fresh.total(), new, held)
 
 
 def _assemble(eng: SetEngine, base: int, ids) -> int:
@@ -425,12 +413,12 @@ def verify_ark_lemma(ls: LevelSets) -> ArkReport:
     eng = ls.engine
     deepest = ls.depth
     members = ls.members(deepest)
-    masks = ls._element_masks()  # ids beyond it are new at the deepest level
+    masks = ls._element_masks()
     mismatches = []
     total = 0
     for sid in members:
         total += 1
-        first = masks[sid] if sid < len(masks) else 1 << deepest
+        first = masks[sid]
         by_levels = (first & -first).bit_length() - 1
         by_formula = eng.ark_id(sid)
         if by_levels != by_formula:

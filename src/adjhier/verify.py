@@ -1,9 +1,13 @@
 """Cross-validation of the count recurrences against brute-force levels.
 
-Each verifier materializes levels with the oracle, recomputes the same
-quantities through the recurrence tables, and reports named checks.  The
-oracle side never touches the recurrence code paths, so agreement here
-is a genuine two-route confirmation.
+One verifier, :func:`verify`, builds a variant's levels with the oracle,
+fills its recurrence table, and reports named checks: for every variant
+the level sizes, every cell b(n, m) and every cell's split by k, the
+number of its elements new at level m, against the recurrence's three
+summands; for plain also the rank and cardinality profiles and the ark
+lemma, and for minbounded the power-set law.  The oracle side never
+touches the recurrence code paths, so agreement here is a genuine
+two-route confirmation.
 """
 
 from __future__ import annotations
@@ -12,11 +16,19 @@ import math
 from collections import namedtuple
 
 from . import oracle
-from .bounded import BoundFunction, compute_bounded_table, compute_minbounded
-from .recurrence import compute_b_table
-from .refinements import (compute_atoms_table, compute_d_table,
-                          compute_r_table, d_profile, r_profile)
+from .bounded import BoundFunction
+from .recurrence import compute_table
+from .refinements import compute_d_table, compute_r_table, d_profile, r_profile
 from .variants import HierarchySpec
+
+# by kind: what the level sizes and the cells are checked against, and
+# the detail of a cell check that passes
+_NAMES = {
+    "plain": ("a(n)", "b(n, m)", "all cells to depth {n_max}"),
+    "atoms": ("atoms sequence (u={u})", "atoms b(n, m)", ""),
+    "bounded": ("bounded sequence (f={f})", "bounded b(n, m)", ""),
+    "minbounded": ("minimally bounded sequence", "minbounded b(n, m)", ""),
+}
 
 
 class Check(namedtuple("Check", "name ok detail", defaults=("",))):
@@ -29,100 +41,86 @@ class Check(namedtuple("Check", "name ok detail", defaults=("",))):
 def _oracle_b(ls, n, m):
     """Oracle-side b(n, m) covering the base column."""
     if m == -1:
-        return 1 if n == 0 else 0
+        return ls.size(0) if n == 0 else 0
     return oracle.partition_counts(ls, n, m)
 
 
-def _split_expectation(ls, n, m):
-    """The three recurrence summands recomputed from oracle counts only."""
+def _split_expectation(ls, n, m, g):
+    """The three recurrence summands of b(n, m) by k, recomputed from
+    oracle counts only: b(n, m-1) at k = 0, b(n-k, m-1) * C(c(m), k) for
+    0 < k < n - g, and C(c(m), n - g) * (a(g) - u) at k = n - g, where
+    g = g(m); a cell with g >= n has no element new at level m."""
     c_m = _oracle_b(ls, m, m - 1)
-    a_m = ls.size(m)
     expected = {0: _oracle_b(ls, n, m - 1)}
-    for k in range(1, n - m):
+    for k in range(1, n - g):
         expected[k] = _oracle_b(ls, n - k, m - 1) * math.comb(c_m, k)
-    expected[n - m] = math.comb(c_m, n - m) * a_m
+    if g < n:
+        expected[n - g] = math.comb(c_m, n - g) * (ls.size(g) - ls.spec.u)
     return {k: v for k, v in expected.items() if v}
 
 
-def _shared_checks(spec, n_max, compute, sizes_name, cells_name=None,
-                   cells_ok=""):
-    """The oracle levels, the recurrence table ``compute(n_max)`` and the
-    checks every variant shares: level sizes and, when ``cells_name`` is
-    given, every b(n, m) against the oracle's partition counts.  The
-    levels are built first, so a refused level keeps its message."""
+def verify(spec: HierarchySpec, n_max: int):
+    """The oracle levels 0..n_max of ``spec`` and the checks that the
+    recurrence agrees with them.  The levels are built first, so a
+    refused level keeps its message."""
     ls = oracle.build_levels(spec, n_max)
-    table = compute(n_max)
-    checks = [Check(f"level sizes == {sizes_name}", ls.sizes() == table.a,
-                    f"oracle {ls.sizes()}")]
-    if cells_name is not None:
-        bad = [(n, m) for n in range(1, n_max + 1) for m in range(n)
-               if oracle.partition_counts(ls, n, m) != table.b(n, m)]
-        checks.append(Check(f"{cells_name} == oracle partition counts",
-                            not bad, f"mismatches {bad}" if bad else cells_ok))
-    return ls, table, checks
+    table = compute_table(spec, n_max)
+    sizes_name, cells_name, cells_ok = _NAMES[spec.kind]
+    detail = f"oracle {ls.sizes()}"
+    if spec.kind == "atoms":
+        detail += f" table {table.sizes}"
+    checks = [Check(f"level sizes == {sizes_name.format(u=spec.u, f=spec.f)}",
+                    ls.sizes() == table.a, detail)]
+    cells = [(n, m) for n in range(1, n_max + 1) for m in range(n)]
+    bad = [(n, m) for n, m in cells
+           if oracle.partition_counts(ls, n, m) != table.b(n, m)]
+    checks.append(Check(f"{cells_name} == oracle partition counts", not bad,
+                        f"mismatches {bad}" if bad
+                        else cells_ok.format(n_max=n_max)))
 
-
-def verify_plain(n_max: int = 5):
-    ls, table, checks = _shared_checks(
-        HierarchySpec.plain(), n_max, compute_b_table, "a(n)",
-        "b(n, m)", f"all cells to depth {n_max}")
-
-    bad = [(n, m) for n in range(1, n_max + 1) for m in range(n)
-           if oracle.partition_split(ls, n, m) != _split_expectation(ls, n, m)]
+    # g(m): the least level whose source level reaches m; n_max when none
+    # below n_max does, and then no cell has an element new at level m
+    g = [next((t for t, s in enumerate(ls.sources) if s >= m), n_max)
+         for m in range(n_max)]
+    bad = [(n, m) for n, m in cells if oracle.partition_split(ls, n, m)
+           != _split_expectation(ls, n, m, g[m])]
     checks.append(Check("k-split matches the three summands", not bad,
                         f"mismatches {bad}" if bad else "term by term"))
 
-    rt, dt = compute_r_table(n_max), compute_d_table(n_max)
-    bad = [n for n in range(n_max + 1)
-           if oracle.profile_counts(ls, n, "rank") != r_profile(rt, n)]
-    checks.append(Check("rank profiles match", not bad,
-                        f"mismatches at n={bad}" if bad else ""))
-    bad = [n for n in range(n_max + 1)
-           if oracle.profile_counts(ls, n, "cardinality") != d_profile(dt, n)]
-    checks.append(Check("cardinality profiles match", not bad,
-                        f"mismatches at n={bad}" if bad else ""))
-
-    report = oracle.verify_ark_lemma(ls)
-    checks.append(Check("recursive ark == level membership", report.ok,
-                        str(report)))
+    if spec.kind == "plain":
+        for by, profiles, profile in (
+                ("rank", compute_r_table(n_max), r_profile),
+                ("cardinality", compute_d_table(n_max), d_profile)):
+            bad = [n for n in range(n_max + 1) if oracle.profile_counts(
+                ls, n, by) != profile(profiles, n)]
+            checks.append(Check(f"{by} profiles match", not bad,
+                                f"mismatches at n={bad}" if bad else ""))
+        report = oracle.verify_ark_lemma(ls)
+        checks.append(Check("recursive ark == level membership", report.ok,
+                            str(report)))
+    elif spec.kind == "minbounded":
+        # level(size(n)) must equal the power set of level n: every
+        # member is a subset and the count is exactly 2**size(n)
+        law = [(n, s) for n, s in enumerate(ls.sizes()) if s <= n_max]
+        checks.append(Check(
+            "power-set law: level(size(n)) == P(level n)",
+            all(ls.level_held(s, n) == ls.size(s) == 2 ** ls.size(n)
+                for n, s in law),
+            f"verified at indices {[s for _, s in law]}"))
     return ls, checks
+
+
+def verify_plain(n_max: int = 5):
+    return verify(HierarchySpec.plain(), n_max)
 
 
 def verify_atoms(u: int, n_max: int = 4):
-    ls, table, checks = _shared_checks(
-        HierarchySpec.atoms(u), n_max,
-        lambda n: compute_atoms_table(u, n),
-        f"atoms sequence (u={u})", "atoms b(n, m)")
-    checks[0] = checks[0]._replace(
-        detail=f"{checks[0].detail} table {table.sizes}")
-    return ls, checks
+    return verify(HierarchySpec.atoms(u), n_max)
 
 
 def verify_bounded(f: BoundFunction, n_max: int):
-    ls, _, checks = _shared_checks(
-        HierarchySpec.bounded(f), n_max,
-        lambda n: compute_bounded_table(f, n),
-        f"bounded sequence (f={f})", "bounded b(n, m)")
-    return ls, checks
+    return verify(HierarchySpec.bounded(f), n_max)
 
 
 def verify_minbounded(n_max: int = 5):
-    ls, _, checks = _shared_checks(HierarchySpec.min_bounded(), n_max,
-                                   compute_minbounded,
-                                   "minimally bounded sequence")
-
-    # level(size(n)) must equal the power set of level n: every member is
-    # a subset and the count is exactly 2**size(n)
-    sizes = ls.sizes()
-    law_ok, examined = True, []
-    for n in range(n_max + 1):
-        idx = sizes[n]
-        if idx > n_max:
-            continue
-        examined.append(idx)
-        law_ok &= (ls.level_held(idx, n) == ls.size(idx)
-                   == 2 ** sizes[n])
-    checks.append(Check(
-        "power-set law: level(size(n)) == P(level n)", law_ok,
-        f"verified at indices {examined}"))
-    return ls, checks
+    return verify(HierarchySpec.min_bounded(), n_max)

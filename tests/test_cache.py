@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from adjhier import recurrence
-from adjhier.cache import _checksum, load_table, save_table, table_payload
+from adjhier.cache import _checksum, _payload_text, load_table, save_table
 from adjhier.bounded import compute_minbounded
 from adjhier.cli import main
 from adjhier.recurrence import compute_b_table
@@ -18,6 +18,11 @@ HERE = Path(__file__).parent
 V4 = HERE / "cache_rank_5.v4.json"
 V3 = HERE / "cache_rank_5.v3.json"
 ARGV = ["rank-profile", "--n", "5", "--cache"]
+
+
+def payload(table) -> dict:
+    """The payload of ``table`` as JSON reads it."""
+    return json.loads("".join(_payload_text(table)))
 
 
 def test_fixture_is_what_save_writes(tmp_path, capsys):
@@ -50,12 +55,12 @@ def test_save_writes_the_canonical_document(tmp_path, table):
     assert doc["checksum"] == hashlib.sha256(
         canonical(doc["payload"]).encode()).hexdigest()
     assert doc["checksum"] == _checksum(doc["payload"])
-    assert doc["payload"] == table_payload(table())
+    assert doc["payload"] == payload(table())
 
 
 def test_count_table_is_one_layer():
     # b(4, 3) = 100
-    assert table_payload(compute_b_table(4)) == {
+    assert payload(compute_b_table(4)) == {
         "table": {"kind": "plain"}, "n_max": "4",
         "layers": [[[1, 0, "1"], [2, 1, "2"], [3, 2, "8"], [4, 2, "4"],
                     [4, 3, "64"]]]}

@@ -729,14 +729,14 @@ def test_oracle_verify_csv_format(capsys):
 
 def test_failed_verification_exits_one(monkeypatch, capsys):
     from adjhier import verify as verify_mod
-    original = verify_mod.verify_minbounded
+    original = verify_mod.verify
 
-    def broken(n_max=5, **caps):
-        ls, checks = original(4)
+    def broken(spec, n_max):
+        ls, checks = original(spec, 4)
         checks.append(verify_mod.Check("planted failure", False, "boom"))
         return ls, checks
 
-    monkeypatch.setattr(verify_mod, "verify_minbounded", broken)
+    monkeypatch.setattr(verify_mod, "verify", broken)
     assert main(["oracle-verify", "--variant", "minbounded"]) == 1
     out = capsys.readouterr().out
     doc = json.loads(out)

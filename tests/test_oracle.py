@@ -2,6 +2,7 @@ import ast
 import itertools
 import json
 import tracemalloc
+import types
 from pathlib import Path
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import example, given, strategies as st
 
 from adjhier import oracle, verify
 from adjhier.bounded import BoundFunction
+from adjhier.cli import main
 from adjhier.errors import ResourceCapError
 from adjhier.hfs import SetEngine
 from adjhier.variants import HierarchySpec
@@ -27,6 +29,12 @@ def sets(ls, n):
     return {ref.read(ls.engine.format_id(s)) for s in ls.members(n)}
 
 
+def new_members(ls, n):
+    """Members of level n absent from level n-1."""
+    below = set(ls.members(n - 1)) if n else set()
+    return [s for s in ls.members(n) if s not in below]
+
+
 def test_plain_level_sizes(plain5):
     assert plain5.sizes() == PLAIN_A[:6]
     assert oracle.build_levels(HierarchySpec.plain(), 3).sizes() == [1, 2, 4, 12]
@@ -40,7 +48,7 @@ def test_atoms_level_sizes():
     ls = oracle.build_levels(HierarchySpec.atoms(1), 2)
     assert ls.sizes() == ATOM_SIZES[1][:3] == [2, 4, 11]
     assert ls.atom_ids == (0,)
-    assert all(ls.contains(n, 0) for n in range(3))  # atoms sit in every level
+    assert all(0 in ls.members(n) for n in range(3))  # atoms in every level
 
 
 def test_cumulative_levels():
@@ -61,7 +69,7 @@ def test_levels_are_nested_and_contain_empty(plain5):
         empty = ls.engine.intern_sorted_ids(())
         for n in range(ls.depth):
             assert ls.levels[n] & ~ls.levels[n + 1] == 0
-            assert ls.contains(n, empty)
+            assert empty in ls.members(n)
 
 
 def test_partition_count_examples(plain5):
@@ -102,13 +110,14 @@ def test_subset_closure_and_membership_bounds():
     ls = oracle.build_levels(HierarchySpec.plain(), 4)
     eng = ls.engine
     for n in range(1, 5):
-        for sid in ls.members(n):
+        below, level = set(ls.members(n - 1)), set(ls.members(n))
+        for sid in level:
             elems = eng.elements_of(sid)
             assert len(elems) <= n
-            assert all(ls.contains(n - 1, e) for e in elems)
+            assert all(e in below for e in elems)
             for k in range(len(elems) + 1):
                 for sub in itertools.combinations(elems, k):
-                    assert ls.contains(n, eng.intern_sorted_ids(sub))
+                    assert eng.intern_sorted_ids(sub) in level
 
 
 def test_new_members_have_removal_witness():
@@ -116,11 +125,11 @@ def test_new_members_have_removal_witness():
     ls = oracle.build_levels(HierarchySpec.plain(), 4)
     eng = ls.engine
     for n in range(1, 5):
-        for sid in ls.new_members(n):
+        below = set(ls.members(n - 1))
+        for sid in new_members(ls, n):
             elems = eng.elements_of(sid)
             assert any(
-                ls.contains(n - 1, eng.intern_sorted_ids(
-                    elems[:i] + elems[i + 1:]))
+                eng.intern_sorted_ids(elems[:i] + elems[i + 1:]) in below
                 for i in range(len(elems)))
 
 
@@ -177,6 +186,50 @@ def test_minbounded_verifies_to_depth_12():
     assert law.detail == "verified at indices [1, 2, 4, 12]"
 
 
+@pytest.mark.parametrize("spec", [
+    HierarchySpec.plain(), HierarchySpec.atoms(1),
+    HierarchySpec.bounded(BoundFunction("half")),
+    HierarchySpec.bounded(BoundFunction("identity")),
+    HierarchySpec.min_bounded()], ids=str)
+def test_every_shallow_depth_verifies(spec):
+    # the deepest level adjoins members of the level just below it (plain
+    # always, minbounded at depths 1-3), and a minbounded build reads the
+    # element masks before it folds that level
+    for n_max in range(5):
+        _, checks = verify.verify(spec, n_max)
+        assert all(c.ok for c in checks), (n_max, checks)
+
+
+# Hand-made mutants of the oracle-side k-split expectation in verify.py,
+# as (text, replacement): the k range one short, u left out of the
+# trailing factor, g(m) read as m, and the base cell read as 1.
+EXPECTATION_MUTANTS = [
+    ("range(1, n - g):", "range(1, n - g - 1):"),
+    ("(ls.size(g) - ls.spec.u)", "ls.size(g)"),
+    ("_split_expectation(ls, n, m, g[m])", "_split_expectation(ls, n, m, m)"),
+    ("return ls.size(0) if n == 0", "return 1 if n == 0"),
+]
+
+
+@pytest.mark.parametrize("old, new", EXPECTATION_MUTANTS,
+                         ids=["k range", "u", "g(m)", "base cell"])
+def test_expectation_mutants_fail_oracle_verify(old, new, monkeypatch,
+                                                capsys):
+    source = Path(verify.__file__).read_text()
+    assert source.count(old) == 1
+    mutant = types.ModuleType("adjhier.verify_mutant")
+    mutant.__package__ = "adjhier"
+    exec(compile(source.replace(old, new), verify.__file__, "exec"),
+         mutant.__dict__)
+    monkeypatch.setattr(verify, "verify", mutant.verify)
+    codes, failed = [], set()
+    for argv in ("atoms --u 1 --n 4", "bounded --f sqrt --n 27"):
+        codes.append(main(["oracle-verify", "--variant", *argv.split()]))
+        doc = json.loads(capsys.readouterr().out)
+        failed.update(c["name"] for c in doc["checks"] if not c["ok"])
+    assert 1 in codes and failed == {"k-split matches the three summands"}
+
+
 def test_bounded_level_size_cap(monkeypatch):
     monkeypatch.setattr(oracle, "DEFAULT_LEVEL_SIZE_CAP", 100)
     err = None
@@ -223,7 +276,7 @@ def raw_held(ls, ids, m):
 def raw_split(ls, n, m):
     lv, prev = ls.levels[m], ls.levels[m - 1] if m >= 1 else 0
     split = {}
-    for sid in ls.new_members(n):
+    for sid in new_members(ls, n):
         elems = ls.engine.elements_of(sid)
         if all(lv >> e & 1 for e in elems):
             k = sum(1 for e in elems if (lv & ~prev) >> e & 1)
@@ -234,14 +287,14 @@ def raw_split(ls, n, m):
 def assert_reads_match_raw_levels(ls):
     eng = ls.engine
     for n in range(ls.depth + 1):
-        assert [ls.contains(n, sid) for sid in range(eng.size + 2)] == [
-            bool(ls.levels[n] >> sid & 1) for sid in range(eng.size + 2)]
+        assert ls.members(n) == [sid for sid in range(eng.size + 2)
+                                 if ls.levels[n] >> sid & 1]
         held = ls.members(n)[eng.n_atoms:]  # the atoms lead every level
         for m in range(ls.depth + 1):
-            assert ls.held(held, m) == raw_held(ls, held, m)
+            assert ls.level_held(n, m) == raw_held(ls, held, m)
         for m in range(n):
             assert (oracle.partition_counts(ls, n, m)
-                    == raw_held(ls, ls.new_members(n), m))
+                    == raw_held(ls, new_members(ls, n), m))
             assert oracle.partition_split(ls, n, m) == raw_split(ls, n, m)
 
 
@@ -278,11 +331,24 @@ def test_levels_equal_or_of_adjoined_ids(spec, n_max):
 def top_reads(ls):
     """What the verifiers read of the deepest level: every level size, and
     for every m below it its new members and its members with all their
-    elements in level m."""
+    elements in level m, and the new ones split by how many of their
+    elements are new at level m."""
     n = ls.depth
     return (ls.sizes(),
             [oracle.partition_counts(ls, n, m) for m in range(n)],
-            [ls.level_held(n, m) for m in range(n)])
+            [ls.level_held(n, m) for m in range(n)],
+            [oracle.partition_split(ls, n, m) for m in range(n)])
+
+
+def reference_split(new, below, level):
+    """The sets of ``new`` inside ``level``, counted by how many of their
+    elements lie in ``level`` and not in ``below``."""
+    split = {}
+    for s in new:
+        if s <= level:
+            k = len(s - below)
+            split[k] = split.get(k, 0) + 1
+    return split
 
 
 def reference_top_reads(want):
@@ -292,7 +358,9 @@ def reference_top_reads(want):
     new = [s for s in top if s not in want[n - 1]] if n else top
     return ([len(v) for v in want],
             [sum(s <= want[m] for s in new) for m in range(n)],
-            [sum(s <= want[m] for s in top) for m in range(n)])
+            [sum(s <= want[m] for s in top) for m in range(n)],
+            [reference_split(new, want[m - 1] if m else set(), want[m])
+             for m in range(n)])
 
 
 FOLD_CASES = [  # the oracle-verify bench argvs, atoms u=3 and minbounded 12
@@ -320,7 +388,8 @@ def test_folded_level_reads_equal_interned_level(spec, n_max):
     assert got == (interned.sizes(),
                    [oracle.partition_counts(interned, n_max, m)
                     for m in range(n_max)],
-                   [interned.held(members, m) for m in range(n_max)])
+                   [raw_held(interned, members, m) for m in range(n_max)],
+                   [raw_split(interned, n_max, m) for m in range(n_max)])
 
 
 def _universe(n_atoms, subsets):
@@ -374,11 +443,12 @@ def test_atoms_oracle_keeps_only_levels_below_the_top():
     verify.verify_atoms(2, 2)  # the imports of the first call
     tracemalloc.start()
     try:
-        _, checks = verify.verify_atoms(2, 4)
+        ls, checks = verify.verify_atoms(2, 4)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert all(c.ok for c in checks)
+    assert ls.engine.size == 328  # the k-split interned nothing either
     assert peak < 4 << 20, peak
 
 
