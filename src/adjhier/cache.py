@@ -3,12 +3,13 @@
 A cache file is ``{"format_version": 4, "payload": {...}, "checksum":
 sha256(canonical payload)}`` dumped with sorted keys and no whitespace
 variance, so load-then-save is byte identical.  Every payload is
-``{"table": name, "n_max": "<n>", "layers": [[[n, m, "<hex>"], ...],
-...]}``: a count table is one layer named by its spec's descriptor, a
-rank or cardinality table n_max + 1 layers named by its kind.  Cells
-are lowercase hex, linear to convert both ways; decimal is only for
-people.  Caches are an optimization only: a load checks every row against
-the row step mod a prime that the checksum picks (:func:`spot_check`).
+``{"table": descriptor, "n_max": "<n>", "layers": [[[n, m, "<hex>"],
+...]]}``: one count table, named by its spec's descriptor, in exactly
+one layer.  Rank and cardinality tables are not cached: their commands
+recompute them.  Cells are lowercase hex, linear to convert both ways;
+decimal is only for people.  Caches are an optimization only: a load
+checks every row against the row step mod a prime that the checksum
+picks (:func:`spot_check`).
 
 The sha256 is CPython's builtin one (``_sha2`` from 3.12, ``_sha256``
 before), so a cached run does not load :mod:`hashlib` and OpenSSL for
@@ -49,25 +50,17 @@ def _checksum(payload) -> str:
     return digest.hexdigest()
 
 
-def _payload_text(table):
+def _payload_text(table: CountTable):
     """The payload's canonical text in pieces of one cell each: the
-    table's name, its depth and the nonzero cells [n, m, "<hex>"] of each
-    of its layers in (n, m) order; a count table is its own single
-    layer."""
-    if isinstance(table, CountTable):
-        name, layers = table.spec.descriptor(), [table]
-    else:
-        name, layers = table.kind, table.layers
-    yield '{"layers":['
-    for i, layer in enumerate(layers):
-        cols = layer.cols
-        keys = sorted((n, m) for m, col in enumerate(cols) for n in col)
-        yield "[" if i == 0 else ",["
-        for j, (n, m) in enumerate(keys):
-            yield f'{"," if j else ""}[{n},{m},"{cols[m][n]:x}"]'
-        yield "]"
-    yield (f'],"n_max":{_canonical(str(table.n_max))},'
-           f'"table":{_canonical(name)}}}')
+    table's spec, its depth and its nonzero cells [n, m, "<hex>"] in
+    (n, m) order, as the one layer."""
+    cols = table.cols
+    keys = sorted((n, m) for m, col in enumerate(cols) for n in col)
+    yield '{"layers":[['
+    for j, (n, m) in enumerate(keys):
+        yield f'{"," if j else ""}[{n},{m},"{cols[m][n]:x}"]'
+    yield (f']],"n_max":{_canonical(str(table.n_max))},'
+           f'"table":{_canonical(table.spec.descriptor())}}}')
 
 
 def _hex(s) -> int:
@@ -88,10 +81,6 @@ def _index(x) -> int:
     return x
 
 
-def _parse_cells(cells) -> list:
-    return [(_index(n), _index(m), _hex(v)) for n, m, v in cells]
-
-
 def _prime(checksum: str) -> int:
     """The first prime at or above the number whose 61 bits are the first
     61 of the checksum, the top one set; Miller-Rabin with the bases 2 to
@@ -108,38 +97,38 @@ def _prime(checksum: str) -> int:
 
 
 def table_from_payload(payload, expect, p: int):
-    """The table a payload holds, rebuilt by :func:`spot_check` mod the
-    prime p; None, without building it, when its (spec or refinement
-    kind, n_max) is not ``expect``."""
+    """The count table a payload holds, rebuilt by :func:`spot_check` mod
+    the prime p; None, without building it, when its (spec, n_max) is not
+    ``expect`` or when it holds a rank or cardinality table, which
+    earlier releases cached and this one never loads."""
     if not isinstance(payload, dict):
         raise CacheError("cache payload is not a JSON object")
     try:
-        name, n_max = payload["table"], int(payload["n_max"])
+        if payload["table"] in ("rank", "cardinality"):
+            return None
+        spec, n_max = (HierarchySpec.from_descriptor(payload["table"]),
+                       int(payload["n_max"]))
         if str(n_max) != payload["n_max"]:
             raise ValueError(f"n_max {payload['n_max']!r:.40} is not a "
                              f"decimal string")
-        refined = name in ("rank", "cardinality")
-        key = name if refined else HierarchySpec.from_descriptor(name)
-        if expect is not None and expect != (key, n_max):
+        if expect is not None and expect != (spec, n_max):
             return None
         layers = payload["layers"]
-        if len(layers) != (n_max + 1 if refined else 1):
+        if len(layers) != 1:
             raise ValueError(f"{len(layers)} layers for depth {n_max}")
-        return spot_check(key, n_max,
-                          [_parse_cells(layer) for layer in layers], p)
+        cells = [(_index(n), _index(m), _hex(v)) for n, m, v in layers[0]]
+        return spot_check(spec, n_max, cells, p)
     except (KeyError, ValueError, IndexError, TypeError,
             AttributeError) as exc:
         raise CacheError(f"malformed cache payload: {exc}") from exc
 
 
-def spot_check(key, n_max: int, cells: list, p: int):
-    """Rebuild the table of ``key`` (a spec or refinement kind) from the
-    cells of its layers, every row checked against the row step mod the
-    prime p; the first row that fails raises :class:`CacheError`."""
-    if isinstance(key, str):  # a refinement kind
-        from .refinements import refined_table
-        return refined_table(key, n_max, cells, p)
-    return table_from_cells(key, n_max, cells[0], p)
+def spot_check(spec: HierarchySpec, n_max: int, cells: list,
+               p: int) -> CountTable:
+    """Rebuild the count table of ``spec`` from its cells, every row
+    checked against the row step mod the prime p; the first row that
+    fails raises :class:`CacheError`."""
+    return table_from_cells(spec, n_max, cells, p)
 
 
 # -- file interface ----------------------------------------------------------
@@ -191,8 +180,9 @@ def save_table(path, table) -> None:
 
 
 def load_table(path, expect=None):
-    """Load a cache file; with ``expect`` = (spec or refinement kind,
-    n_max), a file holding another table loads as None."""
+    """Load a cache file; with ``expect`` = (spec, n_max), a file holding
+    another table loads as None, and so does a leftover rank or
+    cardinality table."""
     try:
         with open(path) as fh:
             doc = json.load(fh)

@@ -21,7 +21,9 @@ imports the rest when it is called: ``oracle`` and ``verify`` for
 oracle-verify, ``asymptotics`` and :mod:`decimal` for constant,
 ``refinements`` for the profiles and atoms, ``bounded`` for bounded and
 minbounded, ``cache`` only when ``--cache`` is given, and :mod:`json`
-only when JSON is written.
+only when JSON is written.  ``--cache`` is taken by the commands that
+print a count table or its level sizes (levels, table, atoms, bounded,
+minbounded); the profiles always compute their refined tables.
 """
 
 from __future__ import annotations
@@ -239,14 +241,15 @@ def _emit(fmt: str, doc, header, rows):
         yield "\n"
 
 
-def _cached_table(cmd: CommandSpec, want, compute):
-    """Load the cached table if it holds ``want`` (a count table's spec or
-    a refinement kind) to depth n_max, else compute and (re)write it."""
+def _cached_table(cmd: CommandSpec, spec: HierarchySpec, compute):
+    """Load the cached count table if it holds ``spec`` to depth n_max,
+    else compute and (re)write it; a file holding any other table, a
+    leftover rank or cardinality table included, is rewritten unread."""
     if not cmd.cache:
         return compute()
     from .cache import load_table, save_table
     if os.path.exists(cmd.cache):
-        table = load_table(cmd.cache, (want, cmd.n_max))
+        table = load_table(cmd.cache, (spec, cmd.n_max))
         if table is not None:
             return table
     table = compute()
@@ -333,14 +336,10 @@ def _run_profile(cmd: CommandSpec):
     from .refinements import (compute_d_table, compute_r_table, d_profile,
                               r_profile)
     if cmd.subcommand == "rank-profile":
-        kind, label = "rank", "r"
-        compute = lambda: compute_r_table(cmd.n_max)
-        profile = r_profile
+        label, compute, profile = "r", compute_r_table, r_profile
     else:
-        kind, label = "cardinality", "d"
-        compute = lambda: compute_d_table(cmd.n_max)
-        profile = d_profile
-    table = _cached_table(cmd, kind, compute)
+        label, compute, profile = "d", compute_d_table, d_profile
+    table = compute(cmd.n_max)
     lo, hi = _parse_t_range(cmd.t_range, cmd.n_max)
     profiles = []
     for n in range(cmd.n_max + 1):
@@ -457,10 +456,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("table", help="the full b(n, m) triangle")
     common(p, n_default=9)
     p = sub.add_parser("rank-profile", help="counts by classical rank")
-    common(p, n_default=7)
+    common(p, n_default=7, cacheable=False)
     p.add_argument("--t-range", dest="t_range", help="rank window LO:HI")
     p = sub.add_parser("card-profile", help="counts by cardinality")
-    common(p, n_default=6)
+    common(p, n_default=6, cacheable=False)
     p.add_argument("--t-range", dest="t_range", help="cardinality window LO:HI")
     p = sub.add_parser("atoms", help="level sizes with u atoms")
     common(p, n_default=5)

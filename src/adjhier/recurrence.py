@@ -170,20 +170,12 @@ class CountTable:
     cell is nonzero; ``a`` and ``caps`` hold the level sizes and row caps
     as :class:`Runs`, and ``col`` the column function that filled them.
     The cells are immutable once filled.
-    Tables are equal when their cells and sizes are; ``col`` is not
-    compared.
     """
 
     def __init__(self, spec: HierarchySpec, n_max: int, cols: list, a: list,
                  caps: list, col):
         self.spec, self.n_max = spec, n_max
         self.cols, self.a, self.caps, self.col = cols, a, caps, col
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.spec, self.n_max, self.cols, self.a, self.caps)
-                == (other.spec, other.n_max, other.cols, other.a, other.caps))
 
     def b(self, n: int, m: int) -> int:
         if not (0 <= n <= self.n_max and -1 <= m < n):
@@ -327,12 +319,12 @@ class _RowStep:
         """Column m's window and tail terms at row n, in nested form.  The
         innermost product (c(m) - q + 1) * tail(m) at row n equals the one
         at an earlier row q' less (q - q') * tail(m), which on consecutive
-        rows costs one subtraction."""
+        rows costs one subtraction.  c(m) >= 2**(NESTED_MIN_BITS - 1)
+        exceeds q <= ROW_COUNT_CAP, so the window is all of 1..q-1 and
+        the tail term C(c(m), q) is never zero."""
         dm, _, tail, _ = self.consts[m]
         get = self.table.cols[m - 1].get if m else {}.get
-        w = [get(n - k, 0) for k in range(1, min(q - 1, dm) + 1)]
-        if q > dm:  # C(c(m), q) = 0: no tail term
-            return _nested(dm, w) if w else 0
+        w = [get(n - k, 0) for k in range(1, q)]
         last = self.inner.get(m)
         inner = ((dm - q + 1) * tail if last is None
                  else last[1] - (q - last[0]) * tail)
@@ -498,7 +490,7 @@ def compute_table(spec: HierarchySpec, n_max: int) -> CountTable:
 
 
 def table_from_cells(spec: HierarchySpec, n_max: int, cells,
-                     p: int = (1 << 61) - 1) -> CountTable:
+                     p: int) -> CountTable:
     """Rebuild a table from its stored cells, a list of (n, m, b(n, m)),
     each row checked against the row step mod the prime p; the level
     sizes and caps are derived as the fill derives them."""

@@ -6,8 +6,10 @@ layers 0..n_max: plain-shaped count tables, filled by the row step of
 :mod:`adjhier.recurrence` with column functions that read the layers
 below.  Rank layers are indexed by t, cardinality layers by the
 co-cardinality n - t.  Exact per-value profiles fall out by differencing
-the diagonal cells.  The atoms variant is the core recurrence with u
-urelements folded into the base cell.
+the diagonal cells.  A refined table is always filled, never read from a
+cache: at depth 18 a cache load saved 13-27 ms of a 0.3-0.5 s command
+and raised its peak memory by 3.5-4.7 MB.  The atoms variant is the core
+recurrence with u urelements folded into the base cell.
 """
 
 from __future__ import annotations
@@ -26,12 +28,6 @@ class RefinedTable:
     def __init__(self, kind: str, n_max: int, layers: list):
         self.kind = kind  # "rank" | "cardinality"
         self.n_max, self.layers = n_max, layers
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.kind, self.n_max, self.layers)
-                == (other.kind, other.n_max, other.layers))
 
     def value(self, n: int, m: int, t: int) -> int:
         if t < 0:
@@ -70,17 +66,14 @@ class RefinedTable:
         return int(s == 0), col
 
 
-def refined_table(kind: str, n_max: int, layer_cells=(),
-                  p: int = (1 << 61) - 1) -> RefinedTable:
-    """Build layers 0..n_max in order.  Layer s is rebuilt from
-    ``layer_cells[s]``, a list of (n, m, value), when that is given, each
-    row checked mod the prime p, and filled by the row step otherwise."""
+def refined_table(kind: str, n_max: int) -> RefinedTable:
+    """Fill layers 0..n_max in order by the row step; layer s reads the
+    layers below it."""
     table = RefinedTable(kind, n_max, [])
-    binoms = {}, {}  # binomial rows mod p, and exact ones, shared by layers
+    binoms = {}  # binomial rows, shared by the layers
     for s in range(n_max + 1):
-        cells = layer_cells[s] if s < len(layer_cells) else None
-        table.layers.append(_sweep(HierarchySpec.plain(), n_max, cells,
-                                   table._layer(s), binoms[cells is None], p))
+        table.layers.append(_sweep(HierarchySpec.plain(), n_max,
+                                   layer=table._layer(s), binoms=binoms))
     return table
 
 

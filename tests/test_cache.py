@@ -1,5 +1,6 @@
 """Cache format v4, pinned by a committed file: the cache that
-``rank-profile --n 5 --cache`` writes, and the same table in format v3."""
+``table --n 5 --cache`` writes.  Two files that earlier releases wrote
+stay beside it: a rank table in format v3 and the same table in v4."""
 
 import hashlib
 import json
@@ -7,17 +8,19 @@ from pathlib import Path
 
 import pytest
 
-from adjhier import recurrence
+from adjhier import cache, recurrence
 from adjhier.cache import _checksum, _payload_text, load_table, save_table
 from adjhier.bounded import compute_minbounded
 from adjhier.cli import main
 from adjhier.recurrence import compute_b_table
-from adjhier.refinements import compute_r_table
+
+from tables import same_table
 
 HERE = Path(__file__).parent
-V4 = HERE / "cache_rank_5.v4.json"
+V4 = HERE / "cache_table_5.v4.json"
 V3 = HERE / "cache_rank_5.v3.json"
-ARGV = ["rank-profile", "--n", "5", "--cache"]
+RANK_V4 = HERE / "cache_rank_5.v4.json"
+ARGV = ["table", "--n", "5", "--cache"]
 
 
 def payload(table) -> dict:
@@ -27,9 +30,9 @@ def payload(table) -> dict:
 
 def test_fixture_is_what_save_writes(tmp_path, capsys):
     path = tmp_path / "cache.json"
-    save_table(path, compute_r_table(5))
+    save_table(path, compute_b_table(5))
     assert path.read_bytes() == V4.read_bytes()
-    assert load_table(V4) == compute_r_table(5)
+    assert same_table(load_table(V4), compute_b_table(5))
     # the CLI writes the same bytes, and reads them back
     other = tmp_path / "cli.json"
     assert main(ARGV + [str(other)]) == 0
@@ -42,8 +45,7 @@ def test_fixture_is_what_save_writes(tmp_path, capsys):
 @pytest.mark.parametrize("table", [
     lambda: compute_b_table(12),
     lambda: compute_minbounded(1000),  # 190k characters: three slices
-    lambda: compute_r_table(7),
-], ids=["plain 12", "minbounded 1000", "rank 7"])
+], ids=["plain 12", "minbounded 1000"])
 def test_save_writes_the_canonical_document(tmp_path, table):
     path = tmp_path / "cache.json"
     save_table(path, table())
@@ -67,6 +69,7 @@ def test_count_table_is_one_layer():
 
 
 def test_v3_file_refused(tmp_path, capsys):
+    # a rank table, refused on its version before its kind is read
     path = tmp_path / "cache.json"
     path.write_bytes(V3.read_bytes())
     assert main(ARGV + [str(path)]) == 2
@@ -112,24 +115,19 @@ def test_noncanonical_n_max_refused(tmp_path, capsys, n_max):
     _refused(tmp_path, capsys, doc)
 
 
-@pytest.mark.parametrize("command, table", [
-    ("table", lambda: compute_b_table(12)),
-    ("rank-profile", lambda: compute_r_table(12).layers[-1]),
-])
 def test_spot_check_catches_a_changed_nested_column(tmp_path, capsys,
-                                                     monkeypatch, command,
-                                                     table):
-    # cell (12, 9) of the last layer: its column adjoins c(9) of 217 bits,
-    # so the fill evaluates it in nested form, and the load's check reads
-    # the binomial row of c(9) mod p
-    t = table()
-    c9 = t.col(t, 9, 9)[0]  # g(9) = 9 on the plain caps
+                                                     monkeypatch):
+    # cell (12, 9): its column adjoins c(9) of 217 bits, so the fill
+    # evaluates it in nested form, and the load's check reads the binomial
+    # row of c(9) mod p
+    t = compute_b_table(12)
+    c9 = t.c(9)
     assert c9.bit_length() >= recurrence.NESTED_MIN_BITS
-    argv = [command, "--n", "12", "--cache", str(tmp_path / "cache.json")]
+    argv = ["table", "--n", "12", "--cache", str(tmp_path / "cache.json")]
     assert main(argv) == 0
     capsys.readouterr()
     doc = json.loads((tmp_path / "cache.json").read_text())
-    cell = next(c for c in doc["payload"]["layers"][-1] if c[:2] == [12, 9])
+    cell = next(c for c in doc["payload"]["layers"][0] if c[:2] == [12, 9])
     cell[2] = format(int(cell[2], 16) + 1, "x")
     doc["checksum"] = _checksum(doc["payload"])
     (tmp_path / "cache.json").write_text(json.dumps(doc))
@@ -147,8 +145,7 @@ def test_spot_check_catches_a_changed_nested_column(tmp_path, capsys,
 
 # -- a load checks every stored row -------------------------------------------
 
-CACHED = [["table", "--n", "12"], ["rank-profile", "--n", "7"],
-          ["minbounded", "--n", "300"],
+CACHED = [["table", "--n", "12"], ["minbounded", "--n", "300"],
           ["bounded", "--f", "log2", "--n", "2000"]]
 
 
@@ -173,16 +170,13 @@ def _row_refused(capsys, argv, path, doc, n):
 
 @pytest.mark.parametrize("argv", CACHED, ids=" ".join)
 def test_every_stored_row_is_checked(tmp_path, capsys, argv):
-    # one cell of each stored row in turn, in the last layer that stores
-    # the row
+    # one cell of each stored row in turn
     argv, path, text = _cache_of(tmp_path, capsys, argv)
-    layers = json.loads(text)["payload"]["layers"]
-    rows = sorted({n for cells in layers for n, _, _ in cells})
+    rows = sorted({n for n, _, _ in json.loads(text)["payload"]["layers"][0]})
     assert len(rows) >= 7
     for n in rows:
         doc = json.loads(text)
-        cell = next(c for cells in reversed(doc["payload"]["layers"])
-                    for c in cells if c[0] == n)
+        cell = next(c for c in doc["payload"]["layers"][0] if c[0] == n)
         cell[2] = format(int(cell[2], 16) + 1, "x")
         _row_refused(capsys, argv, path, doc, n)
 
@@ -190,34 +184,29 @@ def test_every_stored_row_is_checked(tmp_path, capsys, argv):
 @pytest.mark.parametrize("argv", CACHED, ids=" ".join)
 def test_dropped_cell_is_refused(tmp_path, capsys, argv):
     argv, path, text = _cache_of(tmp_path, capsys, argv)
-    cells = json.loads(text)["payload"]["layers"][-1]
+    cells = json.loads(text)["payload"]["layers"][0]
     for i in sorted({0, len(cells) // 2, len(cells) - 1}):
         doc = json.loads(text)
-        n = doc["payload"]["layers"][-1].pop(i)[0]
+        n = doc["payload"]["layers"][0].pop(i)[0]
         _row_refused(capsys, argv, path, doc, n)
 
 
-@pytest.mark.parametrize("argv", CACHED[1::2], ids=" ".join)
-def test_cell_on_a_zero_row_is_refused(tmp_path, capsys, argv):
-    # the row holds no stored cell, and the fill skips it (log2) or finds
-    # it zero (the low rank layers); the load visits it as a stored row
-    argv, path, text = _cache_of(tmp_path, capsys, argv)
-    n_max = int(argv[argv.index("--n") + 1])
-    layers = json.loads(text)["payload"]["layers"]
-    tried = 0
-    for s, cells in enumerate(layers):
-        zero = sorted(set(range(1, n_max + 1)) - {n for n, _, _ in cells})
-        for n in sorted({*zero[:2], *zero[len(zero) // 2:][:1], *zero[-1:]}):
-            doc = json.loads(text)
-            doc["payload"]["layers"][s].append([n, 0, "1"])
-            _row_refused(capsys, argv, path, doc, n)
-            tried += 1
-    assert tried >= 4
+def test_cell_on_a_zero_row_is_refused(tmp_path, capsys):
+    # the row holds no stored cell, and the fill skips it (3, 6, 1009,
+    # 2000) or visits it as the cap grows and finds it zero (8); the load
+    # visits it as a stored row
+    argv, path, text = _cache_of(tmp_path, capsys, CACHED[2])
+    stored = {n for n, _, _ in json.loads(text)["payload"]["layers"][0]}
+    for n in (3, 6, 8, 1009, 2000):
+        assert n not in stored
+        doc = json.loads(text)
+        doc["payload"]["layers"][0].append([n, 0, "1"])
+        _row_refused(capsys, argv, path, doc, n)
 
 
 def test_cell_past_the_row_cap_is_refused(tmp_path, capsys):
     # cap(1000) = floor(log2(999)) = 9 for the log2 bound
-    argv, path, text = _cache_of(tmp_path, capsys, CACHED[3])
+    argv, path, text = _cache_of(tmp_path, capsys, CACHED[2])
     doc = json.loads(text)
     doc["payload"]["layers"][0].append([1000, 10, "1"])
     _malformed(capsys, argv, path, doc,
@@ -271,3 +260,36 @@ def test_prime_is_the_first_at_or_above_the_checksum_number():
         # each number below it is even or fails a Fermat test
         assert all(pow(2, y - 1, y) != 1 for y in range(x | 1, p, 2))
     assert _prime("f" * 64) == (1 << 61) - 1
+
+
+
+# -- rank and cardinality tables are not cached -------------------------------
+
+def test_leftover_rank_cache_is_rewritten_unread(tmp_path, capsys,
+                                                 monkeypatch):
+    # a rank table that an earlier release cached is another table: a
+    # count command computes its own and writes it over the file
+    assert main(["levels", "--n", "5"]) == 0
+    want = capsys.readouterr().out
+    path = tmp_path / "cache.json"
+    path.write_bytes(RANK_V4.read_bytes())
+
+    def unread(*args):
+        raise AssertionError("a leftover rank table was checked")
+    monkeypatch.setattr(cache, "spot_check", unread)
+    assert main(["levels", "--n", "5", "--cache", str(path)]) == 0
+    assert capsys.readouterr().out == want
+    doc = json.loads(path.read_text())
+    assert doc["payload"]["table"] == {"kind": "plain"}
+
+
+@pytest.mark.parametrize("command", ["rank-profile", "card-profile"])
+def test_profile_takes_no_cache(tmp_path, capsys, command):
+    path = tmp_path / "cache.json"
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--n", "3", "--cache", str(path)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --cache" in captured.err
+    assert not path.exists()

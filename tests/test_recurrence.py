@@ -13,6 +13,9 @@ from adjhier.refinements import compute_d_table, compute_r_table
 from adjhier.variants import BoundFunction, HierarchySpec
 
 from golden import PLAIN_A
+from tables import same_table
+
+P = (1 << 61) - 1  # a prime for the residue check of table_from_cells
 
 
 @pytest.fixture(scope="module")
@@ -142,9 +145,9 @@ def test_fills_of_one_spec_are_equal():
     spec = HierarchySpec.bounded(BoundFunction("log2"))
     t = compute_table(spec, 5000)
     cells = [(n, m, v) for m, col in enumerate(t.cols) for n, v in col.items()]
-    assert t == compute_table(spec, 5000) == table_from_cells(spec, 5000,
-                                                              cells)
-    assert t != compute_table(spec, 4999)
+    assert same_table(t, compute_table(spec, 5000))
+    assert same_table(t, table_from_cells(spec, 5000, cells, P))
+    assert not same_table(t, compute_table(spec, 4999))
     assert len(t.a.values) == len(set(t.a)) < 100  # runs, not rows
     assert t.caps.values == list(range(-1, 13))  # cap(n) = floor(log2(n-1))
 
@@ -200,7 +203,7 @@ def _assert_matches_reference(spec, n_max):
     a, caps, b = _reference(spec, n_max)
     assert (t.a, t.caps, _cells(t)) == (a, caps, b)
     loaded = table_from_cells(spec, n_max,
-                              [(n, m, v) for (n, m), v in b.items()])
+                              [(n, m, v) for (n, m), v in b.items()], P)
     assert (loaded.a, loaded.caps, _cells(loaded)) == (a, caps, b)
 
 
@@ -319,10 +322,26 @@ def test_innermost_product_carries_to_later_rows():
     (HierarchySpec.bounded(BoundFunction("sqrt")), 60),
 ])
 def test_every_column_nested_matches_reference(monkeypatch, spec, n_max):
-    # narrow columns in nested form: c(m) below q (K < q, no tail term)
-    # and c(m) = 0
+    # narrow columns in nested form: c(m) below q, where the factor
+    # c(m) - k + 1 at k = c(m) + 1 zeroes every term past k = c(m), and
+    # c(m) = 0
     monkeypatch.setattr(recurrence, "NESTED_MIN_BITS", 0)
     _assert_matches_reference(spec, n_max)
+
+
+def test_nested_column_always_has_its_tail_term():
+    # a nested column has c(m) >= 2**(NESTED_MIN_BITS - 1), and every row
+    # has q = n - g(m) <= ROW_COUNT_CAP, so its window is all of 1..q-1
+    # and C(c(m), q) is never zero
+    assert recurrence.ROW_COUNT_CAP < 1 << (recurrence.NESTED_MIN_BITS - 1)
+
+
+def test_table_from_cells_takes_no_default_prime():
+    # a fixed public prime lets a cell raised by a multiple of it pass
+    t = compute_b_table(6)
+    cells = [(n, m, v) for m, col in enumerate(t.cols) for n, v in col.items()]
+    with pytest.raises(TypeError):
+        table_from_cells(t.spec, 6, cells)
 
 
 @pytest.mark.parametrize("d", [0, 1, 2, 7, 10 ** 30, pytest.param(
