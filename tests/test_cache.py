@@ -13,6 +13,7 @@ from adjhier.cache import _checksum, _payload_text, load_table, save_table
 from adjhier.bounded import compute_minbounded
 from adjhier.cli import main
 from adjhier.recurrence import compute_b_table
+from adjhier.refinements import compute_atoms_table
 
 from tables import same_table
 
@@ -45,7 +46,8 @@ def test_fixture_is_what_save_writes(tmp_path, capsys):
 @pytest.mark.parametrize("table", [
     lambda: compute_b_table(12),
     lambda: compute_minbounded(1000),  # 190k characters: three slices
-], ids=["plain 12", "minbounded 1000"])
+    lambda: compute_atoms_table(2, 7),
+], ids=["plain 12", "minbounded 1000", "atoms 2 7"])
 def test_save_writes_the_canonical_document(tmp_path, table):
     path = tmp_path / "cache.json"
     save_table(path, table())
@@ -146,7 +148,8 @@ def test_spot_check_catches_a_changed_nested_column(tmp_path, capsys,
 # -- a load checks every stored row -------------------------------------------
 
 CACHED = [["table", "--n", "12"], ["minbounded", "--n", "300"],
-          ["bounded", "--f", "log2", "--n", "2000"]]
+          ["bounded", "--f", "log2", "--n", "2000"],
+          ["atoms", "--u", "2", "--n", "7"]]
 
 
 def _cache_of(tmp_path, capsys, argv):

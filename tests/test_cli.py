@@ -485,6 +485,56 @@ def test_cache_nested_too_deep_refused(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def _drop_layer(layers):
+    layers.pop()
+
+
+def _cell_outside_triangle(layers):
+    layers[0].append([3, 3, "1"])
+
+
+def _cell_far_outside_triangle(layers):
+    # refused before any column is allocated for it
+    layers[0].append([5, 10**9, "1"])
+
+
+def _cell_of_wrong_length(layers):
+    layers[0][0].append("0")
+
+
+def _base_cell_changed(layers):
+    # b(1, 0); the row step reads it in every row
+    cell = next(cell for cell in layers[0] if cell[:2] == [1, 0])
+    cell[2] = format(int(cell[2], 16) + 998, "x")
+
+
+@pytest.mark.parametrize("edit, reason", [
+    (_drop_layer, "0 layers for depth 5"),
+    (_cell_outside_triangle, "outside the filled triangle"),
+    (_cell_far_outside_triangle, "(5, 1000000000) outside"),
+    (_cell_of_wrong_length, "too many values"),
+    (_base_cell_changed, "fails recomputation"),
+])
+@pytest.mark.parametrize("command", ["table", "minbounded"])
+def test_cache_corruption_is_hard_error(tmp_path, capsys, command, edit,
+                                        reason):
+    from adjhier.cache import _checksum
+    path = tmp_path / "cache.json"
+    argv = [command, "--n", "5", "--cache", str(path)]
+    first = out_of(argv, capsys)
+    doc = json.loads(path.read_text())
+    edit(doc["payload"]["layers"])
+    doc["checksum"] = _checksum(doc["payload"])
+    path.write_text(json.dumps(doc))
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and reason in captured.err
+    assert "Traceback" not in captured.err
+    path.unlink()
+    assert out_of(argv, capsys) == first
+
+
 @pytest.mark.parametrize("args, cached", [
     (("table", "--n", "20"), True),
     (("minbounded", "--n", "2000"), True),
