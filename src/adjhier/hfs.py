@@ -36,6 +36,16 @@ from bisect import bisect_left
 PARSE_DEPTH_LIMIT = 256
 
 
+def ark_of(arks: list) -> int:
+    """Adjunctive rank of a set whose elements have the adjunctive ranks
+    ``arks``: 0 for the empty set, else 1 + max(a_j + n - 1 - j) over the
+    n arks sorted ascending."""
+    if not arks:
+        return 0
+    n = len(arks)
+    return 1 + max(a + n - 1 - j for j, a in enumerate(sorted(arks)))
+
+
 class SetEngine:
     """Intern table plus rank, ark and order caches for one universe of
     sets."""
@@ -171,18 +181,13 @@ class SetEngine:
         return self._rank[sid]
 
     def ark_id(self, sid: int) -> int:
-        """Adjunctive rank: 0 for atoms and the empty set, else
-        1 + max(a_j + n - 1 - j) over the n element arks sorted ascending.
-        Computed on the first read and kept."""
+        """Adjunctive rank: 0 for atoms, else :func:`ark_of` its element
+        arks.  Computed on the first read and kept."""
         ark = self._ark.get(sid)
         if ark is None:
             elems = self._elems[sid]
-            if elems:
-                arks = sorted(self.ark_id(e) for e in elems)
-                n = len(arks)
-                ark = 1 + max(a + n - 1 - j for j, a in enumerate(arks))
-            else:
-                ark = 0
+            ark = 0 if elems is None else ark_of(
+                [self.ark_id(e) for e in elems])
             self._ark[sid] = ark
         return ark
 
@@ -200,4 +205,9 @@ class SetEngine:
     def format_id(self, sid: int) -> str:
         if self._elems[sid] is None:
             return f"u{sid + 1}"
-        return "{" + ",".join(self.format_id(e) for e in self._elems[sid]) + "}"
+        return self.format_elements(self._elems[sid])
+
+    def format_elements(self, elems: tuple) -> str:
+        """The notation of the set of these ids, given in canonical order,
+        whether or not that set is interned."""
+        return "{" + ",".join(self.format_id(e) for e in elems) + "}"

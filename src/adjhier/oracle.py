@@ -23,9 +23,10 @@ over its pairs (x, y) counts each of its sets once, from the pair with
 the largest y that makes it (canonical augmentation; see
 :func:`_fold`), and tallies what the verifiers read: its size and the
 tallies of its new members and of all its members, so its partition
-counts, its k-splits and :meth:`LevelSets.level_held` need no ids.  A
-read that needs its ids (its members, the profiles, the ark lemma)
-interns it then, as the levels below were.
+counts, its k-splits and :meth:`LevelSets.level_held` need no ids; for
+plain also each set's rank, cardinality and ark, so its profiles and the
+ark lemma need none either.  Only :meth:`LevelSets.members`, which
+``--dump`` reads, interns it, as the levels below were.
 
 Every variant has one limit: a level that may hold more than
 :data:`DEFAULT_LEVEL_SIZE_CAP` sets is refused before it is built, level
@@ -39,7 +40,7 @@ from __future__ import annotations
 from collections import Counter, namedtuple
 
 from .errors import ResourceCapError
-from .hfs import SetEngine
+from .hfs import SetEngine, ark_of
 from .variants import HierarchySpec
 
 DEFAULT_LEVEL_SIZE_CAP = 200_000
@@ -72,10 +73,10 @@ class LevelSets:
     rebuilt when that number changes.
 
     The deepest level that :func:`build_levels` makes is left folded: its
-    size and its two tallies are read off one walk over its pairs as it
-    is built (see :func:`_fold`), and its sets are interned only when a
-    read needs their ids (:attr:`levels`, :meth:`members`, and
-    :meth:`level_held` at a level not yet stored).
+    size, its two tallies and, for plain, its shape tally are read off one
+    walk over its pairs as it is built (see :func:`_fold`), and its sets
+    are interned only when a read needs their ids (:attr:`levels`,
+    :meth:`members`, and :meth:`level_held` at a level not yet stored).
     """
 
     def __init__(self, spec: HierarchySpec, engine: SetEngine, levels: list,
@@ -140,6 +141,13 @@ class LevelSets:
 
     def _folded(self, n: int) -> bool:
         return self._pairs is not None and n == len(self._levels)
+
+    def _shaped(self, n: int):
+        """The fold of level n if it is folded with a shape tally (plain),
+        else None."""
+        if self._folded(n) and self._fold.shapes is not None:
+            return self._fold
+        return None
 
     def _level(self, n: int) -> int:
         return (self._levels if n < len(self._levels) else self.levels)[n]
@@ -259,9 +267,12 @@ def build_levels(spec: HierarchySpec, n_max: int) -> LevelSets:
     return ls
 
 
-# a level read off its pairs: its size, and LevelSets._tally of its new
-# members and of all its members but the atoms, over the levels below it
-_Fold = namedtuple("_Fold", "size new held")
+# a level read off its pairs: its size, LevelSets._tally of its new
+# members and of all its members but the atoms, over the levels below it,
+# and the bitset of its members already interned; for plain also the
+# (rank, cardinality, ark) tally of the others, and those whose ark is
+# not the level, as (sorted element ids, ark)
+_Fold = namedtuple("_Fold", "size new held old shapes strays")
 
 
 def _fold(ls: LevelSets, xs: list, ys: list) -> _Fold:
@@ -279,6 +290,10 @@ def _fold(ls: LevelSets, xs: list, ys: list) -> _Fold:
     id, a set already interned or x itself when y is in x, marks it as
     :func:`_assemble` does; x is marked through its largest element that
     is a y, which no z exceeds.  No nesting of levels is assumed.
+
+    For plain, each set no id names is also tallied by its rank, its
+    cardinality and its ark (see :func:`_shapes`).  It is in no stored
+    level, so the ark lemma holds for it when its ark is this level.
     """
     eng = ls.engine
     masks = ls._element_masks()
@@ -291,7 +306,13 @@ def _fold(ls: LevelSets, xs: list, ys: list) -> _Fold:
             if w in is_y:
                 grows.setdefault(ex[:i] + ex[i + 1:], []).append(w)
     found = bytearray((eng.size + 7) >> 3)
-    ymasks = [masks[y] for y in ys]
+    ykeys = [masks[y] for y in ys]
+    shapes, strays, level = None, [], len(ls._levels)
+    if ls.spec.kind == "plain":
+        shapes = Counter()
+        # y's key also holds what S's rank and ark read of y
+        ykeys = [(s, eng.rank_id(y) + 1, eng.ark_id(y))
+                 for y, s in zip(ys, ykeys)]
     pairs = {}  # (x's key, y's mask): the sets no id names yet
     for x, row in zip(xs, eng.probe_level(xs, ys)):
         ex = elements_of(x)
@@ -300,14 +321,20 @@ def _fold(ls: LevelSets, xs: list, ys: list) -> _Fold:
             if z in is_y:
                 bad.update(w for w in grows.get(ex[:i] + ex[i + 1:], ())
                            if w < z)
-        by_y = {}  # y's mask: the pairs of this x
-        for y, s, sid in zip(ys, ymasks, row):
+        by_y = {}  # y's key: the pairs of this x
+        for y, s, sid in zip(ys, ykeys, row):
             if y in bad:
                 continue
             if sid is None:
                 by_y[s] = by_y.get(s, 0) + 1
             else:
                 found[sid >> 3] |= 1 << (sid & 7)
+        if shapes is not None:
+            by_y, odd = _shapes(eng, x, by_y, level, shapes)
+            if odd:
+                strays += [(tuple(eng.sort_ids(ex + (y,))), odd[k])
+                           for y, k, sid in zip(ys, ykeys, row)
+                           if k in odd and sid is None and y not in bad]
         key = tuple(sorted([masks[z] for z in ex]))
         for s, c in by_y.items():
             pairs[key, s] = pairs.get((key, s), 0) + c
@@ -318,7 +345,29 @@ def _fold(ls: LevelSets, xs: list, ys: list) -> _Fold:
     atoms = (1 << len(ls.atom_ids)) - 1
     new = fresh + Counter(ls._tally(iter_bits(old & ~ls._levels[-1])))
     held = fresh + Counter(ls._tally(iter_bits(old & ~atoms)))
-    return _Fold(old.bit_count() + fresh.total(), new, held)
+    return _Fold(old.bit_count() + fresh.total(), new, held, old, shapes,
+                 strays)
+
+
+def _shapes(eng: SetEngine, x: int, by_y: dict, level: int,
+            shapes: Counter):
+    """Add to ``shapes`` the (rank, cardinality, ark) of x with y added,
+    for the pairs of x that ``by_y`` counts by y's key (mask, rank + 1,
+    ark): rank max(rank x, rank y + 1), cardinality |x| + 1, and the ark
+    :func:`~adjhier.hfs.ark_of` x's element arks and y's.  Return those
+    counts by y's mask, and the ark of each key whose sets' ark is not
+    ``level``."""
+    ex = eng.elements_of(x)
+    arks, rank = [eng.ark_id(e) for e in ex], eng.rank_id(x)
+    by_mask, odd = {}, {}
+    for key, c in by_y.items():
+        s, ry, ay = key
+        ark = ark_of(arks + [ay])
+        shapes[max(rank, ry), len(ex) + 1, ark] += c
+        by_mask[s] = by_mask.get(s, 0) + c
+        if ark != level:
+            odd[key] = ark
+    return by_mask, odd
 
 
 def _assemble(eng: SetEngine, base: int, ids) -> int:
@@ -374,21 +423,21 @@ def profile_counts(ls: LevelSets, n: int, by: str) -> dict:
     """Histogram of level n members by rank or cardinality.
 
     Atoms count as rank 0 and cardinality 0; pure variants are the ones
-    cross-checked against the refined recurrences.
+    cross-checked against the refined recurrences.  A folded plain level
+    is read off its interned ids and its fold's shape tally.
     """
     if not 0 <= n <= ls.depth:
         raise IndexError(f"level {n} beyond computed depth {ls.depth}")
-    eng = ls.engine
-    if by == "rank":
-        key = eng.rank_id
-    elif by == "cardinality":
-        key = eng.cardinality_id
-    else:
+    if by not in ("rank", "cardinality"):
         raise ValueError("profile axis must be 'rank' or 'cardinality'")
-    hist = {}
-    for sid in ls.members(n):
-        t = key(sid)
-        hist[t] = hist.get(t, 0) + 1
+    eng = ls.engine
+    key = eng.rank_id if by == "rank" else eng.cardinality_id
+    fold = ls._shaped(n)
+    hist = Counter(map(key, iter_bits(fold.old) if fold else ls.members(n)))
+    if fold:
+        axis = by == "cardinality"  # a shape is (rank, cardinality, ark)
+        for shape, c in fold.shapes.items():
+            hist[shape[axis]] += c
     return dict(sorted(hist.items()))
 
 
@@ -407,23 +456,28 @@ class ArkReport:
 
 
 def verify_ark_lemma(ls: LevelSets) -> ArkReport:
-    """Every deepest-level member: first level containing it == its ark."""
+    """Every deepest-level member: first level containing it == its ark.
+
+    A folded level's interned ids are checked here; its other members lie
+    in no stored level, and its fold compared their arks with it."""
     if ls.spec.kind != "plain":
         raise ValueError("ark verification is defined on the plain hierarchy")
     eng = ls.engine
     deepest = ls.depth
-    members = ls.members(deepest)
+    fold = ls._shaped(deepest)
+    members = iter_bits(fold.old) if fold else ls.members(deepest)
     masks = ls._element_masks()
     mismatches = []
-    total = 0
     for sid in members:
-        total += 1
         first = masks[sid]
         by_levels = (first & -first).bit_length() - 1
         by_formula = eng.ark_id(sid)
         if by_levels != by_formula:
             mismatches.append((eng.format_id(sid), by_levels, by_formula))
-    return ArkReport(total, mismatches)
+    if fold:
+        mismatches += [(eng.format_elements(elems), deepest, ark)
+                       for elems, ark in fold.strays]
+    return ArkReport(ls.size(deepest), mismatches)
 
 
 def level_lines(ls: LevelSets, n: int) -> list:

@@ -392,6 +392,51 @@ def test_folded_level_reads_equal_interned_level(spec, n_max):
                    [raw_split(interned, n_max, m) for m in range(n_max)])
 
 
+def plain_top_reads(ls):
+    """What the plain checks read of the deepest level: its rank and
+    cardinality profiles and the ark lemma's outcome."""
+    n = ls.depth
+    report = oracle.verify_ark_lemma(ls)
+    return (oracle.profile_counts(ls, n, "rank"),
+            oracle.profile_counts(ls, n, "cardinality"),
+            (report.total, report.ok, report.mismatches))
+
+
+@pytest.mark.parametrize("n_max", range(1, 6))
+def test_folded_plain_profiles_and_ark_equal_interned_level(n_max):
+    ls = oracle.build_levels(HierarchySpec.plain(), n_max)
+    size = ls.engine.size
+    got = plain_top_reads(ls)
+    assert ls.engine.size == size  # the fold interned nothing
+    ls.levels  # interns the deepest level
+    assert ls.engine.size == PLAIN_A[n_max] > size
+    assert got == plain_top_reads(ls)
+    assert got[0] == dict(enumerate(RANK_PROFILES[n_max]))
+
+
+def test_fold_names_the_fresh_sets_that_fail_the_ark_lemma(monkeypatch):
+    # an ark helper one too high on three-element sets: the fold reports
+    # each such fresh set of level 5 under the notation format_id gives
+    # it once interned
+    ark_of = oracle.ark_of
+    monkeypatch.setattr(oracle, "ark_of",
+                        lambda arks: ark_of(arks) + (len(arks) == 3))
+    ls = oracle.build_levels(HierarchySpec.plain(), 5)
+    report = oracle.verify_ark_lemma(ls)
+    assert ls.engine.size == 112
+    assert not report.ok and report.total == PLAIN_A[5]
+    want = ref.levels(5)
+    fresh = {s for s in want[5] - want[4] if len(s) == 3}
+    assert len(report.mismatches) == len(fresh) > 0
+    assert {ref.read(name) for name, _, _ in report.mismatches} == fresh
+    assert {(first, ark) for _, first, ark in report.mismatches} == {(5, 6)}
+    eng = ls.engine
+    ls.levels
+    assert {name for name, _, _ in report.mismatches} == {
+        eng.format_id(sid) for sid in range(112, eng.size)
+        if eng.cardinality_id(sid) == 3}
+
+
 def _universe(n_atoms, subsets):
     """An engine holding the sets each list of indices picks, in turn,
     from the ids interned before it."""
@@ -450,6 +495,22 @@ def test_atoms_oracle_keeps_only_levels_below_the_top():
     assert all(c.ok for c in checks)
     assert ls.engine.size == 328  # the k-split interned nothing either
     assert peak < 4 << 20, peak
+
+
+def test_plain_oracle_keeps_only_levels_below_the_top():
+    # level 5 holds 11,680 sets; the profiles and the ark lemma read them
+    # off the fold too, so none is interned and verifying traces well
+    # under 1 MB (about 3.3 MB interned)
+    verify.verify_plain(2)  # the imports of the first call
+    tracemalloc.start()
+    try:
+        ls, checks = verify.verify_plain(5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(c.ok for c in checks)
+    assert ls.engine.size == len(set().union(*ref.levels(4))) == 112
+    assert peak < 1 << 20, peak
 
 
 @pytest.mark.parametrize("spec, n_max, source", [
