@@ -7,9 +7,10 @@ variance, so load-then-save is byte identical.  Every payload is
 ...]]}``: one count table, named by its spec's descriptor, in exactly
 one layer.  Rank and cardinality tables are not cached: their commands
 recompute them.  Cells are lowercase hex, linear to convert both ways;
-decimal is only for people.  Caches are an optimization only: a load
-checks every row against the row step mod a prime that the checksum
-picks (:func:`spot_check`).
+decimal is only for people.  A load fills the table as a run with no
+cache would and compares every stored cell with it exactly
+(:func:`spot_check`), so a file is checked by the code that computes
+the answer.
 
 The sha256 is CPython's builtin one (``_sha2`` from 3.12, ``_sha256``
 before), so a cached run does not load :mod:`hashlib` and OpenSSL for
@@ -24,7 +25,7 @@ import os
 import stat
 
 from .errors import CacheError
-from .recurrence import CountTable, table_from_cells
+from .recurrence import CountTable, compute_table
 from .variants import HierarchySpec
 
 try:
@@ -81,26 +82,13 @@ def _index(x) -> int:
     return x
 
 
-def _prime(checksum: str) -> int:
-    """The first prime at or above the number whose 61 bits are the first
-    61 of the checksum, the top one set; Miller-Rabin with the bases 2 to
-    37 is exact below 3.3e24."""
-    p = int(checksum[:16], 16) >> 3 | 1 << 60 | 1
-    while True:
-        s = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = d * 2**s, d odd
-        d = (p - 1) >> s
-        if all(pow(b, d, p) == 1 or any(pow(b, d << r, p) == p - 1
-                                        for r in range(s))
-               for b in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)):
-            return p
-        p += 2
-
-
-def table_from_payload(payload, expect, p: int):
-    """The count table a payload holds, rebuilt by :func:`spot_check` mod
-    the prime p; None, without building it, when its (spec, n_max) is not
-    ``expect`` or when it holds a rank or cardinality table, which
-    earlier releases cached and this one never loads."""
+def table_from_payload(payload, expect):
+    """The count table a payload holds, filled and compared with its
+    cells by :func:`spot_check`; None, without filling it, when its
+    (spec, n_max) is not ``expect`` or when it holds a rank or
+    cardinality table, which earlier releases cached and this one never
+    loads.  The payload's layer is turned into the cells in place, so
+    its hex strings are not held while the table fills."""
     if not isinstance(payload, dict):
         raise CacheError("cache payload is not a JSON object")
     try:
@@ -116,19 +104,62 @@ def table_from_payload(payload, expect, p: int):
         layers = payload["layers"]
         if len(layers) != 1:
             raise ValueError(f"{len(layers)} layers for depth {n_max}")
-        cells = [(_index(n), _index(m), _hex(v)) for n, m, v in layers[0]]
-        return spot_check(spec, n_max, cells, p)
+        cells = layers[0]
+        for i, (n, m, v) in enumerate(cells):
+            cells[i] = _index(n), _index(m), _hex(v)
+        return spot_check(spec, n_max, cells)
     except (KeyError, ValueError, IndexError, TypeError,
             AttributeError) as exc:
         raise CacheError(f"malformed cache payload: {exc}") from exc
 
 
-def spot_check(spec: HierarchySpec, n_max: int, cells: list,
-               p: int) -> CountTable:
-    """Rebuild the count table of ``spec`` from its cells, every row
-    checked against the row step mod the prime p; the first row that
-    fails raises :class:`CacheError`."""
-    return table_from_cells(spec, n_max, cells, p)
+def spot_check(spec: HierarchySpec, n_max: int, cells: list) -> CountTable:
+    """The count table of ``spec`` through n_max, filled by
+    :func:`compute_table`, once ``cells``, the (n, m, b(n, m)) a cache
+    stores and sorted here in place, are exactly its nonzero cells.
+
+    Rows are checked in order, as the fill makes them.  A cell that is
+    zero or outside the triangle refuses the file before the fill; in
+    the first row that differs from the table, a cell past cap(n) or
+    listed twice refuses it as malformed, and otherwise a raised, extra
+    or missing cell raises :class:`CacheError` naming the row.
+    """
+    for n, m, v in cells:
+        if not 0 <= m < n <= n_max:
+            raise ValueError(f"cell ({n}, {m}) outside the filled triangle")
+        if not v:  # only nonzero cells are stored
+            raise ValueError(f"cell ({n}, {m}) is zero")
+    cells.sort()
+    table = compute_table(spec, n_max)
+    cols, caps = table.cols, table.caps
+    # r is the first row with a stored cell that the table lacks;
+    # cells[:i] are the cells read before stopping
+    r, err, last = n_max + 1, None, None
+    for i, (n, m, v) in enumerate(cells):
+        if n > r:
+            break
+        if (n, m) == last:
+            err = ValueError(f"cell ({n}, {m}) listed twice")
+        elif m >= len(cols) or cols[m].get(n) != v:
+            if m > caps[n]:
+                err = ValueError(f"cell ({n}, {m}) outside the filled "
+                                 f"triangle")
+            r = n
+        if err:
+            r = n
+            break
+        last = n, m
+    else:
+        i = len(cells)
+    if r > n_max and len(cells) == sum(map(len, cols)):
+        return table
+    # rows below r hold only table cells: the first that misses one
+    held = {(n, m) for n, m, _ in cells[:i]}
+    d = min((n for m, col in enumerate(cols) for n in col
+             if n < r and (n, m) not in held), default=r)
+    if d == r and err:
+        raise err
+    raise CacheError(f"cached row {d} fails recomputation")
 
 
 # -- file interface ----------------------------------------------------------
@@ -195,7 +226,6 @@ def load_table(path, expect=None):
             f"cache format_version {doc['format_version']} != "
             f"{FORMAT_VERSION}; refusing to load")
     payload = doc.get("payload")
-    checksum = _checksum(payload)
-    if checksum != doc.get("checksum"):
+    if _checksum(payload) != doc.get("checksum"):
         raise CacheError("cache checksum mismatch")
-    return table_from_payload(payload, expect, _prime(checksum))
+    return table_from_payload(payload, expect)

@@ -19,4 +19,5 @@ class BoundFunctionError(ValueError):
 
 
 class CacheError(Exception):
-    """A cache file failed validation (version, checksum, or structure)."""
+    """A cache file failed validation: its version, checksum or structure,
+    or a stored cell that differs from the table a fill computes."""

@@ -283,13 +283,14 @@ def _fold(ls: LevelSets, xs: list, ys: list) -> _Fold:
     A set S = x with y adjoined, y not in x, comes from the pair
     (S - {w}, w) for every w in S that is a y and leaves an x; only the
     pair with the largest such w, by id, counts it (canonical
-    augmentation; McKay, J. Algorithms 26, 1998).  So (x, y) is skipped when some z > y in x, z a y, has
-    (x - {z}) with y added among the xs.  Those y form a small set per x,
-    read off G[R] = {w a y : R with w added is an x} over the one-element
-    deletions R of the xs.  A pair that is not skipped and names an old
-    id, a set already interned or x itself when y is in x, marks it as
-    :func:`_assemble` does; x is marked through its largest element that
-    is a y, which no z exceeds.  No nesting of levels is assumed.
+    augmentation; McKay, J. Algorithms 26, 1998).  So (x, y) is skipped
+    when some z > y in x, z a y, has (x - {z}) with y added among the
+    xs.  Those y form a small set per x, read off G[R] = {w a y : R with
+    w added is an x} over the one-element deletions R of the xs.  A pair
+    that is not skipped and names an old id, a set already interned or x
+    itself when y is in x, marks it as :func:`_assemble` does; x is
+    marked through its largest element that is a y, which no z exceeds.
+    No nesting of levels is assumed.
 
     For plain, each set no id names is also tallied by its rank, its
     cardinality and its ark (see :func:`_shapes`).  It is in no stored

@@ -117,11 +117,10 @@ def test_noncanonical_n_max_refused(tmp_path, capsys, n_max):
     _refused(tmp_path, capsys, doc)
 
 
-def test_spot_check_catches_a_changed_nested_column(tmp_path, capsys,
-                                                     monkeypatch):
+def test_spot_check_catches_a_changed_nested_column(tmp_path, capsys):
     # cell (12, 9): its column adjoins c(9) of 217 bits, so the fill
-    # evaluates it in nested form, and the load's check reads the binomial
-    # row of c(9) mod p
+    # evaluates it in nested form, and the load compares the file's cell
+    # with the one that form gives
     t = compute_b_table(12)
     c9 = t.c(9)
     assert c9.bit_length() >= recurrence.NESTED_MIN_BITS
@@ -133,15 +132,9 @@ def test_spot_check_catches_a_changed_nested_column(tmp_path, capsys,
     cell[2] = format(int(cell[2], 16) + 1, "x")
     doc["checksum"] = _checksum(doc["payload"])
     (tmp_path / "cache.json").write_text(json.dumps(doc))
-    rows = []
-
-    def recorded(row, d, k, p, f=recurrence._extend):
-        rows.append((d, p))
-        return f(row, d, k, p)
-    monkeypatch.setattr(recurrence, "_extend", recorded)
     assert main(argv) == 2
     captured = capsys.readouterr()
-    assert captured.out == "" and any(d == c9 % p for d, p in rows if p)
+    assert captured.out == ""
     assert captured.err == "error: cached row 12 fails recomputation\n"
 
 
@@ -192,6 +185,34 @@ def test_dropped_cell_is_refused(tmp_path, capsys, argv):
         doc = json.loads(text)
         n = doc["payload"]["layers"][0].pop(i)[0]
         _row_refused(capsys, argv, path, doc, n)
+
+
+def _raise(cells, n):
+    cell = next(c for c in cells if c[0] == n)
+    cell[2] = format(int(cell[2], 16) + 1, "x")
+
+
+def _drop(cells, n):
+    cells.remove(next(c for c in cells if c[0] == n))
+
+
+def _repeat(cells, n):
+    cells.append(list(next(c for c in cells if c[0] == n)))
+
+
+@pytest.mark.parametrize("argv", CACHED, ids=" ".join)
+@pytest.mark.parametrize("early, late", [(_drop, _raise), (_raise, _drop),
+                                         (_drop, _repeat)],
+                         ids=["drop raise", "raise drop", "drop repeat"])
+def test_first_differing_row_is_named(tmp_path, capsys, argv, early, late):
+    # rows are checked in the order the fill makes them, so a file with
+    # faults in two rows is refused at the earlier, whatever their kinds
+    argv, path, text = _cache_of(tmp_path, capsys, argv)
+    rows = sorted({n for n, _, _ in json.loads(text)["payload"]["layers"][0]})
+    doc = json.loads(text)
+    early(doc["payload"]["layers"][0], rows[len(rows) // 3])
+    late(doc["payload"]["layers"][0], rows[-1])
+    _row_refused(capsys, argv, path, doc, rows[len(rows) // 3])
 
 
 def test_cell_on_a_zero_row_is_refused(tmp_path, capsys):
@@ -250,20 +271,6 @@ def test_raised_cell_of_the_last_level_is_refused(tmp_path, capsys):
     cell = next(c for c in doc["payload"]["layers"][0] if c[:2] == [12, 11])
     cell[2] = format(int(cell[2], 16) + 2, "x")
     _row_refused(capsys, argv, path, doc, 12)
-
-
-def test_prime_is_the_first_at_or_above_the_checksum_number():
-    from adjhier.cache import _prime
-    small = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
-    for checksum in ("0" * 64, "f" * 64, _checksum([])):
-        x = int(checksum[:16], 16) >> 3 | 1 << 60
-        p = _prime(checksum)
-        assert p.bit_length() == 61 and p >= x
-        assert all(pow(b, p - 1, p) == 1 for b in small)
-        # each number below it is even or fails a Fermat test
-        assert all(pow(2, y - 1, y) != 1 for y in range(x | 1, p, 2))
-    assert _prime("f" * 64) == (1 << 61) - 1
-
 
 
 # -- rank and cardinality tables are not cached -------------------------------

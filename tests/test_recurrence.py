@@ -1,21 +1,21 @@
 import bisect
 import itertools
+import json
 import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from adjhier import oracle, recurrence
+from adjhier.cache import _payload_text, table_from_payload
 from adjhier.errors import ResourceCapError
 from adjhier.recurrence import (a_sequence, c_sequence, compute_b_table,
-                                compute_table, table_from_cells)
+                                compute_table)
 from adjhier.refinements import compute_d_table, compute_r_table
 from adjhier.variants import BoundFunction, HierarchySpec
 
 from golden import PLAIN_A
 from tables import same_table
-
-P = (1 << 61) - 1  # a prime for the residue check of table_from_cells
 
 
 @pytest.fixture(scope="module")
@@ -141,12 +141,16 @@ def test_runs_read_like_the_list(ops, probes):
         assert runs != recurrence.Runs(items[:-1])
 
 
+def _loaded(table):
+    """``table`` as a cache load returns it, from its payload in memory."""
+    return table_from_payload(json.loads("".join(_payload_text(table))), None)
+
+
 def test_fills_of_one_spec_are_equal():
     spec = HierarchySpec.bounded(BoundFunction("log2"))
     t = compute_table(spec, 5000)
-    cells = [(n, m, v) for m, col in enumerate(t.cols) for n, v in col.items()]
     assert same_table(t, compute_table(spec, 5000))
-    assert same_table(t, table_from_cells(spec, 5000, cells, P))
+    assert same_table(t, _loaded(t))
     assert not same_table(t, compute_table(spec, 4999))
     assert len(t.a.values) == len(set(t.a)) < 100  # runs, not rows
     assert t.caps.values == list(range(-1, 13))  # cap(n) = floor(log2(n-1))
@@ -202,8 +206,7 @@ def _assert_matches_reference(spec, n_max):
     t = compute_table(spec, n_max)
     a, caps, b = _reference(spec, n_max)
     assert (t.a, t.caps, _cells(t)) == (a, caps, b)
-    loaded = table_from_cells(spec, n_max,
-                              [(n, m, v) for (n, m), v in b.items()], P)
+    loaded = _loaded(t)
     assert (loaded.a, loaded.caps, _cells(loaded)) == (a, caps, b)
 
 
@@ -334,14 +337,6 @@ def test_nested_column_always_has_its_tail_term():
     # has q = n - g(m) <= ROW_COUNT_CAP, so its window is all of 1..q-1
     # and C(c(m), q) is never zero
     assert recurrence.ROW_COUNT_CAP < 1 << (recurrence.NESTED_MIN_BITS - 1)
-
-
-def test_table_from_cells_takes_no_default_prime():
-    # a fixed public prime lets a cell raised by a multiple of it pass
-    t = compute_b_table(6)
-    cells = [(n, m, v) for m, col in enumerate(t.cols) for n, v in col.items()]
-    with pytest.raises(TypeError):
-        table_from_cells(t.spec, 6, cells)
 
 
 @pytest.mark.parametrize("d", [0, 1, 2, 7, 10 ** 30, pytest.param(
