@@ -216,9 +216,10 @@ def _emit(fmt: str, doc, header, rows):
     if fmt == "json":
         import json
         from functools import lru_cache
-        # a listing repeats a value over a run of rows, and looking a
-        # short value up costs less than quoting it again
-        quote = lru_cache(16)(json.encoder.encode_basestring_ascii)
+        # a listing repeats a value over a run of rows, and a lookup costs
+        # less than quoting it again; two entries keep it beside a row
+        # index and hold no more than two values of up to _BATCH_CHARS
+        quote = lru_cache(2)(json.encoder.encode_basestring_ascii)
         yield from _json(doc, "\n", quote)
         yield "\n"
         return

@@ -167,14 +167,16 @@ class CountTable:
 
     ``cols[m]`` maps a row n with ``caps[n] >= m`` to b(n, m) when that
     cell is nonzero; ``a`` and ``caps`` hold the level sizes and row caps
-    as :class:`Runs`, and ``col`` the column function that filled them.
-    The cells are immutable once filled.
+    as :class:`Runs`.  The cells are immutable once filled.  The column
+    function that filled them is the fill's (:class:`_RowStep`), so a
+    refinement layer, whose column function reads the other layers, is
+    in no reference cycle and is freed once nothing names it.
     """
 
     def __init__(self, spec: HierarchySpec, n_max: int, cols: list, a: list,
-                 caps: list, col):
+                 caps: list):
         self.spec, self.n_max = spec, n_max
-        self.cols, self.a, self.caps, self.col = cols, a, caps, col
+        self.cols, self.a, self.caps = cols, a, caps
 
     def b(self, n: int, m: int) -> int:
         if not (0 <= n <= self.n_max and -1 <= m < n):
@@ -244,10 +246,11 @@ class _RowStep:
     """The recurrence's row step over the sparse columns of one table.
 
     Once a row first reaches column m it reads g(m) off the caps and
-    takes c(m) and tail(m) from the table's column function.  A column
-    narrower than :data:`NESTED_MIN_BITS` also takes the binomial row
-    C(c(m), 0), C(c(m), 1), ... from ``binoms``, rows keyed by c(m) that
-    the layers of one build share; a wider one is summed in nested form,
+    takes c(m) and tail(m) from ``col(table, m, g)``, the column function
+    of the fill, which no table keeps.  A column narrower than
+    :data:`NESTED_MIN_BITS` also takes the binomial row C(c(m), 0),
+    C(c(m), 1), ... from ``binoms``, rows keyed by c(m) that the layers
+    of one build share; a wider one is summed in nested form,
     and ``inner`` keeps its last innermost product (q, (c(m) - q + 1) *
     tail(m)), which is linear in q.  ``live`` is the last row that the
     open columns can reach: past it every window and tail term is empty
@@ -255,8 +258,8 @@ class _RowStep:
     does and compares every stored cell with the table it fills.
     """
 
-    def __init__(self, table: CountTable, binoms=None):
-        self.table = table
+    def __init__(self, table: CountTable, col, binoms=None):
+        self.table, self.col = table, col
         self.binoms = {} if binoms is None else binoms
         self.consts = []
         self.rows = []
@@ -333,7 +336,7 @@ class _RowStep:
         # never reaches below the rows where column m-1 is stored: only
         # the diagonal factor c(m) needs a saturated read
         gm = t.caps.bisect_left(m) - 1
-        cm, tail = t.col(t, m, gm)
+        cm, tail = self.col(t, m, gm)
         binom = (None if cm.bit_length() >= NESTED_MIN_BITS
                  else self.binoms.setdefault(cm, [1, cm]))
         self.consts.append((cm, gm, tail, binom))
@@ -402,8 +405,8 @@ def _sweep(spec: HierarchySpec, n_max: int, layer=None,
         base, col = layer
     cls = MinBoundedTable if spec.kind == "minbounded" else CountTable
     cols, a, caps = [], Runs([base]), Runs([-1])
-    t = cls(spec, n_max, cols, a, caps, col)
-    step = _RowStep(t, binoms)
+    t = cls(spec, n_max, cols, a, caps)
+    step = _RowStep(t, col, binoms)
     # Level n holds x with y adjoined, x in level n-1 and y in level
     # cap(n), so bits(a(n)) <= bits(a(n-1)) + bits(a(cap(n))) + 1.  Where
     # cap(n) = n-1 that bound doubles; chained through the leading rows of

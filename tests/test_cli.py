@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import hashlib
 import io
 import json
@@ -18,8 +19,8 @@ from adjhier.cache import load_table, save_table
 from adjhier.cli import (CommandSpec, build_parser, main,
                          parse_bound_function, run)
 from adjhier.errors import BoundFunctionError, CacheError
-from adjhier.recurrence import compute_b_table
-from adjhier.refinements import compute_atoms_table
+from adjhier.recurrence import CountTable, compute_b_table
+from adjhier.refinements import RefinedTable, compute_atoms_table
 
 import hfs_reference as ref
 from golden import CARD_PROFILES, PLAIN_A, RANK_PROFILES, SQRT_ROWS
@@ -826,5 +827,43 @@ def test_argv_fuzz_exits_cleanly_and_fast(tmp_path_factory, data):
         elapsed = time.perf_counter() - start
     event(f"exit {code}")
     assert code in (0, 1, 2, 3), (argv, code, err)
+    if any(opt == "--n" and re.fullmatch(r"-\d+", value)
+           for opt, value in zip(argv, argv[1:])):
+        assert code == 2, (argv, code, err)  # a negative depth is refused
     assert "Traceback" not in err, (argv, err)
     assert elapsed < FUZZ_SECONDS, (argv, elapsed)
+
+
+@pytest.mark.parametrize("sub", sorted(OPTIONS))
+def test_negative_depth_refused(sub):
+    # the profiles fill no layer at a negative depth, so they check it
+    # themselves; every subcommand refuses it with no output
+    assert _run_captured([sub, "--n", "-1"]) == (
+        2, "", "error: n_max must be nonnegative\n")
+
+
+SMALL_ARGV = {"levels": ["--n", "6"], "table": ["--n", "6"],
+              "rank-profile": ["--n", "6"], "card-profile": ["--n", "6"],
+              "atoms": ["--n", "3"], "bounded": ["--n", "9"],
+              "minbounded": ["--n", "5"],
+              "constant": ["--n", "12", "--digits", "3"],
+              "oracle-verify": ["--n", "3"]}
+
+
+@pytest.mark.parametrize("sub", sorted(SMALL_ARGV))
+def test_tables_freed_without_the_cycle_collector(sub, capsys):
+    # no table refers back to itself through its layers or its column
+    # function, so reference counting frees it when its command returns,
+    # before the output renders
+    tables = (CountTable, RefinedTable)
+    gc.collect()
+    gc.disable()
+    try:
+        before = [o for o in gc.get_objects() if isinstance(o, tables)]
+        assert main([sub] + SMALL_ARGV[sub]) == 0
+        old = set(map(id, before))
+        left = [o.__class__.__name__ for o in gc.get_objects()
+                if isinstance(o, tables) and id(o) not in old]
+    finally:
+        gc.enable()
+    assert left == []

@@ -304,10 +304,11 @@ def test_nested_columns_equal_binomial_rows(monkeypatch, fill):
 def test_innermost_product_carries_to_later_rows():
     # plain columns 8..11 are wide at depth 12; a step reads rows < n only
     t = compute_b_table(12)
-    step = recurrence._RowStep(t)
+    col = recurrence._params(t.spec)[1]  # the column function of the fill
+    step = recurrence._RowStep(t, col)
     row = lambda step, n: step._row(n, t.caps[n])
     row(step, 10)
-    fresh = row(recurrence._RowStep(t), 12)
+    fresh = row(recurrence._RowStep(t, col), 12)
     assert row(step, 12) == fresh  # a skipped row: q - q' = 2
     carried = dict(step.inner)
     assert sorted(carried) == [8, 9, 10, 11]
