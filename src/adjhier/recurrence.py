@@ -167,10 +167,8 @@ class CountTable:
 
     ``cols[m]`` maps a row n with ``caps[n] >= m`` to b(n, m) when that
     cell is nonzero; ``a`` and ``caps`` hold the level sizes and row caps
-    as :class:`Runs`.  The cells are immutable once filled.  The column
-    function that filled them is the fill's (:class:`_RowStep`), so a
-    refinement layer, whose column function reads the other layers, is
-    in no reference cycle and is freed once nothing names it.
+    as :class:`Runs`.  The cells are immutable once filled.  The fill
+    (:class:`_RowStep`), not the table, keeps the column function.
     """
 
     def __init__(self, spec: HierarchySpec, n_max: int, cols: list, a: list,

@@ -4,15 +4,14 @@ Both refinements restrict the triangle cells of the core recurrence by a
 threshold t on classical rank or on cardinality.  Each is a list of
 layers 0..n_max: plain-shaped count tables, filled by the row step of
 :mod:`adjhier.recurrence` with column functions that read the layers
-below.  Only the row step holds a column function, so no layer refers
-back to the list of layers, and a refined table is freed by reference
-counting once its profiles are read.  Rank layers are indexed by t,
-cardinality layers by the co-cardinality n - t.  Exact per-value
-profiles fall out by differencing the diagonal cells.  A refined table
-is always filled, never read from a cache: at depth 18 a cache load
-saved 13-27 ms of a 0.3-0.5 s command and raised its peak memory by
-3.5-4.7 MB.  The atoms variant is the core recurrence with u urelements
-folded into the base cell.
+below.  Only the row step keeps a column function, so no layer refers
+to the others, and reference counting frees a refined table once read.
+Rank layers are indexed by t, cardinality layers by the co-cardinality
+n - t.  Exact per-value profiles fall out by differencing the diagonal
+cells.  A refined table is always filled, never read from a cache: at
+depth 18 a cache load saved 13-27 ms of a 0.3-0.5 s command and raised
+its peak memory by 3.5-4.7 MB.  The atoms variant is the core
+recurrence with u urelements folded into the base cell.
 """
 
 from __future__ import annotations
