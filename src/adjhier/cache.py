@@ -1,20 +1,25 @@
 """Versioned, checksummed JSON caches for computed tables.
 
-A cache file is ``{"format_version": 4, "payload": {...}, "checksum":
-sha256(canonical payload)}`` dumped with sorted keys and no whitespace
-variance, so load-then-save is byte identical.  Every payload is
-``{"table": descriptor, "n_max": "<n>", "layers": [[[n, m, "<hex>"],
-...]]}``: one count table, named by its spec's descriptor, in exactly
-one layer.  Rank and cardinality tables are not cached: their commands
-recompute them.  Cells are lowercase hex, linear to convert both ways;
-decimal is only for people.  A load fills the table as a run with no
-cache would and compares every stored cell with it exactly
-(:func:`spot_check`), so a file is checked by the code that computes
-the answer.
+A cache file is ``{"checksum": sha256(canonical payload),
+"format_version": 4, "payload": {...}}`` dumped with sorted keys and no
+whitespace, so each table has exactly one document.  Every payload is
+``{"layers": [[[n, m, "<hex>"], ...]], "n_max": "<n>", "table":
+descriptor}``: one count table, named by its spec's descriptor, in
+exactly one layer of nonzero cells in (n, m) order.  Rank and
+cardinality tables are not cached: their commands recompute them.  Cells
+are lowercase hex; decimal is only for people.
+
+A run with ``--cache`` fills its table as a run without one would, and a
+load checks the file against that table (:func:`spot_check`): the file
+is streamed in slices against the document a save would write for it,
+hashing the payload as it goes.  Byte equality implies the version, the
+checksum and every cell, so a hit parses no JSON and holds no cells,
+only the table the run needs anyway.  Only a file that differs is
+parsed, to tell another table from a refusal (:func:`load_table`).
 
 The sha256 is CPython's builtin one (``_sha2`` from 3.12, ``_sha256``
 before), so a cached run does not load :mod:`hashlib` and OpenSSL for
-one digest.  A save writes the document cell by cell, holding neither
+one digest.  A save writes the document slice by slice, holding neither
 the payload's cells nor its text, and hashes the payload as it writes.
 """
 
@@ -25,7 +30,7 @@ import os
 import stat
 
 from .errors import CacheError
-from .recurrence import CountTable, compute_table
+from .recurrence import CountTable
 from .variants import HierarchySpec
 
 try:
@@ -38,6 +43,9 @@ except ImportError:
 
 FORMAT_VERSION = 4
 _SLICE = 1 << 16  # characters of canonical text encoded at a time
+# the document before its payload, around the payload's checksum
+_HEAD = b'{"checksum":"'
+_VERSION = b'","format_version":%d,"payload":' % FORMAT_VERSION
 
 
 def _canonical(obj) -> str:
@@ -52,119 +60,48 @@ def _checksum(payload) -> str:
 
 
 def _payload_text(table: CountTable):
-    """The payload's canonical text in pieces of one cell each: the
-    table's spec, its depth and its nonzero cells [n, m, "<hex>"] in
-    (n, m) order, as the one layer."""
+    """The payload's canonical text, in slices of at least ``_SLICE``
+    characters but the last: the table's nonzero cells [n, m, "<hex>"]
+    in (n, m) order as the one layer, its depth and its spec."""
     cols = table.cols
     keys = sorted((n, m) for m, col in enumerate(cols) for n in col)
-    yield '{"layers":[['
+    text, size = ['{"layers":[['], 0
     for j, (n, m) in enumerate(keys):
-        yield f'{"," if j else ""}[{n},{m},"{cols[m][n]:x}"]'
-    yield (f']],"n_max":{_canonical(str(table.n_max))},'
-           f'"table":{_canonical(table.spec.descriptor())}}}')
+        text.append(f'{"," if j else ""}[{n},{m},"{cols[m][n]:x}"]')
+        size += len(text[-1])
+        if size >= _SLICE:
+            yield "".join(text)
+            text, size = [], 0
+    text.append(f']],"n_max":{_canonical(str(table.n_max))},'
+                f'"table":{_canonical(table.spec.descriptor())}}}')
+    yield "".join(text)
 
 
-def _hex(s) -> int:
-    """int(s, 16) for exactly the strings ``format(v, "x")`` writes: ASCII,
-    lowercase and as long as v's hex digits, which leaves no room for a
-    sign, prefix, separator, space or leading zero."""
-    v = int(s, 16)
-    if not (v >= 0 and s.isascii() and s.lower() == s
-            and len(s) == ((v.bit_length() + 3) // 4 or 1)):
-        raise ValueError(f"cell value {s[:40]!r} is not lowercase hex")
-    return v
+def spot_check(path, table: CountTable) -> bool:
+    """Whether the file at ``path`` is, byte for byte, the document
+    :func:`save_table` writes for ``table``.
 
-
-def _index(x) -> int:
-    """A cell's n or m: a JSON int, as ``_payload_text`` writes it."""
-    if type(x) is not int:
-        raise ValueError(f"cell index {x!r:.40} is not an int")
-    return x
-
-
-def table_from_payload(payload, expect):
-    """The count table a payload holds, filled and compared with its
-    cells by :func:`spot_check`; None, without filling it, when its
-    (spec, n_max) is not ``expect`` or when it holds a rank or
-    cardinality table, which earlier releases cached and this one never
-    loads.  The payload's layer is turned into the cells in place, so
-    its hex strings are not held while the table fills."""
-    if not isinstance(payload, dict):
-        raise CacheError("cache payload is not a JSON object")
-    try:
-        if payload["table"] in ("rank", "cardinality"):
-            return None
-        spec, n_max = (HierarchySpec.from_descriptor(payload["table"]),
-                       int(payload["n_max"]))
-        if str(n_max) != payload["n_max"]:
-            raise ValueError(f"n_max {payload['n_max']!r:.40} is not a "
-                             f"decimal string")
-        if expect is not None and expect != (spec, n_max):
-            return None
-        layers = payload["layers"]
-        if len(layers) != 1:
-            raise ValueError(f"{len(layers)} layers for depth {n_max}")
-        cells = layers[0]
-        for i, (n, m, v) in enumerate(cells):
-            cells[i] = _index(n), _index(m), _hex(v)
-        return spot_check(spec, n_max, cells)
-    except (KeyError, ValueError, IndexError, TypeError,
-            AttributeError) as exc:
-        raise CacheError(f"malformed cache payload: {exc}") from exc
-
-
-def spot_check(spec: HierarchySpec, n_max: int, cells: list) -> CountTable:
-    """The count table of ``spec`` through n_max, filled by
-    :func:`compute_table`, once ``cells``, the (n, m, b(n, m)) a cache
-    stores and sorted here in place, are exactly its nonzero cells.
-
-    Rows are checked in order, as the fill makes them.  A cell that is
-    zero or outside the triangle refuses the file before the fill; in
-    the first row that differs from the table, a cell past cap(n) or
-    listed twice refuses it as malformed, and otherwise a raised, extra
-    or missing cell raises :class:`CacheError` naming the row.
+    The file is read a slice at a time against the payload text as it is
+    made, and the payload is hashed as it goes; the checksum leads the
+    document, so it is compared last.
     """
-    for n, m, v in cells:
-        if not 0 <= m < n <= n_max:
-            raise ValueError(f"cell ({n}, {m}) outside the filled triangle")
-        if not v:  # only nonzero cells are stored
-            raise ValueError(f"cell ({n}, {m}) is zero")
-    cells.sort()
-    table = compute_table(spec, n_max)
-    cols, caps = table.cols, table.caps
-    # r is the first row with a stored cell that the table lacks;
-    # cells[:i] are the cells read before stopping
-    r, err, last = n_max + 1, None, None
-    for i, (n, m, v) in enumerate(cells):
-        if n > r:
-            break
-        if (n, m) == last:
-            err = ValueError(f"cell ({n}, {m}) listed twice")
-        elif m >= len(cols) or cols[m].get(n) != v:
-            if m > caps[n]:
-                err = ValueError(f"cell ({n}, {m}) outside the filled "
-                                 f"triangle")
-            r = n
-        if err:
-            r = n
-            break
-        last = n, m
-    else:
-        i = len(cells)
-    if r > n_max and len(cells) == sum(map(len, cols)):
-        return table
-    # rows below r hold only table cells: the first that misses one
-    held = {(n, m) for n, m, _ in cells[:i]}
-    d = min((n for m, col in enumerate(cols) for n in col
-             if n < r and (n, m) not in held), default=r)
-    if d == r and err:
-        raise err
-    raise CacheError(f"cached row {d} fails recomputation")
+    digest = sha256()
+    with open(path, "rb") as fh:
+        head = fh.read(len(_HEAD) + 2 * digest.digest_size + len(_VERSION))
+        if not (head.startswith(_HEAD) and head.endswith(_VERSION)):
+            return False
+        for piece in _payload_text(table):
+            piece = piece.encode()
+            digest.update(piece)
+            if fh.read(len(piece)) != piece:
+                return False
+        return (fh.read(2) == b"}" and head[len(_HEAD):-len(_VERSION)]
+                == digest.hexdigest().encode())
 
 
 # -- file interface ----------------------------------------------------------
 
-def save_table(path, table) -> None:
+def save_table(path, table: CountTable) -> None:
     """Write the cache file atomically.
 
     The document goes to a temporary file beside ``path`` and replaces it
@@ -178,7 +115,6 @@ def save_table(path, table) -> None:
     it is written, and the checksum, which leads the document at a fixed
     offset, is written over a placeholder once the payload is complete.
     """
-    head = '{"checksum":"'
     digest = sha256()
     path = os.fspath(path)
     tmp = f"{path}.{os.getpid()}.{os.urandom(4).hex()}.tmp"
@@ -193,14 +129,13 @@ def save_table(path, table) -> None:
                 os.chmod(tmp, stat.S_IMODE(os.stat(path).st_mode))
             except FileNotFoundError:
                 pass
-            fh.write(f'{head}{"0" * digest.digest_size * 2}",'
-                     f'"format_version":{FORMAT_VERSION},"payload":'.encode())
+            fh.write(_HEAD + b"0" * (2 * digest.digest_size) + _VERSION)
             for piece in _payload_text(table):
                 piece = piece.encode()
                 digest.update(piece)
                 fh.write(piece)
             fh.write(b"}")
-            fh.seek(len(head))
+            fh.seek(len(_HEAD))
             fh.write(digest.hexdigest().encode())
             fh.flush()
             os.fsync(fh.fileno())
@@ -210,14 +145,23 @@ def save_table(path, table) -> None:
         raise
 
 
-def load_table(path, expect=None):
-    """Load a cache file; with ``expect`` = (spec, n_max), a file holding
-    another table loads as None, and so does a leftover rank or
-    cardinality table."""
+def load_table(path, table: CountTable) -> bool:
+    """Whether the cache file at ``path`` holds ``table``, the count
+    table the run has filled: True when it is the document a save writes
+    for it (:func:`spot_check`).
+
+    Any other file is parsed to tell why.  One that holds another spec or
+    depth, or a rank or cardinality table that earlier releases cached,
+    is False, to be rewritten.  One that is not a v4 document, fails its
+    checksum, names no table, or names this one but differs from its
+    document anywhere raises :class:`CacheError`.
+    """
+    if spot_check(path, table):
+        return True
     try:
         with open(path) as fh:
             doc = json.load(fh)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise CacheError(f"cache file is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or "format_version" not in doc:
         raise CacheError("cache file lacks a format_version")
@@ -228,4 +172,16 @@ def load_table(path, expect=None):
     payload = doc.get("payload")
     if _checksum(payload) != doc.get("checksum"):
         raise CacheError("cache checksum mismatch")
-    return table_from_payload(payload, expect)
+    try:
+        if payload["table"] in ("rank", "cardinality"):
+            return False
+        spec, n_max = (HierarchySpec.from_descriptor(payload["table"]),
+                       int(payload["n_max"]))
+        if str(n_max) != payload["n_max"]:
+            raise ValueError(f"n_max {payload['n_max']!r:.40} is not a "
+                             f"decimal string")
+    except (KeyError, ValueError, TypeError, AttributeError) as exc:
+        raise CacheError(f"malformed cache payload: {exc}") from exc
+    if (spec, n_max) != (table.spec, table.n_max):
+        return False
+    raise CacheError("cached table fails recomputation")

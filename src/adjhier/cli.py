@@ -242,19 +242,17 @@ def _emit(fmt: str, doc, header, rows):
         yield "\n"
 
 
-def _cached_table(cmd: CommandSpec, spec: HierarchySpec, compute):
-    """Load the cached count table if it holds ``spec`` to depth n_max,
-    else compute and (re)write it; a file holding any other table, a
-    leftover rank or cardinality table included, is rewritten unread."""
-    if not cmd.cache:
-        return compute()
-    from .cache import load_table, save_table
-    if os.path.exists(cmd.cache):
-        table = load_table(cmd.cache, (spec, cmd.n_max))
-        if table is not None:
-            return table
+def _cached_table(cmd: CommandSpec, compute):
+    """The count table ``compute`` fills, once, checked against the cache
+    file if that holds the same table; a missing file, or one holding
+    any other table, a leftover rank or cardinality table included, is
+    (re)written."""
     table = compute()
-    save_table(cmd.cache, table)
+    if not cmd.cache:
+        return table
+    from .cache import load_table, save_table
+    if not (os.path.exists(cmd.cache) and load_table(cmd.cache, table)):
+        save_table(cmd.cache, table)
     return table
 
 
@@ -278,24 +276,22 @@ def _run_sizes(cmd: CommandSpec):
     """a(n) of one hierarchy: ``levels``, ``atoms``, ``bounded`` and
     ``minbounded`` differ only in spec, JSON keys and CSV column."""
     if cmd.subcommand == "levels":
-        spec, compute = HierarchySpec.plain(), compute_b_table
+        compute = compute_b_table
         doc, key, column = {"variant": "plain"}, "a", "a_n"
     elif cmd.subcommand == "atoms":
         from .refinements import compute_atoms_table
-        spec = HierarchySpec.atoms(cmd.u)
         compute = lambda n: compute_atoms_table(cmd.u, n)
         doc, key, column = {"u": str(cmd.u)}, "sizes", "size"
     elif cmd.subcommand == "bounded":
         from .bounded import compute_bounded_table
         f = parse_bound_function(cmd.f_spec)
-        spec = HierarchySpec.bounded(f)
         compute = lambda n: compute_bounded_table(f, n)
         doc, key, column = {"f": cmd.f_spec}, "rows", "a_f_n"
     else:
         from .bounded import compute_minbounded
-        spec, compute = HierarchySpec.min_bounded(), compute_minbounded
+        compute = compute_minbounded
         doc, key, column = {}, "rows", "a_bar_n"
-    table = _cached_table(cmd, spec, lambda: compute(cmd.n_max))
+    table = _cached_table(cmd, lambda: compute(cmd.n_max))
     runs = table.a.runs()  # level sizes never decrease
     if cmd.skip_duplicates:
         indices, runs = table.a.starts, [(v, 1) for v in table.a.values]
@@ -325,8 +321,7 @@ def _run_sizes(cmd: CommandSpec):
 
 
 def _run_table(cmd: CommandSpec):
-    table = _cached_table(cmd, HierarchySpec.plain(),
-                          lambda: compute_b_table(cmd.n_max))
+    table = _cached_table(cmd, lambda: compute_b_table(cmd.n_max))
     rows, out = _triangle(table.rows, cmd.n_max + 1)
     doc = {"command": "table", "n_max": str(cmd.n_max), "rows": rows}
     header = ["n"] + [f"m={m}" for m in range(-1, cmd.n_max)]

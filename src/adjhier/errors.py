@@ -20,4 +20,4 @@ class BoundFunctionError(ValueError):
 
 class CacheError(Exception):
     """A cache file failed validation: its version, checksum or structure,
-    or a stored cell that differs from the table a fill computes."""
+    or it names the table a run fills but is not that table's document."""

@@ -30,8 +30,9 @@ columns that keep only nonzero cells.  Runs of rows that cannot hold a
 nonzero cell are skipped in bulk, so runs to n in the hundreds of
 thousands stay cheap when most rows are zero.  The rank and cardinality
 refinements fill their layers through the same row step with column
-functions of their own.  A cache load runs this same fill and compares
-every stored cell with it (:func:`adjhier.cache.spot_check`).
+functions of their own.  A run with a cache runs this same fill and
+compares the file with the document a save writes for it
+(:func:`adjhier.cache.spot_check`).
 
 A column's window and trailing terms are one sum sum_{k=1}^{K} w_k C(c, k)
 with c = c(m), K = min(q, c), q = n - g(m), w_k = b(n-k, m-1) for k < q
@@ -252,8 +253,7 @@ class _RowStep:
     and ``inner`` keeps its last innermost product (q, (c(m) - q + 1) *
     tail(m)), which is linear in q.  ``live`` is the last row that the
     open columns can reach: past it every window and tail term is empty
-    until another column opens.  A cache load runs this step as a fill
-    does and compares every stored cell with the table it fills.
+    until another column opens.
     """
 
     def __init__(self, table: CountTable, col, binoms=None):

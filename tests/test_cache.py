@@ -2,20 +2,22 @@
 ``table --n 5 --cache`` writes.  Two files that earlier releases wrote
 stay beside it: a rank table in format v3 and the same table in v4."""
 
+import contextlib
 import hashlib
+import io
 import json
+import os
 from pathlib import Path
 
 import pytest
 
-from adjhier import cache, recurrence
+from adjhier import cli, recurrence
 from adjhier.cache import _checksum, _payload_text, load_table, save_table
 from adjhier.bounded import compute_minbounded
 from adjhier.cli import main
+from adjhier.errors import CacheError
 from adjhier.recurrence import compute_b_table
 from adjhier.refinements import compute_atoms_table
-
-from tables import same_table
 
 HERE = Path(__file__).parent
 V4 = HERE / "cache_table_5.v4.json"
@@ -33,7 +35,7 @@ def test_fixture_is_what_save_writes(tmp_path, capsys):
     path = tmp_path / "cache.json"
     save_table(path, compute_b_table(5))
     assert path.read_bytes() == V4.read_bytes()
-    assert same_table(load_table(V4), compute_b_table(5))
+    assert load_table(V4, compute_b_table(5)) is True
     # the CLI writes the same bytes, and reads them back
     other = tmp_path / "cli.json"
     assert main(ARGV + [str(other)]) == 0
@@ -82,23 +84,41 @@ def test_v3_file_refused(tmp_path, capsys):
     assert path.read_bytes() == V3.read_bytes()
 
 
+# -- a load is one byte compare with the fill's document ---------------------
+
+DIFFERS = "error: cached table fails recomputation\n"
+
+
+def _canonical(doc) -> str:
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+
+def _write(path, doc) -> bytes:
+    """Write ``doc`` as a save would, its checksum recomputed, so that
+    only the change made to it differs from the saved document."""
+    doc["checksum"] = _checksum(doc["payload"])
+    path.write_text(_canonical(doc))
+    return path.read_bytes()
+
+
+def _refused(capsys, argv, path, doc):
+    """The run refuses ``doc`` with exit 2, no output and one message,
+    and leaves the file as written."""
+    written = _write(path, doc)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == DIFFERS
+    assert path.read_bytes() == written
+
+
 @pytest.mark.parametrize("cell", ["-1", "0x1", "01", "1A", " 1", "1_0", "",
                                   1])
 def test_noncanonical_hex_cell_refused(tmp_path, capsys, cell):
     doc = json.loads(V4.read_text())
     doc["payload"]["layers"][-1][-1][2] = cell
-    _refused(tmp_path, capsys, doc)
-
-
-def _refused(tmp_path, capsys, doc):
-    doc["checksum"] = _checksum(doc["payload"])
     path = tmp_path / "cache.json"
-    path.write_text(json.dumps(doc))
-    assert main(ARGV + [str(path)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: malformed cache payload")
-    assert "Traceback" not in captured.err
+    _refused(capsys, ARGV + [str(path)], path, doc)
 
 
 @pytest.mark.parametrize("at", [0, 1])
@@ -106,15 +126,93 @@ def _refused(tmp_path, capsys, doc):
 def test_noncanonical_cell_index_refused(tmp_path, capsys, at, index):
     doc = json.loads(V4.read_text())
     doc["payload"]["layers"][-1][-1][at] = index
-    _refused(tmp_path, capsys, doc)
+    path = tmp_path / "cache.json"
+    _refused(capsys, ARGV + [str(path)], path, doc)
 
 
 @pytest.mark.parametrize("n_max", [5, 5.0, True, " 5", "5 ", "+5", "05",
                                    "5_0", "0x5", None])
 def test_noncanonical_n_max_refused(tmp_path, capsys, n_max):
+    # a depth that names no table is malformed, not another table
     doc = json.loads(V4.read_text())
     doc["payload"]["n_max"] = n_max
-    _refused(tmp_path, capsys, doc)
+    path = tmp_path / "cache.json"
+    written = _write(path, doc)
+    assert main(ARGV + [str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: malformed cache payload")
+    assert "Traceback" not in captured.err
+    assert path.read_bytes() == written
+
+
+def test_reindented_cache_refused(tmp_path, capsys):
+    # the same table and cells with other whitespace is not the document
+    # a save writes for them
+    path = tmp_path / "cache.json"
+    path.write_text(json.dumps(json.loads(V4.read_text()), indent=1))
+    written = path.read_bytes()
+    assert main(ARGV + [str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == DIFFERS
+    assert path.read_bytes() == written
+
+
+def _byte_changes(path, changes):
+    """Yield (offset, value) for each change, with a copy of the fixture at
+    ``path`` holding that change; the file is changed in place, as every
+    change keeps its length, and it must still hold the change after each
+    yield."""
+    good = V4.read_bytes()
+    path.write_bytes(good)
+    fd = os.open(path, os.O_RDWR)
+    try:
+        for i, byte in enumerate(good):
+            for value in changes(byte):
+                bad = bytes((value,))
+                os.pwrite(fd, bad, i)
+                yield i, value
+                assert os.pread(fd, len(good) + 1, 0) == (
+                    good[:i] + bad + good[i + 1:]), (i, value)
+            os.pwrite(fd, good[i:i + 1], i)
+    finally:
+        os.close(fd)
+    assert V4.read_bytes() == good
+
+
+def test_every_single_byte_change_is_refused(tmp_path):
+    # each byte of the fixture set to each of its 255 other values: the
+    # load that --cache makes refuses every one, as the run does with exit
+    # 2, and none loads as a hit or as another table to rewrite
+    table, path, refused = compute_b_table(5), tmp_path / "cache.json", 0
+    others = lambda byte: (v for v in range(256) if v != byte)
+    for i, value in _byte_changes(path, others):
+        try:
+            load_table(path, table)
+        except (CacheError, ValueError):
+            refused += 1
+    assert refused == 255 * V4.stat().st_size
+
+
+def test_every_single_bit_change_exits_2(tmp_path, monkeypatch):
+    # each bit of the fixture flipped, for levels and table in turn, one
+    # parser serving every run
+    parser = cli.build_parser()
+    monkeypatch.setattr(cli, "build_parser", lambda: parser)
+    path = tmp_path / "cache.json"
+    argvs = [[command, "--n", "5", "--cache", str(path), "--format", "csv"]
+             for command in ("levels", "table")]
+    flips = lambda byte: (byte ^ 1 << k for k in range(8))
+    out, err, runs = io.StringIO(), io.StringIO(), 0
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        for i, value in _byte_changes(path, flips):
+            assert main(argvs[runs % 2]) == 2, (i, value)
+            runs += 1
+    assert runs == 8 * V4.stat().st_size
+    assert out.getvalue() == ""
+    lines = err.getvalue().splitlines()
+    assert len(lines) == runs
+    assert all(line.startswith("error: ") for line in lines)
 
 
 def test_spot_check_catches_a_changed_nested_column(tmp_path, capsys):
@@ -124,18 +222,14 @@ def test_spot_check_catches_a_changed_nested_column(tmp_path, capsys):
     t = compute_b_table(12)
     c9 = t.c(9)
     assert c9.bit_length() >= recurrence.NESTED_MIN_BITS
-    argv = ["table", "--n", "12", "--cache", str(tmp_path / "cache.json")]
+    path = tmp_path / "cache.json"
+    argv = ["table", "--n", "12", "--cache", str(path)]
     assert main(argv) == 0
     capsys.readouterr()
-    doc = json.loads((tmp_path / "cache.json").read_text())
+    doc = json.loads(path.read_text())
     cell = next(c for c in doc["payload"]["layers"][0] if c[:2] == [12, 9])
     cell[2] = format(int(cell[2], 16) + 1, "x")
-    doc["checksum"] = _checksum(doc["payload"])
-    (tmp_path / "cache.json").write_text(json.dumps(doc))
-    assert main(argv) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: cached row 12 fails recomputation\n"
+    _refused(capsys, argv, path, doc)
 
 
 # -- a load checks every stored row -------------------------------------------
@@ -155,15 +249,6 @@ def _cache_of(tmp_path, capsys, argv):
     return argv, path, path.read_text()
 
 
-def _row_refused(capsys, argv, path, doc, n):
-    doc["checksum"] = _checksum(doc["payload"])
-    path.write_text(json.dumps(doc))
-    assert main(argv) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == f"error: cached row {n} fails recomputation\n"
-
-
 @pytest.mark.parametrize("argv", CACHED, ids=" ".join)
 def test_every_stored_row_is_checked(tmp_path, capsys, argv):
     # one cell of each stored row in turn
@@ -172,9 +257,8 @@ def test_every_stored_row_is_checked(tmp_path, capsys, argv):
     assert len(rows) >= 7
     for n in rows:
         doc = json.loads(text)
-        cell = next(c for c in doc["payload"]["layers"][0] if c[0] == n)
-        cell[2] = format(int(cell[2], 16) + 1, "x")
-        _row_refused(capsys, argv, path, doc, n)
+        _raise(doc["payload"]["layers"][0], n)
+        _refused(capsys, argv, path, doc)
 
 
 @pytest.mark.parametrize("argv", CACHED, ids=" ".join)
@@ -183,8 +267,8 @@ def test_dropped_cell_is_refused(tmp_path, capsys, argv):
     cells = json.loads(text)["payload"]["layers"][0]
     for i in sorted({0, len(cells) // 2, len(cells) - 1}):
         doc = json.loads(text)
-        n = doc["payload"]["layers"][0].pop(i)[0]
-        _row_refused(capsys, argv, path, doc, n)
+        doc["payload"]["layers"][0].pop(i)
+        _refused(capsys, argv, path, doc)
 
 
 def _raise(cells, n):
@@ -204,28 +288,26 @@ def _repeat(cells, n):
 @pytest.mark.parametrize("early, late", [(_drop, _raise), (_raise, _drop),
                                          (_drop, _repeat)],
                          ids=["drop raise", "raise drop", "drop repeat"])
-def test_first_differing_row_is_named(tmp_path, capsys, argv, early, late):
-    # rows are checked in the order the fill makes them, so a file with
-    # faults in two rows is refused at the earlier, whatever their kinds
+def test_faults_in_two_rows_are_refused(tmp_path, capsys, argv, early,
+                                        late):
     argv, path, text = _cache_of(tmp_path, capsys, argv)
     rows = sorted({n for n, _, _ in json.loads(text)["payload"]["layers"][0]})
     doc = json.loads(text)
     early(doc["payload"]["layers"][0], rows[len(rows) // 3])
     late(doc["payload"]["layers"][0], rows[-1])
-    _row_refused(capsys, argv, path, doc, rows[len(rows) // 3])
+    _refused(capsys, argv, path, doc)
 
 
 def test_cell_on_a_zero_row_is_refused(tmp_path, capsys):
     # the row holds no stored cell, and the fill skips it (3, 6, 1009,
-    # 2000) or visits it as the cap grows and finds it zero (8); the load
-    # visits it as a stored row
+    # 2000) or visits it as the cap grows and finds it zero (8)
     argv, path, text = _cache_of(tmp_path, capsys, CACHED[2])
     stored = {n for n, _, _ in json.loads(text)["payload"]["layers"][0]}
     for n in (3, 6, 8, 1009, 2000):
         assert n not in stored
         doc = json.loads(text)
         doc["payload"]["layers"][0].append([n, 0, "1"])
-        _row_refused(capsys, argv, path, doc, n)
+        _refused(capsys, argv, path, doc)
 
 
 def test_cell_past_the_row_cap_is_refused(tmp_path, capsys):
@@ -233,34 +315,22 @@ def test_cell_past_the_row_cap_is_refused(tmp_path, capsys):
     argv, path, text = _cache_of(tmp_path, capsys, CACHED[2])
     doc = json.loads(text)
     doc["payload"]["layers"][0].append([1000, 10, "1"])
-    _malformed(capsys, argv, path, doc,
-               "cell (1000, 10) outside the filled triangle")
+    _refused(capsys, argv, path, doc)
 
 
-def _malformed(capsys, argv, path, doc, detail):
-    doc["checksum"] = _checksum(doc["payload"])
-    path.write_text(json.dumps(doc))
-    assert main(argv) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == f"error: malformed cache payload: {detail}\n"
-
-
-@pytest.mark.parametrize("change, err", [
-    (lambda cells: cells.insert(3, [cells[3][0], cells[3][1], "0"]),
-     "cell (4, 2) is zero"),
-    (lambda cells: cells.insert(3, list(cells[3])),
-     "cell (4, 2) listed twice"),
-    (lambda cells: cells.append([6, 0, "0"]), "cell (6, 0) is zero"),
+@pytest.mark.parametrize("change", [
+    lambda cells: cells.insert(3, [cells[3][0], cells[3][1], "0"]),
+    lambda cells: cells.insert(3, list(cells[3])),
+    lambda cells: cells.append([6, 0, "0"]),
 ], ids=["duplicate zero", "repeated cell", "new zero cell"])
-def test_repeated_or_zero_cell_is_refused(tmp_path, capsys, change, err):
+def test_repeated_or_zero_cell_is_refused(tmp_path, capsys, change):
     # a save writes each nonzero cell once, so a layer that lists (n, m)
     # twice or holds a zero is not one it wrote, even where the kept value
-    # would pass the row check
+    # equals the table's
     argv, path, text = _cache_of(tmp_path, capsys, ["levels", "--n", "6"])
     doc = json.loads(text)
     change(doc["payload"]["layers"][0])
-    _malformed(capsys, argv, path, doc, err)
+    _refused(capsys, argv, path, doc)
 
 
 def test_raised_cell_of_the_last_level_is_refused(tmp_path, capsys):
@@ -270,27 +340,64 @@ def test_raised_cell_of_the_last_level_is_refused(tmp_path, capsys):
     doc = json.loads(text)
     cell = next(c for c in doc["payload"]["layers"][0] if c[:2] == [12, 11])
     cell[2] = format(int(cell[2], 16) + 2, "x")
-    _row_refused(capsys, argv, path, doc, 12)
+    _refused(capsys, argv, path, doc)
+
+
+# -- a hit parses nothing, and every run fills once ----------------------------
+
+def test_hit_reads_no_json(tmp_path, capsys, monkeypatch):
+    argv, path, _ = _cache_of(tmp_path, capsys, ["minbounded", "--n", "300"])
+    assert main(argv[:-2]) == 0
+    cold = capsys.readouterr().out
+    before = path.stat().st_mtime_ns, path.read_bytes()
+
+    def unread(*args, **kwargs):
+        raise AssertionError("a cache hit parsed JSON")
+    monkeypatch.setattr(json, "load", unread)
+    monkeypatch.setattr(json, "loads", unread)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == cold
+    assert (path.stat().st_mtime_ns, path.read_bytes()) == before
+
+
+def _fills(monkeypatch) -> list:
+    """The depth of every fill run from now on, in order."""
+    fills, sweep = [], recurrence._sweep
+
+    def counted(spec, n_max, *args, **kwargs):
+        fills.append(n_max)
+        return sweep(spec, n_max, *args, **kwargs)
+    monkeypatch.setattr(recurrence, "_sweep", counted)
+    return fills
+
+
+@pytest.mark.parametrize("file", ["hit", "rewrite", "none"])
+def test_every_cached_run_fills_once(tmp_path, capsys, monkeypatch, file):
+    path = tmp_path / "cache.json"
+    if file != "none":
+        assert main(["table", "--n", "5" if file == "hit" else "4",
+                     "--cache", str(path)]) == 0
+    capsys.readouterr()
+    fills = _fills(monkeypatch)
+    assert main(ARGV + [str(path)]) == 0
+    assert fills == [5]
+    assert path.read_bytes() == V4.read_bytes()
 
 
 # -- rank and cardinality tables are not cached -------------------------------
 
-def test_leftover_rank_cache_is_rewritten_unread(tmp_path, capsys,
-                                                 monkeypatch):
+def test_leftover_rank_cache_is_rewritten(tmp_path, capsys, monkeypatch):
     # a rank table that an earlier release cached is another table: a
-    # count command computes its own and writes it over the file
+    # count command fills its own, once, and writes it over the file
     assert main(["levels", "--n", "5"]) == 0
     want = capsys.readouterr().out
     path = tmp_path / "cache.json"
     path.write_bytes(RANK_V4.read_bytes())
-
-    def unread(*args):
-        raise AssertionError("a leftover rank table was checked")
-    monkeypatch.setattr(cache, "spot_check", unread)
+    fills = _fills(monkeypatch)
     assert main(["levels", "--n", "5", "--cache", str(path)]) == 0
     assert capsys.readouterr().out == want
-    doc = json.loads(path.read_text())
-    assert doc["payload"]["table"] == {"kind": "plain"}
+    assert fills == [5]
+    assert path.read_bytes() == V4.read_bytes()
 
 
 @pytest.mark.parametrize("command", ["rank-profile", "card-profile"])

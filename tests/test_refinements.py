@@ -93,6 +93,46 @@ def test_profiles_match_oracle():
         assert oracle.profile_counts(ls, n, "cardinality") == d_profile(dt, n)
 
 
+# -- closed forms at depth: a set of k elements is k adjunctions ------------
+
+CLOSED_FORM_DEPTH = 18
+
+
+@pytest.fixture(scope="module")
+def plain_a():
+    return a_sequence(compute_b_table(CLOSED_FORM_DEPTH))
+
+
+@pytest.fixture(scope="module")
+def dt_deep():
+    return compute_d_table(CLOSED_FORM_DEPTH)
+
+
+def test_singletons_are_the_level_below(plain_a, dt_deep):
+    # {x} is in level n exactly when x is in level n - 1
+    for n in range(2, CLOSED_FORM_DEPTH + 1):
+        assert d_profile(dt_deep, n)[1] == plain_a[n - 1]
+
+
+def test_pairs_need_one_element_below_the_level_below(plain_a, dt_deep):
+    # {x, y} is in level n when both are in level n - 1 and one of them
+    # already in level n - 2: all pairs of level n - 1 but those of sets
+    # new at n - 1
+    for n in range(2, CLOSED_FORM_DEPTH + 1):
+        new = plain_a[n - 1] - plain_a[n - 2]
+        assert d_profile(dt_deep, n)[2] == (math.comb(plain_a[n - 1], 2)
+                                            - math.comb(new, 2))
+
+
+def test_rank_4_sets_all_arrive_by_level_16():
+    # the sets of rank exactly 4 are V_5 \ V_4, 2^16 - 16 of them; level
+    # 15 still lacks some, and every level from 16 on holds them all
+    rt = compute_r_table(CLOSED_FORM_DEPTH)
+    counts = [r_profile(rt, n).get(4, 0) for n in range(CLOSED_FORM_DEPTH + 1)]
+    assert counts[15] < 65520
+    assert counts[16:] == [65520] * (CLOSED_FORM_DEPTH - 15)
+
+
 def test_atoms_sequences_golden():
     for u, sizes in ATOM_SIZES.items():
         assert compute_atoms_table(u, 5).sizes == sizes
