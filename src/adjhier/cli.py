@@ -274,7 +274,7 @@ def _parse_t_range(spec, n_max):
 
 def _run_sizes(cmd: CommandSpec):
     """a(n) of one hierarchy: ``levels``, ``atoms``, ``bounded`` and
-    ``minbounded`` differ only in spec, JSON keys and CSV column."""
+    ``minbounded`` differ only in fill, JSON keys and CSV column."""
     if cmd.subcommand == "levels":
         compute = compute_b_table
         doc, key, column = {"variant": "plain"}, "a", "a_n"
