@@ -15,7 +15,8 @@ is streamed in slices against the document a save would write for it,
 hashing the payload as it goes.  Byte equality implies the version, the
 checksum and every cell, so a hit parses no JSON and holds no cells,
 only the table the run needs anyway.  Only a file that differs is
-parsed, to tell another table from a refusal (:func:`load_table`).
+parsed, to tell another table from a refusal (:func:`load_table`); a
+path that is not a regular file is refused unread.
 
 The sha256 is CPython's builtin one (``_sha2`` from 3.12, ``_sha256``
 before), so a cached run does not load :mod:`hashlib` and OpenSSL for
@@ -150,12 +151,22 @@ def load_table(path, table: CountTable) -> bool:
     table the run has filled: True when it is the document a save writes
     for it (:func:`spot_check`).
 
-    Any other file is parsed to tell why.  One that holds another spec or
+    A path that is not a regular file, such as ``/dev/zero`` or a FIFO,
+    raises :class:`CacheError` before any read: it may never end.  Any
+    other file is parsed to tell why.  One that holds another spec or
     depth, or a rank or cardinality table that earlier releases cached,
     is False, to be rewritten.  One that is not a v4 document, fails its
     checksum, names no table, or names this one but differs from its
     document anywhere raises :class:`CacheError`.
     """
+    # O_NONBLOCK: a FIFO with no writer opens at once, to be refused
+    fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        mode = os.fstat(fd).st_mode
+    finally:
+        os.close(fd)
+    if not stat.S_ISREG(mode):
+        raise CacheError(f"cache path {path} is not a regular file")
     if spot_check(path, table):
         return True
     try:

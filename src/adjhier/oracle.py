@@ -7,26 +7,29 @@ one batched pass (:meth:`~adjhier.hfs.SetEngine.adjoin_level`), whose ids
 are consumed as they are made.  A level is assembled in one linear
 pass: the sets its loop interns are a range of fresh ids, and only the
 ids found again below that range are marked, in a byte array, so no big
-int is built per pair.  Each level is read through one
-decoded view, a bit string, so walks are linear in its size and
-membership tests take constant time; subset counts read a table of the
-levels that hold each element.  Every count of a level is read off one
-tally of its sets, keyed by the sorted tuple of their elements' level
-masks (:meth:`LevelSets._tally`): the subset counts b(n, m), their
-splits by the number k of elements new at level m, and the sets of a
-level held by a lower one.  The resulting ground-truth counts are what
-the recurrence modules are checked against at small depth.
+int is built per pair.  Each level is read through one decoded view, a
+bit string, so walks are linear in its size and membership tests take
+constant time; subset counts read a table of the levels that hold each
+element.  Every level has one count record (:data:`_Record`): its size
+and two tallies, of its new members and of all its members, keyed by
+the sorted tuple of their elements' level masks
+(:meth:`LevelSets._tally`).  The subset counts b(n, m), their splits by
+the number k of elements new at level m, and the sets of level n held by
+a level m < n are all read off the record.  They look only at the levels
+below n, which never change, so a record is made once and kept.  The
+resulting ground-truth counts are what the recurrence modules are
+checked against at small depth.
 
 Level sizes grow doubly exponentially, so the deepest level dwarfs the
 others, and no level is built from it.  It is not interned: one walk
 over its pairs (x, y) counts each of its sets once, from the pair with
 the largest y that makes it (canonical augmentation; see
-:func:`_fold`), and tallies what the verifiers read: its size and the
-tallies of its new members and of all its members, so its partition
-counts, its k-splits and :meth:`LevelSets.level_held` need no ids; for
-plain also each set's rank, cardinality and ark, so its profiles and the
-ark lemma need none either.  Only :meth:`LevelSets.members`, which
-``--dump`` reads, interns it, as the levels below were.
+:func:`_fold`), and makes its record, for plain with each set's rank,
+cardinality and ark, so its profiles and the ark lemma need no ids
+either.  The levels below it are interned, and each one's record is
+tallied from its ids on first read.  Only :meth:`LevelSets.members`,
+which ``--dump`` reads, interns the deepest level, as the levels below
+were.
 
 Every variant has one limit: a level that may hold more than
 :data:`DEFAULT_LEVEL_SIZE_CAP` sets is refused before it is built, level
@@ -65,18 +68,21 @@ def _ones(view: str):
 
 
 class LevelSets:
-    """Levels of one hierarchy, each a bitset over engine ids.
+    """Levels of one hierarchy, each a bitset over engine ids, and one
+    count record per level (see :data:`_Record`).
 
     Levels are append-only: a level, once stored, never changes, so its
-    decoded view is computed once.  The per-element level masks, and the
-    tallies read off them, depend on how many levels are stored, and are
-    rebuilt when that number changes.
+    decoded view is computed once, and each stored level adds its bit to
+    the per-element level masks.  What is read off level n's record, at
+    levels m < n only, looks only at the mask bits below n, which are
+    final once levels 0..n-1 are stored.  So a record, once made, is
+    kept and never rebuilt, and nothing is invalidated.
 
     The deepest level that :func:`build_levels` makes is left folded: its
-    size, its two tallies and, for plain, its shape tally are read off one
-    walk over its pairs as it is built (see :func:`_fold`), and its sets
-    are interned only when a read needs their ids (:attr:`levels`,
-    :meth:`members`, and :meth:`level_held` at a level not yet stored).
+    record is read off one walk over its pairs as it is built (see
+    :func:`_fold`), and its sets are interned only when a read needs
+    their ids (:attr:`levels` and :meth:`members`).  Every other level's
+    record is tallied from its ids on first read.
     """
 
     def __init__(self, spec: HierarchySpec, engine: SetEngine, levels: list,
@@ -86,17 +92,19 @@ class LevelSets:
         # sources[n]: the level whose members build_levels adjoined to
         # level n's to make level n + 1 (see _source)
         self.sources = []
-        # (xs, ys) of a folded deepest level, and its fold
-        self._pairs = self._fold = None
-        self._views = []
-        # (len(levels), element masks, what _read keeps over them)
-        self._index = (-1, None, None)
+        self._pairs = None  # (xs, ys) of a folded deepest level
+        self._records = {}  # level: its _Record
+        self._views, self._masks = [], []
 
     @property
     def levels(self) -> list:
         """The levels as bitsets; a folded deepest level is interned
         first."""
-        self._intern_top()
+        if self._pairs is not None:
+            (xs, ys), self._pairs = self._pairs, None
+            eng = self.engine
+            self._levels.append(
+                _assemble(eng, self._levels[0], eng.adjoin_level(xs, ys)))
         return self._levels
 
     @property
@@ -104,86 +112,58 @@ class LevelSets:
         return len(self._levels) - (self._pairs is None)
 
     def size(self, n: int) -> int:
-        if self._folded(n):
-            return self._fold.size
-        return self._levels[n].bit_count()
+        return self._record(n).size
 
     def sizes(self) -> list:
         return [self.size(n) for n in range(self.depth + 1)]
 
     def members(self, n: int) -> list:
+        if n >= len(self._levels):
+            self.levels  # interns a folded deepest level
         return list(_ones(self._view(n)))
 
     def level_held(self, n: int, m: int) -> int:
         """How many sets of level n, atoms aside, have all their elements
-        in level m."""
-        if self._folded(n) and m < n:
-            return _count_with(self._fold.held, m)
-        if m >= len(self._levels):
-            self._intern_top()  # bit m of the masks needs level m
-        return _count_with(self._read(("held", n), lambda: self._tally(
-            self.members(n)[len(self.atom_ids):])), m)
+        in level m, for m < n."""
+        if not 0 <= m < n:
+            raise IndexError(f"held ({n}, {m}) needs 0 <= m < n")
+        return _count_with(self._record(n).held, m)
 
     def _fold_top(self, xs: list, ys: list):
         """Leave the next level, every x of ``xs`` with each y of ``ys``
         adjoined, folded (see :func:`_fold`)."""
+        self._records[len(self._levels)] = _fold(self, xs, ys)
         self._pairs = (xs, ys)
-        self._fold = _fold(self, xs, ys)
 
-    def _intern_top(self):
-        """Intern a folded deepest level and store it like the others."""
-        if self._pairs is not None:
-            xs, ys = self._pairs
-            self._pairs = self._fold = None
-            eng = self.engine
-            self._levels.append(
-                _assemble(eng, self._levels[0], eng.adjoin_level(xs, ys)))
-
-    def _folded(self, n: int) -> bool:
-        return self._pairs is not None and n == len(self._levels)
-
-    def _shaped(self, n: int):
-        """The fold of level n if it is folded with a shape tally (plain),
-        else None."""
-        if self._folded(n) and self._fold.shapes is not None:
-            return self._fold
-        return None
-
-    def _level(self, n: int) -> int:
-        return (self._levels if n < len(self._levels) else self.levels)[n]
-
-    def _new_ids(self, n: int):
-        prev = self._level(n - 1) if n >= 1 else 0
-        return iter_bits(self._level(n) & ~prev)
+    def _record(self, n: int) -> _Record:
+        """Level n's record: the fold's, or tallied from the ids of a
+        stored level on first read, with every id old and no shapes."""
+        if n not in self._records:
+            level, atoms = self._levels[n], (1 << len(self.atom_ids)) - 1
+            below = self._levels[n - 1] if n else atoms
+            self._records[n] = _Record(
+                level.bit_count(), self._tally(iter_bits(level & ~below)),
+                self._tally(iter_bits(level & ~atoms)), level, Counter(), [])
+        return self._records[n]
 
     def _view(self, n: int) -> str:
-        views = self._views
+        """Level n's decoded view; each stored level's view sets its bit
+        in the element masks as it is made."""
+        views, masks = self._views, self._masks
         while len(views) <= n:
-            views.append(_bit_string(self._level(len(views))))
+            m = len(views)
+            views.append(_bit_string(self._levels[m]))
+            masks += [0] * (len(views[m]) - len(masks))
+            for e in _ones(views[m]):
+                masks[e] |= 1 << m
         return views[n]
 
     def _element_masks(self) -> list:
         """For each id of the stored levels, the bitmask of the stored
         levels that hold it: every element of a member, and every y that
         :func:`_fold` adjoins, is one of them."""
-        key, masks = self._index[:2]
-        if key != len(self._levels):
-            masks = [0] * max(len(self._view(m))
-                              for m in range(len(self._levels)))
-            for m in range(len(self._levels)):
-                bit = 1 << m
-                for e in _ones(self._view(m)):
-                    masks[e] |= bit
-            self._index = (len(self._levels), masks, {})
-        return masks
-
-    def _read(self, key, make):
-        """``make()``, computed once and kept until a level is stored."""
-        self._element_masks()  # drops what was read over fewer levels
-        kept = self._index[2]
-        if key not in kept:
-            kept[key] = make()
-        return kept[key]
+        self._view(len(self._levels) - 1)
+        return self._masks
 
     def _tally(self, ids) -> dict:
         """Histogram over ``ids`` of the sorted tuple of a set's elements'
@@ -196,38 +176,22 @@ class LevelSets:
             hist[key] = hist.get(key, 0) + 1
         return hist
 
-    def _new_tally(self, n: int) -> dict:
-        """:meth:`_tally` of level n's new members."""
-        if self._folded(n):
-            return self._fold.new
-        return self._read(("new", n), lambda: self._tally(self._new_ids(n)))
-
-    def _new_splits(self, n: int) -> list:
-        """:func:`partition_split` of level n for every m < n, read off
-        :meth:`_new_tally` once: the elements new at level m are those
-        with bit m set and bit m-1 clear (``s & ~(s << 1)``)."""
-        return self._read(("splits", n),
-                          lambda: _splits(self._new_tally(n), n))
-
 
 def _count_with(hist: dict, m: int) -> int:
     """Sets in a tally whose elements all lie in level m."""
     return sum(c for key, c in hist.items() if all(s >> m & 1 for s in key))
 
 
-def _splits(hist: dict, n: int) -> list:
-    """For every m < n, the sets in a tally whose elements all lie in
-    level m, counted by how many of their elements are new at level m."""
-    by_m = [{} for _ in range(n)]
+def _split(hist: dict, m: int) -> dict:
+    """The sets in a tally whose elements all lie in level m, counted by
+    how many of their elements are new at level m: those with bit m set
+    and bit m-1 clear (``s & ~(s << 1)``)."""
+    split = {}
     for key, c in hist.items():
-        held = (1 << n) - 1
-        for s in key:
-            held &= s
-        new_at = [s & ~(s << 1) for s in key]
-        for m in _ones(_bit_string(held)):
-            k = sum(b >> m & 1 for b in new_at)
-            by_m[m][k] = by_m[m].get(k, 0) + c
-    return by_m
+        if all(s >> m & 1 for s in key):
+            k = sum((s & ~(s << 1)) >> m & 1 for s in key)
+            split[k] = split.get(k, 0) + c
+    return split
 
 
 def _check_size(kind: str, level: int, bound: int):
@@ -267,15 +231,16 @@ def build_levels(spec: HierarchySpec, n_max: int) -> LevelSets:
     return ls
 
 
-# a level read off its pairs: its size, LevelSets._tally of its new
-# members and of all its members but the atoms, over the levels below it,
-# and the bitset of its members already interned; for plain also the
-# (rank, cardinality, ark) tally of the others, and those whose ark is
-# not the level, as (sorted element ids, ark)
-_Fold = namedtuple("_Fold", "size new held old shapes strays")
+# a level's count record: its size, LevelSets._tally of its new members
+# and of all its members but the atoms, over the levels below it, and the
+# bitset of its members already interned (all of them when stored); for a
+# folded plain level also the (rank, cardinality, ark) tally of the
+# others, and those whose ark is not the level, as (sorted element ids,
+# ark), which a stored level has none of
+_Record = namedtuple("_Record", "size new held old shapes strays")
 
 
-def _fold(ls: LevelSets, xs: list, ys: list) -> _Fold:
+def _fold(ls: LevelSets, xs: list, ys: list) -> _Record:
     """The level after the stored ones: level 0 plus every x of ``xs``
     with each y of ``ys`` adjoined, counted in one walk over its pairs
     without interning it.
@@ -346,8 +311,8 @@ def _fold(ls: LevelSets, xs: list, ys: list) -> _Fold:
     atoms = (1 << len(ls.atom_ids)) - 1
     new = fresh + Counter(ls._tally(iter_bits(old & ~ls._levels[-1])))
     held = fresh + Counter(ls._tally(iter_bits(old & ~atoms)))
-    return _Fold(old.bit_count() + fresh.total(), new, held, old, shapes,
-                 strays)
+    return _Record(old.bit_count() + fresh.total(), new, held, old, shapes,
+                   strays)
 
 
 def _shapes(eng: SetEngine, x: int, by_y: dict, level: int,
@@ -391,12 +356,13 @@ def _assemble(eng: SetEngine, base: int, ids) -> int:
 
 def _source(ls: LevelSets, n: int) -> int:
     """The level whose members are adjoined to level n's: n itself, f(n)
-    when bounded, and when minimally bounded one past the largest m <= n
-    whose power set level n holds (0 when none)."""
+    when bounded, and when minimally bounded one past the largest m < n
+    whose power set level n holds (0 when none); m = n never qualifies,
+    as level n holds fewer than 2 ** size(n) sets."""
     if ls.spec.kind == "bounded":
         return ls.spec.f(n)
     if ls.spec.kind == "minbounded":
-        return next((m + 1 for m in range(n, -1, -1)
+        return next((m + 1 for m in range(n - 1, -1, -1)
                      if ls.level_held(n, m) == 1 << ls.size(m)), 0)
     return n
 
@@ -408,7 +374,7 @@ def partition_counts(ls: LevelSets, n: int, m: int) -> int:
     the levels that hold all of a member's elements."""
     if not 0 <= m < n <= ls.depth:
         raise IndexError(f"partition ({n}, {m}) outside computed levels")
-    return _count_with(ls._new_tally(n), m)
+    return _count_with(ls._record(n).new, m)
 
 
 def partition_split(ls: LevelSets, n: int, m: int) -> dict:
@@ -417,15 +383,16 @@ def partition_split(ls: LevelSets, n: int, m: int) -> dict:
     Read from one tally of level n's new members that serves every m."""
     if not 0 <= m < n <= ls.depth:
         raise IndexError(f"partition ({n}, {m}) outside computed levels")
-    return dict(ls._new_splits(n)[m])
+    return _split(ls._record(n).new, m)
 
 
 def profile_counts(ls: LevelSets, n: int, by: str) -> dict:
     """Histogram of level n members by rank or cardinality.
 
     Atoms count as rank 0 and cardinality 0; pure variants are the ones
-    cross-checked against the refined recurrences.  A folded plain level
-    is read off its interned ids and its fold's shape tally.
+    cross-checked against the refined recurrences.  Read off the record's
+    old ids and its shape tally; a folded level of another variant keeps
+    no shapes, so its sets are interned and read instead.
     """
     if not 0 <= n <= ls.depth:
         raise IndexError(f"level {n} beyond computed depth {ls.depth}")
@@ -433,12 +400,13 @@ def profile_counts(ls: LevelSets, n: int, by: str) -> dict:
         raise ValueError("profile axis must be 'rank' or 'cardinality'")
     eng = ls.engine
     key = eng.rank_id if by == "rank" else eng.cardinality_id
-    fold = ls._shaped(n)
-    hist = Counter(map(key, iter_bits(fold.old) if fold else ls.members(n)))
-    if fold:
-        axis = by == "cardinality"  # a shape is (rank, cardinality, ark)
-        for shape, c in fold.shapes.items():
-            hist[shape[axis]] += c
+    rec = ls._record(n)
+    shapes = rec.shapes
+    hist = Counter(map(key, ls.members(n) if shapes is None
+                       else iter_bits(rec.old)))
+    axis = by == "cardinality"  # a shape is (rank, cardinality, ark)
+    for shape, c in (shapes or {}).items():
+        hist[shape[axis]] += c
     return dict(sorted(hist.items()))
 
 
@@ -459,26 +427,24 @@ class ArkReport:
 def verify_ark_lemma(ls: LevelSets) -> ArkReport:
     """Every deepest-level member: first level containing it == its ark.
 
-    A folded level's interned ids are checked here; its other members lie
-    in no stored level, and its fold compared their arks with it."""
+    The record's old ids are checked here; a folded level's other members
+    lie in no stored level, and its fold compared their arks with it."""
     if ls.spec.kind != "plain":
         raise ValueError("ark verification is defined on the plain hierarchy")
     eng = ls.engine
     deepest = ls.depth
-    fold = ls._shaped(deepest)
-    members = iter_bits(fold.old) if fold else ls.members(deepest)
+    rec = ls._record(deepest)
     masks = ls._element_masks()
     mismatches = []
-    for sid in members:
+    for sid in iter_bits(rec.old):
         first = masks[sid]
         by_levels = (first & -first).bit_length() - 1
         by_formula = eng.ark_id(sid)
         if by_levels != by_formula:
             mismatches.append((eng.format_id(sid), by_levels, by_formula))
-    if fold:
-        mismatches += [(eng.format_elements(elems), deepest, ark)
-                       for elems, ark in fold.strays]
-    return ArkReport(ls.size(deepest), mismatches)
+    mismatches += [(eng.format_elements(elems), deepest, ark)
+                   for elems, ark in rec.strays]
+    return ArkReport(rec.size, mismatches)
 
 
 def level_lines(ls: LevelSets, n: int) -> list:

@@ -290,7 +290,7 @@ def assert_reads_match_raw_levels(ls):
         assert ls.members(n) == [sid for sid in range(eng.size + 2)
                                  if ls.levels[n] >> sid & 1]
         held = ls.members(n)[eng.n_atoms:]  # the atoms lead every level
-        for m in range(ls.depth + 1):
+        for m in range(n):
             assert ls.level_held(n, m) == raw_held(ls, held, m)
         for m in range(n):
             assert (oracle.partition_counts(ls, n, m)
@@ -392,6 +392,49 @@ def test_folded_level_reads_equal_interned_level(spec, n_max):
                    [raw_split(interned, n_max, m) for m in range(n_max)])
 
 
+@pytest.mark.parametrize("spec, n_max", FOLD_CASES + [
+    (HierarchySpec.plain(), n) for n in range(1, 5)], ids=str)
+def test_fold_record_equals_record_tallied_from_ids(spec, n_max):
+    # a record, once made, is kept: a build's deepest level reads its
+    # fold even once interned.  Levels of the same ids stored in a new
+    # LevelSets tally that level's record from its ids instead.
+    folded = oracle.build_levels(spec, n_max)
+    reads = [top_reads] + [plain_top_reads] * (spec.kind == "plain")
+    got = [read(folded) for read in reads]
+    tallied = oracle.LevelSets(spec, folded.engine, folded.levels[:],
+                               folded.atom_ids)
+    assert tallied.depth == n_max
+    assert [read(tallied) for read in reads] == got
+
+
+@pytest.mark.parametrize("spec, n_max", [
+    (HierarchySpec.plain(), 5), (HierarchySpec.atoms(1), 4),
+    (HierarchySpec.bounded(BoundFunction("sqrt")), 27),
+    (HierarchySpec.min_bounded(), 12)], ids=str)
+def test_second_verify_pass_tallies_nothing(spec, n_max, monkeypatch):
+    # every record is made once and kept, never rebuilt: a second read
+    # pass of the verifier over the same levels tallies no set
+    ls, checks = verify.verify(spec, n_max)
+    tally, calls = oracle.LevelSets._tally, []
+    monkeypatch.setattr(oracle, "build_levels", lambda *args: ls)
+    monkeypatch.setattr(oracle.LevelSets, "_tally",
+                        lambda self, *args: calls.append(args)
+                        or tally(self, *args))
+    assert verify.verify(spec, n_max) == (ls, checks)
+    assert calls == []
+
+
+def test_level_held_reads_lower_levels_only(plain5):
+    # level n holds at most size(n) sets, so no caller asks for m >= n
+    for n, m in [(5, 5), (3, 4), (0, 0), (2, -1), (6, 5)]:
+        with pytest.raises(IndexError):
+            plain5.level_held(n, m)
+    # level 5 holds every subset of levels 0-2, 480 of the 4,096 subsets
+    # of level 3, and only subsets of level 4
+    assert [plain5.level_held(5, m) for m in range(5)] == [
+        2, 4, 16, 480, PLAIN_A[5]]
+
+
 def plain_top_reads(ls):
     """What the plain checks read of the deepest level: its rank and
     cardinality profiles and the ark lemma's outcome."""
@@ -473,9 +516,9 @@ def test_fold_of_any_pairs_equals_their_interned_level(n_atoms, subsets,
     size = eng.size
     got = top_reads(folded)
     assert eng.size == size
-    interned = oracle.LevelSets(spec, eng, below[:], atoms)
-    interned._fold_top(xs, ys)
-    interned.levels
+    # the same levels, the deepest interned, whose record is tallied
+    # from its ids
+    interned = oracle.LevelSets(spec, eng, folded.levels[:], atoms)
     assert got == top_reads(interned)
 
 

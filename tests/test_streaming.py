@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -330,6 +331,24 @@ def test_allocation_failure_ends_cleanly():
         address_space=400 << 20)
     assert code == 3 and out_bytes == 0, (code, err[-500:])
     assert err == "resource cap: out of memory\n"
+
+
+@linux_only
+@pytest.mark.parametrize("kind", ["/dev/zero", "fifo"])
+def test_endless_cache_path_is_refused_unread(kind, tmp_path):
+    # a cache path that is not a regular file may never end, and a FIFO
+    # with no writer would block the open: both are refused with exit 2
+    # before any read, well inside a 600 MB address space
+    path = kind
+    if kind == "fifo":
+        path = str(tmp_path / "cache.fifo")
+        os.mkfifo(path)
+    start = time.monotonic()
+    code, out_bytes, err = _child(["levels", "--n", "3", "--cache", path],
+                                  limit_s=5, address_space=600 << 20)
+    assert code == 2 and out_bytes == 0, (code, err[-500:])
+    assert time.monotonic() - start < 5
+    assert "Traceback" not in err and "not a regular file" in err
 
 
 def _spawned(argv, stdout):
