@@ -30,7 +30,7 @@ import json
 import os
 import stat
 
-from .errors import CacheError
+from .errors import CacheError, check_regular_file
 from .recurrence import CountTable
 from .variants import HierarchySpec
 
@@ -159,14 +159,7 @@ def load_table(path, table: CountTable) -> bool:
     checksum, names no table, or names this one but differs from its
     document anywhere raises :class:`CacheError`.
     """
-    # O_NONBLOCK: a FIFO with no writer opens at once, to be refused
-    fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
-    try:
-        mode = os.fstat(fd).st_mode
-    finally:
-        os.close(fd)
-    if not stat.S_ISREG(mode):
-        raise CacheError(f"cache path {path} is not a regular file")
+    check_regular_file(path, CacheError, "cache path")
     if spot_check(path, table):
         return True
     try:

@@ -35,7 +35,8 @@ from collections import namedtuple
 from functools import partial
 from itertools import chain, islice, repeat
 
-from .errors import BoundFunctionError, CacheError, ResourceCapError
+from .errors import (BoundFunctionError, CacheError, ResourceCapError,
+                     check_regular_file)
 from .numstr import decimal_str
 from .recurrence import c_sequence, compute_b_table
 from .variants import BoundFunction, HierarchySpec
@@ -47,12 +48,14 @@ def parse_bound_function(spec: str) -> BoundFunction:
     A file holds one natural per line: f(0), f(1), ...; blank lines are
     skipped, a line that is not a natural is reported with its 1-based
     line number, and sublinearity is validated up front and reported
-    with the first offending index.
+    with the first offending index.  A path that is not a regular file
+    is refused before any read.
     """
     if spec in ("identity", "half", "sqrt", "log2"):
         return BoundFunction(spec)
     if spec.startswith("file:"):
         path = spec[5:]
+        check_regular_file(path, BoundFunctionError, "bound file")
         values = []
         with open(path) as fh:
             for lineno, line in enumerate(fh, start=1):

@@ -22,8 +22,9 @@ A whole level of adjunctions goes through :meth:`SetEngine.adjoin_level`
 in one batched pass: one canonical sort per level gives every set it
 touches an integer position, so each pair finds its slot with a C
 bisection instead of recursive comparisons.
-:meth:`SetEngine.probe_level` makes the same pass and only looks the
-sets up, interning none.
+:meth:`SetEngine.adjoined_interned` finds the pairs of a level whose set
+is already interned without visiting the others: it reads them off the
+interned sets, so its cost is that of the table, not of the pairs.
 """
 
 from __future__ import annotations
@@ -109,13 +110,26 @@ class SetEngine:
                     rank.append(r)
                 yield sid
 
-    def probe_level(self, xs, ys):
-        """For every x in the sequence ``xs``, in order, the list over
-        ``ys`` of the id of ``x with y added``: x itself when y is already
-        a member, None when that set is not interned.  Interns nothing."""
-        get = self._intern.get
-        for x, row in zip(xs, self._adjoined(xs, ys)):
-            yield [x if t is None else get(t) for t in row]
+    def adjoined_interned(self, xs, ys) -> dict:
+        """Map each x of ``xs`` to {y: S} for every y of ``ys`` not in x
+        whose set S, x with y added, is already interned.  Interns
+        nothing.
+
+        Read off the interned side: for each interned non-atom S and each
+        w in S that is a y, the pair (S - {w}, w) names S when S - {w} is
+        interned and is an x.  The cost is one tuple build and one dict
+        lookup per such w, never one per pair."""
+        is_x, is_y, get = set(xs), set(ys), self._intern.get
+        named = {}
+        for sid, elems in enumerate(self._elems):
+            if elems is None:
+                continue
+            for i, w in enumerate(elems):
+                if w in is_y:
+                    x = get(elems[:i] + elems[i + 1:])
+                    if x in is_x:
+                        named.setdefault(x, {})[w] = sid
+        return named
 
     def _adjoined(self, xs, ys):
         """For every x of ``xs``, in order, the list over ``ys`` of x's

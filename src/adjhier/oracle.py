@@ -21,15 +21,15 @@ resulting ground-truth counts are what the recurrence modules are
 checked against at small depth.
 
 Level sizes grow doubly exponentially, so the deepest level dwarfs the
-others, and no level is built from it.  It is not interned: one walk
-over its pairs (x, y) counts each of its sets once, from the pair with
-the largest y that makes it (canonical augmentation; see
-:func:`_fold`), and makes its record, for plain with each set's rank,
-cardinality and ark, so its profiles and the ark lemma need no ids
-either.  The levels below it are interned, and each one's record is
-tallied from its ids on first read.  Only :meth:`LevelSets.members`,
-which ``--dump`` reads, interns the deepest level, as the levels below
-were.
+others, and no level is built from it.  It is not interned: it is
+counted per x and per class of ys that read alike (see :func:`_fold`),
+each set once, from the pair with the largest y that makes it
+(canonical augmentation), and no pair is visited on its own.  That
+count makes its record, for plain with each set's rank, cardinality and
+ark, so its profiles and the ark lemma need no ids either.  The levels
+below it are interned, and each one's record is tallied from its ids on
+first read.  Only :meth:`LevelSets.members`, which ``--dump`` reads,
+interns the deepest level, as the levels below were.
 
 Every variant has one limit: a level that may hold more than
 :data:`DEFAULT_LEVEL_SIZE_CAP` sets is refused before it is built, level
@@ -79,8 +79,9 @@ class LevelSets:
     kept and never rebuilt, and nothing is invalidated.
 
     The deepest level that :func:`build_levels` makes is left folded: its
-    record is read off one walk over its pairs as it is built (see
-    :func:`_fold`), and its sets are interned only when a read needs
+    record is counted per x and y-class as it is built (see
+    :func:`_fold`), at a cost that grows with the xs and the classes,
+    not with the pairs, and its sets are interned only when a read needs
     their ids (:attr:`levels` and :meth:`members`).  Every other level's
     record is tallied from its ids on first read.
     """
@@ -242,7 +243,7 @@ _Record = namedtuple("_Record", "size new held old shapes strays")
 
 def _fold(ls: LevelSets, xs: list, ys: list) -> _Record:
     """The level after the stored ones: level 0 plus every x of ``xs``
-    with each y of ``ys`` adjoined, counted in one walk over its pairs
+    with each y of ``ys`` adjoined, counted per x and per y-class
     without interning it.
 
     A set S = x with y adjoined, y not in x, comes from the pair
@@ -253,9 +254,17 @@ def _fold(ls: LevelSets, xs: list, ys: list) -> _Record:
     xs.  Those y form a small set per x, read off G[R] = {w a y : R with
     w added is an x} over the one-element deletions R of the xs.  A pair
     that is not skipped and names an old id, a set already interned or x
-    itself when y is in x, marks it as :func:`_assemble` does; x is
-    marked through its largest element that is a y, which no z exceeds.
-    No nesting of levels is assumed.
+    itself when y is in x, marks it as :func:`_assemble` does.  No
+    nesting of levels is assumed.
+
+    The pairs of an x are not visited one by one.  A y-class is the key
+    the record reads of y: its level mask, for plain also its rank + 1
+    and its ark.  Every y of a class makes a fresh set but the ys in x,
+    the skipped ones and those whose set is already interned, which
+    :meth:`~adjhier.hfs.SetEngine.adjoined_interned` finds from the
+    interned side.  So each class's count of fresh sets is its size less
+    those, and an x costs O(|x| + skipped + interned + classes), never
+    O(|ys|).
 
     For plain, each set no id names is also tallied by its rank, its
     cardinality and its ark (see :func:`_shapes`).  It is in no stored
@@ -279,28 +288,37 @@ def _fold(ls: LevelSets, xs: list, ys: list) -> _Record:
         # y's key also holds what S's rank and ark read of y
         ykeys = [(s, eng.rank_id(y) + 1, eng.ark_id(y))
                  for y, s in zip(ys, ykeys)]
+    key_of, totals = dict(zip(ys, ykeys)), Counter(ykeys)
+    named = eng.adjoined_interned(xs, ys)
     pairs = {}  # (x's key, y's mask): the sets no id names yet
-    for x, row in zip(xs, eng.probe_level(xs, ys)):
+    for x in xs:
         ex = elements_of(x)
-        bad = set()
+        bad, own = set(), []
         for i, z in enumerate(ex):
             if z in is_y:
+                own.append(z)
                 bad.update(w for w in grows.get(ex[:i] + ex[i + 1:], ())
                            if w < z)
-        by_y = {}  # y's key: the pairs of this x
-        for y, s, sid in zip(ys, ykeys, row):
-            if y in bad:
-                continue
-            if sid is None:
-                by_y[s] = by_y.get(s, 0) + 1
-            else:
+        # y's key: the pairs of this x that make a fresh set, all of the
+        # key's ys but those in x, those skipped and those already named
+        by_y = dict(totals)
+        for y in [*own, *bad]:
+            by_y[key_of[y]] -= 1
+        if own:  # x with one of its own elements added is x
+            found[x >> 3] |= 1 << (x & 7)
+        hits = named.get(x, {})
+        for y, sid in hits.items():
+            if y not in bad:
+                by_y[key_of[y]] -= 1
                 found[sid >> 3] |= 1 << (sid & 7)
+        by_y = {k: c for k, c in by_y.items() if c}
         if shapes is not None:
             by_y, odd = _shapes(eng, x, by_y, level, shapes)
             if odd:
+                skip = {*own, *bad, *hits}
                 strays += [(tuple(eng.sort_ids(ex + (y,))), odd[k])
-                           for y, k, sid in zip(ys, ykeys, row)
-                           if k in odd and sid is None and y not in bad]
+                           for y, k in zip(ys, ykeys)
+                           if k in odd and y not in skip]
         key = tuple(sorted([masks[z] for z in ex]))
         for s, c in by_y.items():
             pairs[key, s] = pairs.get((key, s), 0) + c

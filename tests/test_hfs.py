@@ -362,13 +362,24 @@ def test_adjoin_level_equals_frozenset_adjunction(pairs, n_atoms, xi, yi,
         ys.append(next(eng.elements_of(x)[-1] for x in xs
                        if eng.elements_of(x)))
     size = eng.size
-    probed = [sid for row in eng.probe_level(xs, ys) for sid in row]
-    assert eng.size == size  # a probe interns nothing
+    named = eng.adjoined_interned(xs, ys)
+    assert eng.size == size  # the lookup interns nothing
     got = list(eng.adjoin_level(xs, ys))
     assert len(got) == len(xs) * len(ys)
     _assert_adjunctions(eng, xs, ys, got)
-    # a probe names the set the adjunction finds, None where it is new
-    assert probed == [sid if sid < size else None for sid in got]
+    # the lookup holds every pair, y not in x, that the adjunction
+    # resolves to an id interned before it, and no other pair
+    assert named == _old_pairs(eng, xs, ys, got, size)
+
+
+def _old_pairs(eng, xs, ys, got, size):
+    """{x: {y: S}} for the pairs of ``got``, y not in x, that name an id
+    S below ``size``."""
+    pairs = {}
+    for (x, y), sid in zip(itertools.product(xs, ys), got):
+        if sid < size and y not in eng.elements_of(x):
+            pairs.setdefault(x, {})[y] = sid
+    return pairs
 
 
 def test_adjoin_level_members_and_outside_elements():

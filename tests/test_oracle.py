@@ -1,6 +1,7 @@
 import ast
 import itertools
 import json
+import time
 import tracemalloc
 import types
 from pathlib import Path
@@ -494,12 +495,17 @@ def _universe(n_atoms, subsets):
        st.lists(st.lists(st.integers(0, 40), max_size=4), max_size=25),
        st.sets(st.integers(0, 40), max_size=8),
        st.sets(st.integers(0, 40), max_size=8))
-# {{}} holds its only y, {}, and comes from no other pair
+# y in x: {{}} holds its only y, {}, and comes from no other pair
 @example(0, [[0]], {1}, {0})
-# {u1,u2} comes from ({u1}, u2) and from ({u2}, u1)
+# a non-canonical fresh pair: {u1,u2}, not interned, comes from
+# ({u1}, u2) and from ({u2}, u1), which is skipped
 @example(2, [[0], [1]], {1, 2}, {0, 1})
-# ({}, {}) names {{}}, interned and held by level 1
+# a canonical pair naming an interned set: ({}, {}) names {{}}, held by
+# level 1
 @example(0, [[0]], {0, 1}, {0})
+# a non-canonical pair naming an interned set: ({u2}, u1) names the
+# interned {u1,u2}, which the canonical ({u1}, u2) names too
+@example(2, [[0], [1], [0, 1]], {1, 2}, {0, 1})
 def test_fold_of_any_pairs_equals_their_interned_level(n_atoms, subsets,
                                                        xi, yi):
     # the xs and ys need not come from nested levels: x need not arise
@@ -520,6 +526,54 @@ def test_fold_of_any_pairs_equals_their_interned_level(n_atoms, subsets,
     # from its ids
     interned = oracle.LevelSets(spec, eng, folded.levels[:], atoms)
     assert got == top_reads(interned)
+
+
+@pytest.mark.parametrize("spec, n_max", [
+    (HierarchySpec.plain(), 6), (HierarchySpec.atoms(1), 5),
+    (HierarchySpec.atoms(3), 4)], ids=str)
+def test_fold_verifies_one_level_deeper_without_the_cap(spec, n_max,
+                                                         monkeypatch):
+    # the fold costs |xs| times the y-classes, not |xs| * |ys| pairs: with
+    # the size cap lifted, level 6 of plain (135,717,904 sets), level 5
+    # of atoms u=1 (44,661,920) and level 4 of atoms u=3 (785,834)
+    # verify in well under 2 s, and none of their sets is interned
+    monkeypatch.setattr(oracle, "DEFAULT_LEVEL_SIZE_CAP", 1 << 40)
+    start = time.monotonic()
+    ls, checks = verify.verify(spec, n_max)
+    elapsed = time.monotonic() - start
+    assert all(c.ok for c in checks), [c for c in checks if not c.ok]
+    want = PLAIN_A if spec.kind == "plain" else ATOM_SIZES[spec.u]
+    assert ls.sizes() == want[:n_max + 1]
+    assert ls.engine.size == ls.size(n_max - 1)  # the levels are nested
+    assert elapsed < 2, elapsed
+
+
+# Hand-made mutants of the fold in oracle.py, as (text, replacement): a
+# y in x counted as a fresh set, a pair naming an interned set counted
+# as a fresh set too, and a skipped pair that names an interned set
+# marked and counted away as if it were canonical.
+FOLD_MUTANTS = [
+    ("for y in [*own, *bad]:", "for y in bad:"),
+    ("            if y not in bad:\n                by_y[key_of[y]] -= 1\n",
+     "            if y not in bad:\n"),
+    ("            if y not in bad:\n", "            if True:\n"),
+]
+
+
+@pytest.mark.parametrize("old, new", FOLD_MUTANTS,
+                         ids=["y in x", "interned pair", "non-canonical"])
+def test_fold_mutants_fail_oracle_verify(old, new, monkeypatch):
+    source = Path(oracle.__file__).read_text()
+    assert source.count(old) == 1
+    mutant = types.ModuleType("adjhier.oracle_mutant")
+    mutant.__package__ = "adjhier"
+    exec(compile(source.replace(old, new), oracle.__file__, "exec"),
+         mutant.__dict__)
+    monkeypatch.setattr(oracle, "_fold", mutant._fold)
+    for spec, n_max in [(HierarchySpec.plain(), 5),
+                        (HierarchySpec.atoms(2), 4)]:
+        _, checks = verify.verify(spec, n_max)
+        assert not checks[0].ok, (spec, checks[0])  # the level sizes
 
 
 def test_atoms_oracle_keeps_only_levels_below_the_top():

@@ -351,6 +351,25 @@ def test_endless_cache_path_is_refused_unread(kind, tmp_path):
     assert "Traceback" not in err and "not a regular file" in err
 
 
+@linux_only
+@pytest.mark.parametrize("kind", ["/dev/zero", "fifo"])
+def test_endless_bound_file_is_refused_unread(kind, tmp_path):
+    # the same for a --f file: path, which the bound parser would read
+    # line by line: /dev/zero is one endless line
+    path = kind
+    if kind == "fifo":
+        path = str(tmp_path / "bound.fifo")
+        os.mkfifo(path)
+    start = time.monotonic()
+    code, out_bytes, err = _child(["bounded", "--f", f"file:{path}",
+                                   "--n", "3"],
+                                  limit_s=5, address_space=600 << 20)
+    assert code == 2 and out_bytes == 0, (code, err[-500:])
+    assert time.monotonic() - start < 5
+    assert "Traceback" not in err
+    assert err == f"error: bound file {path} is not a regular file\n"
+
+
 def _spawned(argv, stdout):
     """Run ``python -m adjhier argv`` with stdout to the file ``stdout``
     as the benchmark runs its commands: from ``perfbench/spawner.py``, so
